@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -27,14 +28,7 @@ from . import models as md
 from . import multilane as ml
 from . import pressure as pr
 from . import solver as sv
-from .errors import (
-    BlowUpError,
-    ClipBudgetError,
-    ConfigError,
-    DomainError,
-    PedflowError,
-    StabilityError,
-)
+from .errors import ClipBudgetError, ConfigError, DomainError, PedflowError
 
 _KNOWN_KEYS = {
     "model.kind", "model.a", "model.V",
@@ -206,6 +200,10 @@ def build_config(raw: dict) -> ScenarioConfig:
     cfg.n_lanes = _get(raw, "lanes.count", int, 1)
     if cfg.n_lanes < 1:
         raise ConfigError("lanes.count must be >= 1")
+    if cfg.n_lanes > 1 and rates.lambda0 * scheme.dt > 1.0 + 1e-12:
+        raise ConfigError(
+            f"rates.lambda0 * scheme.dt = {rates.lambda0 * scheme.dt:.3g} exceeds 1"
+        )
 
     two_way = model.kind in (
         md.ModelKind.TWO_WAY_CAR, md.ModelKind.TWO_WAY_AR, md.ModelKind.SIM_FLUX
@@ -242,6 +240,8 @@ def build_config(raw: dict) -> ScenarioConfig:
         raise ConfigError("noise.sigma must be >= 0")
 
     cfg.t_end = _get(raw, "run.t_end", float, 0.0)
+    if cfg.t_end < 0:
+        raise ConfigError("run.t_end must be >= 0")
     cfg.snapshot_every = _get(raw, "run.snapshot_every", float, None)
     rho_star = model.pressure.rho_star if model.pressure is not None else 1.0
     cfg.cluster_threshold = _get(raw, "cluster.threshold", float, 0.9 * rho_star)
@@ -514,6 +514,22 @@ def _stability_rows(report: an.StabilityReport):
     return rows
 
 
+@contextmanager
+def _stepping():
+    """Mark every package error raised inside as raised while stepping.
+
+    Once stepping has started the config has been accepted, so an error
+    there, even a domain error such as reaching the jam density, means
+    the run failed numerically (exit code 3), not that its config is
+    wrong (exit code 2).
+    """
+    try:
+        yield
+    except PedflowError as exc:
+        exc.while_stepping = True
+        raise
+
+
 def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
     """Run one scenario and write its artifact set under outdir."""
     outdir = Path(outdir)
@@ -530,9 +546,10 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
     if cfg.n_lanes == 1:
         field, clip0 = _build_initial_lane(cfg, 0)
         result.initial_clipped_mass = clip0
-        run_result = sv.run(
-            cfg.model, field, cfg.grid, cfg.scheme, cfg.t_end, cfg.snapshot_every
-        )
+        with _stepping():
+            run_result = sv.run(
+                cfg.model, field, cfg.grid, cfg.scheme, cfg.t_end, cfg.snapshot_every
+            )
         result.run = run_result
         _write_single_lane_artifacts(cfg, result, run_result, outdir, snapdir)
     else:
@@ -606,25 +623,32 @@ def _run_multilane(cfg, result, outdir, snapdir):
         rates=cfg.rates,
         rho_star=cfg.model.pressure.rho_star,
     )
+    mass_budget = sv.CLIP_BUDGET_REL * float(np.sum(stack.direction_mass(cfg.grid)))
     n_steps = int(np.ceil(cfg.t_end / cfg.scheme.dt - 1e-9)) if cfg.t_end > 0 else 0
     snapshots = [[f.copy() for f in stack.fields]]
     audit_rows = []
     next_snap = cfg.snapshot_every
-    for k in range(1, n_steps + 1):
-        cfl = max(
-            sv.measured_cfl(m, f, cfg.grid, cfg.scheme)
-            for m, f in zip(stack.models, stack.fields)
-        )
-        stack = ml.coupled_step(stack, cfg.grid, cfg.scheme)
-        t = k * cfg.scheme.dt
-        mass_dir = stack.direction_mass(cfg.grid)
-        dens = stack.densities()
-        audit_rows.append(
-            (k, t, cfl, mass_dir[0], mass_dir[1], float(dens.min()), float(dens.max()))
-        )
-        if next_snap is not None and t >= next_snap - 1e-9 * cfg.scheme.dt:
-            snapshots.append([f.copy() for f in stack.fields])
-            next_snap += cfg.snapshot_every
+    with _stepping():
+        for k in range(1, n_steps + 1):
+            cfl = sv.measured_cfl(
+                cfg.model, sv.StateField(stack.values), cfg.grid, cfg.scheme
+            )
+            stack = ml.coupled_step(stack, cfg.grid, cfg.scheme)
+            if stack.clipped_mass > mass_budget:
+                raise ClipBudgetError(
+                    f"clipped mass {stack.clipped_mass:.3e} exceeds budget "
+                    f"{mass_budget:.3e}"
+                )
+            t = k * cfg.scheme.dt
+            mass_dir = stack.direction_mass(cfg.grid)
+            dens = stack.densities()
+            audit_rows.append(
+                (k, t, cfl, mass_dir[0], mass_dir[1], float(dens.min()),
+                 float(dens.max()))
+            )
+            if next_snap is not None and t >= next_snap - 1e-9 * cfg.scheme.dt:
+                snapshots.append([f.copy() for f in stack.fields])
+                next_snap += cfg.snapshot_every
     if n_steps > 0 and snapshots[-1][0].time < stack.fields[0].time - 1e-9:
         snapshots.append([f.copy() for f in stack.fields])
     result.lane_snapshots = snapshots
@@ -812,10 +836,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StabilityError, BlowUpError, ClipBudgetError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except PedflowError as exc:
+        if getattr(exc, "while_stepping", False):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -105,12 +105,14 @@ def momentum_sources(
 
 @dataclass
 class LaneStack:
-    """K two-way lanes sharing a grid and a jam density.
+    """K two-way lanes sharing one model, a grid and a jam density.
 
-    Each lane carries its own two-way model (constant or dynamic desired
-    speed) and conserved state.  prev_offsets holds the per-lane,
-    per-direction offset fields of the previous step, used for the
-    discrete material derivative that drives the rates.
+    Every lane runs the same two-way model (constant or dynamic desired
+    speed) on its own conserved state.  prev_offsets holds the (K, 2, n)
+    per-lane, per-direction offset fields of the previous step, used for
+    the discrete material derivative that drives the rates.
+    clipped_mass is the negative density mass the transport steps have
+    clipped to zero so far, summed over lanes.
     """
 
     models: list
@@ -118,18 +120,17 @@ class LaneStack:
     rates: LaneChangeRates
     rho_star: float
     prev_offsets: np.ndarray | None = None
+    clipped_mass: float = 0.0
 
     def __post_init__(self):
         if len(self.models) < 1 or len(self.models) != len(self.fields):
             raise DomainError("need one model and one state per lane")
-        kinds = {m.kind for m in self.models}
-        if not kinds <= {md.ModelKind.TWO_WAY_CAR, md.ModelKind.TWO_WAY_AR}:
+        if self.kind not in (md.ModelKind.TWO_WAY_CAR, md.ModelKind.TWO_WAY_AR):
             raise DomainError("lanes must be two-way pressure-coupled models")
-        if len(kinds) != 1:
-            raise DomainError("all lanes must share one model kind")
-        for m in self.models:
-            if abs(m.pressure.rho_star - self.rho_star) > 1e-12 * self.rho_star:
-                raise DomainError("all lanes must share rho_star")
+        if any(m != self.model for m in self.models):
+            raise DomainError("all lanes must share one model")
+        if abs(self.model.pressure.rho_star - self.rho_star) > 1e-12 * self.rho_star:
+            raise DomainError("rho_star must be the jam density of the lanes' model")
         n = {f.n_cells for f in self.fields}
         if len(n) != 1:
             raise DomainError("all lanes must share the grid")
@@ -139,52 +140,46 @@ class LaneStack:
         return len(self.models)
 
     @property
+    def model(self) -> md.ModelSpec:
+        return self.models[0]
+
+    @property
     def kind(self):
-        return self.models[0].kind
+        return self.model.kind
+
+    @property
+    def values(self) -> np.ndarray:
+        """(C, K, n) stacked state: components, then lanes, then cells."""
+        return np.stack([f.values for f in self.fields], axis=1)
 
     def densities(self) -> np.ndarray:
         """(K, 2, n) array of per-lane, per-direction densities."""
-        rows = self.models[0].density_rows
-        return np.stack([f.values[list(rows)] for f in self.fields])
-
-    def desired_speeds(self) -> np.ndarray:
-        """(K, 2, n) array of w per lane/direction (V for CAR lanes)."""
-        if self.kind is md.ModelKind.TWO_WAY_CAR:
-            n = self.fields[0].n_cells
-            return np.stack(
-                [np.full((2, n), m.V, dtype=float) for m in self.models]
-            )
-        out = []
-        for f in self.fields:
-            rho_p, w_p, _ = md._species_primitives(f.values[0], f.values[1])
-            rho_m, w_m, _ = md._species_primitives(f.values[2], f.values[3])
-            out.append(np.stack([w_p, w_m]))
-        return np.stack(out)
+        rows = list(self.model.density_rows)
+        return np.ascontiguousarray(self.values[rows].swapaxes(0, 1))
 
     def direction_mass(self, grid: sv.Grid1D) -> np.ndarray:
         """Total mass per walking direction, summed over lanes."""
         return self.densities().sum(axis=(0, 2)) * grid.dx
 
 
-def _offsets_and_speeds(stack: LaneStack):
-    """Per-lane offset and actual-speed fields on the current states."""
-    rho = stack.densities()
-    K, _, n = rho.shape
-    p = np.empty_like(rho)
-    u = np.empty_like(rho)
-    for k, model in enumerate(stack.models):
-        p_plus, p_minus = md.two_way_pressures(model, rho[k, 0], rho[k, 1])
-        p[k, 0], p[k, 1] = p_plus, p_minus
-        if model.kind is md.ModelKind.TWO_WAY_CAR:
-            u[k, 0] = model.V - p_plus
-            u[k, 1] = -model.V + p_minus
-        else:
-            f = stack.fields[k]
-            _, w_p, _ = md._species_primitives(f.values[0], f.values[1])
-            _, w_m, _ = md._species_primitives(f.values[2], f.values[3])
-            u[k, 0] = w_p - p_plus
-            u[k, 1] = -w_m + p_minus
-    return rho, p, u
+def _offsets_and_speeds(model: md.ModelSpec, U: np.ndarray):
+    """Densities, offsets, actual and desired speeds of stacked lanes.
+
+    U is the (C, K, n) state; every result is (K, 2, n).  The desired
+    speed w is V for constant-desired-speed lanes.
+    """
+    i_plus, i_minus = model.density_rows
+    rho = U[[i_plus, i_minus]].swapaxes(0, 1)
+    p_plus, p_minus = md.two_way_pressures(model, U[i_plus], U[i_minus])
+    p = np.stack([p_plus, p_minus], axis=1)
+    if model.kind is md.ModelKind.TWO_WAY_CAR:
+        w = np.full_like(p, model.V)
+    else:
+        _, w_p, _ = md._species_primitives(U[0], U[1])
+        _, w_m, _ = md._species_primitives(U[2], U[3])
+        w = np.stack([w_p, w_m], axis=1)
+    u = np.stack([w[:, 0] - p_plus, -w[:, 1] + p_minus], axis=1)
+    return rho, p, u, w
 
 
 def _upwind_gradient(p: np.ndarray, u: np.ndarray, dx: float) -> np.ndarray:
@@ -197,57 +192,60 @@ def _upwind_gradient(p: np.ndarray, u: np.ndarray, dx: float) -> np.ndarray:
 def coupled_step(stack: LaneStack, grid: sv.Grid1D, params: sv.SchemeParams) -> LaneStack:
     """Advance the whole stack one step: transport, then lane exchange.
 
-    Every lane is advanced by the conservative transport-diffusion step;
-    the lane-change sources are then evaluated on the transported states
-    (one common time level) and applied as explicit increments dt*S to
-    the densities and dt*R to the desired-speed momenta of dynamic
-    lanes.  The offset material derivative uses the offsets stored by
-    the previous call; the first call uses the spatial term only.
+    All lanes are advanced together, as one (C, K, n) array, by the
+    conservative transport-diffusion step; the lane-change sources are
+    then evaluated on the transported states (one common time level) and
+    applied as explicit increments dt*S to the densities and dt*R to the
+    desired-speed momenta of dynamic lanes.  The offset material
+    derivative uses the offsets stored by the previous call; the first
+    call uses the spatial term only.
+
+    Raises SourceStiffnessError when lambda0*dt exceeds 1, or when the
+    fraction dt*(rate_up + rate_down) of a cell's walkers that would leave
+    it exceeds 1, which would make its density negative.
     """
-    if params.dt * stack.rates.lambda0 > 1.0 + 1e-12:
+    dt = params.dt
+    if dt * stack.rates.lambda0 > 1.0 + 1e-12:
         raise SourceStiffnessError(
-            f"lambda0 * dt = {params.dt * stack.rates.lambda0:.3g} exceeds 1"
+            f"lambda0 * dt = {dt * stack.rates.lambda0:.3g} exceeds 1"
         )
-    new_fields = [
-        sv.step(model, f, grid, params)
-        for model, f in zip(stack.models, stack.fields)
-    ]
-    new_stack = LaneStack(
-        models=stack.models,
-        fields=new_fields,
-        rates=stack.rates,
-        rho_star=stack.rho_star,
-        prev_offsets=stack.prev_offsets,
-    )
-    rho, p, u = _offsets_and_speeds(new_stack)
+    model = stack.model
+    U, _, clipped = sv._advance(model, stack.values, grid, params)
+    rho, p, u, w = _offsets_and_speeds(model, U)
     dpdt = u * _upwind_gradient(p, u, grid.dx)
     if stack.prev_offsets is not None:
-        dpdt = dpdt + (p - stack.prev_offsets) / params.dt
+        dpdt = dpdt + (p - stack.prev_offsets) / dt
 
-    K = new_stack.n_lanes
-    total = rho.sum(axis=1)  # (K, n)
-    rates_up = np.zeros_like(rho)
-    rates_down = np.zeros_like(rho)
-    for k in range(K):
-        for alpha in range(2):
-            if k + 1 < K:
-                rates_up[k, alpha] = lane_change_rate(
-                    stack.rates, dpdt[k, alpha], total[k + 1], stack.rho_star
-                )
-            if k - 1 >= 0:
-                rates_down[k, alpha] = lane_change_rate(
-                    stack.rates, dpdt[k, alpha], total[k - 1], stack.rho_star
-                )
+    # Lane k moves walkers up toward lane k+1 and down toward lane k-1,
+    # each rate cut off by the total density of the target lane; the
+    # boundary lanes' outward rates stay zero.
+    total = rho.sum(axis=1, keepdims=True)
+    rates_up = np.zeros(rho.shape)
+    rates_down = np.zeros(rho.shape)
+    rates_up[:-1] = lane_change_rate(stack.rates, dpdt[:-1], total[1:], stack.rho_star)
+    rates_down[1:] = lane_change_rate(stack.rates, dpdt[1:], total[:-1], stack.rho_star)
+
+    t = stack.fields[0].time + dt
+    outflow = dt * (rates_up + rates_down)
+    worst = np.unravel_index(np.argmax(outflow), outflow.shape)
+    if outflow[worst] > 1.0:
+        lane, direction, cell = worst
+        raise SourceStiffnessError(
+            f"lane-change outflow dt*(rate_up + rate_down) = {outflow[worst]:.3g} "
+            f"exceeds 1 in lane {lane}, direction {('plus', 'minus')[direction]}, "
+            f"cell {cell} at t = {t:.6g}"
+        )
 
     S = density_sources(rho, rates_up, rates_down)
-    if new_stack.kind is md.ModelKind.TWO_WAY_AR:
-        w = new_stack.desired_speeds()
+    U[list(model.density_rows)] += dt * S.swapaxes(0, 1)
+    if model.kind is md.ModelKind.TWO_WAY_AR:
         R = momentum_sources(rho, w, rates_up, rates_down)
-    dens_rows = list(new_stack.models[0].density_rows)
-    for k, f in enumerate(new_fields):
-        f.values[dens_rows] += params.dt * S[k]
-        if new_stack.kind is md.ModelKind.TWO_WAY_AR:
-            f.values[1] += params.dt * R[k, 0]
-            f.values[3] += params.dt * R[k, 1]
-    new_stack.prev_offsets = p
-    return new_stack
+        U[[1, 3]] += dt * R.swapaxes(0, 1)
+    return LaneStack(
+        models=stack.models,
+        fields=[sv.StateField(U[:, k], t) for k in range(U.shape[1])],
+        rates=stack.rates,
+        rho_star=stack.rho_star,
+        prev_offsets=p,
+        clipped_mass=stack.clipped_mass + clipped,
+    )

@@ -75,7 +75,7 @@ class StateField:
 
     @property
     def n_cells(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def copy(self) -> "StateField":
         return StateField(self.values.copy(), self.time)
@@ -113,22 +113,24 @@ def muscl_reconstruct(field: StateField, grid: Grid1D, limiter: str = "minmod"):
     """Left/right interface states from limited linear slopes.
 
     Interface j sits between cells j and j+1 (periodic wrap at the
-    end): U_L[:, j] comes from cell j, U_R[:, j] from cell j+1.  With
-    limiter='none' the slopes are zero and the scheme is first order.
+    end): U_L[..., j] comes from cell j, U_R[..., j] from cell j+1.  Cells
+    are the last axis, so a lane axis between components and cells is
+    carried along.  With limiter='none' the slopes are zero and the scheme
+    is first order.
     """
     U = field.values if isinstance(field, StateField) else np.atleast_2d(field)
-    if U.shape[1] < 4:
+    if U.shape[-1] < 4:
         raise DomainError("reconstruction needs at least 4 cells")
     if limiter == "minmod":
-        fwd = np.roll(U, -1, axis=1) - U
-        bwd = U - np.roll(U, 1, axis=1)
+        fwd = np.roll(U, -1, axis=-1) - U
+        bwd = U - np.roll(U, 1, axis=-1)
         slope = _minmod(bwd, fwd)
     elif limiter == "none":
         slope = np.zeros_like(U)
     else:
         raise DomainError("limiter must be 'minmod' or 'none'")
     U_L = U + 0.5 * slope
-    U_R = np.roll(U - 0.5 * slope, -1, axis=1)
+    U_R = np.roll(U - 0.5 * slope, -1, axis=-1)
     return U_L, U_R
 
 
@@ -162,26 +164,32 @@ def measured_cfl(model, field: StateField, grid: Grid1D, params: SchemeParams) -
 
 
 def _advance(model, U, grid: Grid1D, params: SchemeParams):
-    """One forward-Euler update.  Returns (U_new, cfl, clipped_mass)."""
+    """One forward-Euler update.  Returns (U_new, cfl, clipped_mass).
+
+    U is (C, N) for one lane or (C, K, N) for K lanes advanced together;
+    cfl is the largest stability number and clipped_mass the total over
+    all lanes.
+    """
     dx, dt = grid.dx, params.dt
     spd = model.max_abs_speed(U)
-    a_iface = np.maximum(spd, np.roll(spd, -1))
+    a_iface = np.maximum(spd, np.roll(spd, -1, axis=-1))
     cfl = float(np.max(a_iface) * dt / dx + 2.0 * params.delta_diff * dt / dx**2)
     if cfl > params.cfl_guard:
         raise StabilityError(cfl, params.cfl_guard)
 
     U_L, U_R = muscl_reconstruct(StateField(U), grid, params.limiter)
     F = central_flux(model, U_L, U_R, a_iface)
-    div = (F - np.roll(F, 1, axis=1)) / dx
+    div = (F - np.roll(F, 1, axis=-1)) / dx
     U_new = U - dt * div
     if params.delta_diff > 0.0:
-        lap = (np.roll(U, 1, axis=1) - 2.0 * U + np.roll(U, -1, axis=1)) / dx**2
+        lap = (np.roll(U, 1, axis=-1) - 2.0 * U + np.roll(U, -1, axis=-1)) / dx**2
         U_new += params.delta_diff * dt * lap
 
     if not np.all(np.isfinite(U_new)):
         bad = np.argwhere(~np.isfinite(U_new))[0]
+        lane = f" of lane {bad[1]}" if U_new.ndim == 3 else ""
         raise BlowUpError(
-            f"non-finite value in component {bad[0]} at cell {bad[1]}"
+            f"non-finite value in component {bad[0]}{lane} at cell {bad[-1]}"
         )
 
     clipped = 0.0

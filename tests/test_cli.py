@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from pedflow import cli
 from pedflow import models as md
 from pedflow import pressure as pr
 from pedflow import solver as sv
-from pedflow.errors import ConfigError
+from pedflow.errors import ClipBudgetError, ConfigError
 
 BASE_CONFIG = """
 # two-species cluster run, kept tiny for test speed
@@ -23,6 +26,19 @@ noise.seed = 77
 run.t_end = 4.0
 run.snapshot_every = 2.0
 """
+
+
+TWO_LANE_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "two_lane.cfg"
+
+
+def two_lane_config(tmp_path, keys):
+    """scenarios/two_lane.cfg with the values of the given keys replaced."""
+    text = TWO_LANE_CFG.read_text()
+    for key, value in keys.items():
+        text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text,
+                          flags=re.M)
+        assert n == 1, key
+    return write_config(tmp_path, text)
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -298,6 +314,52 @@ class TestMainExitCodes:
     def test_numerical_failure(self, tmp_path):
         text = BASE_CONFIG.replace("scheme.dt = 0.2", "scheme.dt = 5.0")
         cfg_path = write_config(tmp_path, text)
+        assert cli.main(
+            ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        ) == 3
+
+    def test_jam_density_while_stepping_is_a_numerical_failure(self, tmp_path, capsys):
+        cfg_path = two_lane_config(
+            tmp_path,
+            {"initial.rho_plus": 0.55, "initial.rho_minus": 0.4, "noise.sigma": 0.05},
+        )
+        assert cli.main(
+            ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        ) == 3
+        assert "numerical failure: density reached the jam density" in (
+            capsys.readouterr().err
+        )
+
+    def test_stiff_lane_change_rate_is_a_config_error(self, tmp_path):
+        cfg_path = two_lane_config(tmp_path, {"rates.lambda0": 30.0})
+        with pytest.raises(ConfigError, match="lambda0"):
+            cli.load_config(cfg_path)
+        assert cli.main(
+            ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        ) == 2
+
+    def test_negative_end_time_is_a_config_error(self, tmp_path):
+        for cfg_path in (
+            write_config(tmp_path, BASE_CONFIG.replace("run.t_end = 4.0", "run.t_end = -1.0")),
+            two_lane_config(tmp_path, {"run.t_end": -1.0}),
+        ):
+            with pytest.raises(ConfigError, match="t_end"):
+                cli.load_config(cfg_path)
+            assert cli.main(
+                ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+            ) == 2
+
+    def test_multilane_clip_budget(self, tmp_path, monkeypatch):
+        advance = sv._advance
+
+        def clipping_advance(model, U, grid, params):
+            U_new, cfl, clipped = advance(model, U, grid, params)
+            return U_new, cfl, clipped + 1e-7
+
+        monkeypatch.setattr(sv, "_advance", clipping_advance)
+        cfg_path = two_lane_config(tmp_path, {"run.t_end": 1.0})
+        with pytest.raises(ClipBudgetError):
+            cli.run_scenario(cli.load_config(cfg_path), tmp_path / "out")
         assert cli.main(
             ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
         ) == 3

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pedflow import models as md
 from pedflow import multilane as ml
 from pedflow import pressure as pr
 from pedflow import solver as sv
-from pedflow.errors import DomainError, SourceStiffnessError
+from pedflow.errors import BlowUpError, DomainError, SourceStiffnessError
 
 
 def car_model(V=1.0, eps=1e-3):
@@ -260,3 +263,187 @@ class TestCoupledStep:
                 rates=ml.LaneChangeRates(),
                 rho_star=1.0,
             )
+
+    def test_lanes_must_share_one_model(self):
+        fields = [sv.StateField(np.full((2, 8), 0.2)) for _ in range(2)]
+        with pytest.raises(DomainError, match="one model"):
+            ml.LaneStack(
+                models=[car_model(V=1.0), car_model(V=1.2)],
+                fields=fields,
+                rates=ml.LaneChangeRates(),
+                rho_star=1.0,
+            )
+
+    def test_outflow_bound(self):
+        # A dense bump in lane 0 drives rates whose combined outflow
+        # dt*(rate_up + rate_down) exceeds 1 although lambda0*dt = 0.5;
+        # applied, the exchange would make densities negative.
+        n = 64
+        lane0 = np.stack([np.full(n, 0.1), np.full(n, 0.05)])
+        lane0[0, 28:36] = 0.75
+        lane1 = np.stack([np.full(n, 0.1), np.full(n, 0.05)])
+        stack = ml.LaneStack(
+            models=[car_model()] * 2,
+            fields=[sv.StateField(lane0), sv.StateField(lane1)],
+            rates=ml.LaneChangeRates(lambda0=10.0),
+            rho_star=1.0,
+        )
+        grid = sv.Grid1D(n_cells=n, dx=1.0)
+        params = sv.SchemeParams(dt=0.05)
+        with pytest.raises(SourceStiffnessError, match="lane 0, direction plus, cell"):
+            for _ in range(8):
+                stack = ml.coupled_step(stack, grid, params)
+                assert stack.densities().min() >= 0.0
+
+    def test_blow_up_names_the_lane(self):
+        stack = make_stack(2, np.random.default_rng(9))
+        stack.fields[1].values[0, 5] = np.nan
+        grid = sv.Grid1D(n_cells=16, dx=1.0)
+        with pytest.raises(BlowUpError, match="of lane 1 at cell"):
+            ml.coupled_step(stack, grid, sv.SchemeParams(dt=0.05))
+
+    def test_clipped_mass_accumulates_on_the_stack(self, monkeypatch):
+        advance = sv._advance
+
+        def clipping_advance(model, U, grid, params):
+            U_new, cfl, clipped = advance(model, U, grid, params)
+            return U_new, cfl, clipped + 0.25
+
+        monkeypatch.setattr(sv, "_advance", clipping_advance)
+        stack = make_stack(2, np.random.default_rng(8))
+        grid = sv.Grid1D(n_cells=16, dx=1.0)
+        params = sv.SchemeParams(dt=0.05)
+        for _ in range(3):
+            stack = ml.coupled_step(stack, grid, params)
+        assert stack.clipped_mass == 0.75
+
+
+# The per-lane coupled step that the batched one replaced, kept as the
+# reference: one solver step per lane, then rates filled lane by lane.
+
+
+def reference_desired_speeds(stack):
+    if stack.kind is md.ModelKind.TWO_WAY_CAR:
+        n = stack.fields[0].n_cells
+        return np.stack([np.full((2, n), m.V, dtype=float) for m in stack.models])
+    out = []
+    for f in stack.fields:
+        _, w_p, _ = md._species_primitives(f.values[0], f.values[1])
+        _, w_m, _ = md._species_primitives(f.values[2], f.values[3])
+        out.append(np.stack([w_p, w_m]))
+    return np.stack(out)
+
+
+def reference_offsets_and_speeds(stack):
+    rho = np.stack([f.values[list(stack.model.density_rows)] for f in stack.fields])
+    p = np.empty_like(rho)
+    u = np.empty_like(rho)
+    for k, model in enumerate(stack.models):
+        p_plus, p_minus = md.two_way_pressures(model, rho[k, 0], rho[k, 1])
+        p[k, 0], p[k, 1] = p_plus, p_minus
+        if model.kind is md.ModelKind.TWO_WAY_CAR:
+            u[k, 0] = model.V - p_plus
+            u[k, 1] = -model.V + p_minus
+        else:
+            f = stack.fields[k]
+            _, w_p, _ = md._species_primitives(f.values[0], f.values[1])
+            _, w_m, _ = md._species_primitives(f.values[2], f.values[3])
+            u[k, 0] = w_p - p_plus
+            u[k, 1] = -w_m + p_minus
+    return rho, p, u
+
+
+def reference_coupled_step(stack, grid, params):
+    new_fields = [
+        sv.step(model, f, grid, params)
+        for model, f in zip(stack.models, stack.fields)
+    ]
+    new_stack = ml.LaneStack(
+        models=stack.models,
+        fields=new_fields,
+        rates=stack.rates,
+        rho_star=stack.rho_star,
+        prev_offsets=stack.prev_offsets,
+    )
+    rho, p, u = reference_offsets_and_speeds(new_stack)
+    dpdt = u * ml._upwind_gradient(p, u, grid.dx)
+    if stack.prev_offsets is not None:
+        dpdt = dpdt + (p - stack.prev_offsets) / params.dt
+
+    K = new_stack.n_lanes
+    total = rho.sum(axis=1)
+    rates_up = np.zeros_like(rho)
+    rates_down = np.zeros_like(rho)
+    for k in range(K):
+        for alpha in range(2):
+            if k + 1 < K:
+                rates_up[k, alpha] = ml.lane_change_rate(
+                    stack.rates, dpdt[k, alpha], total[k + 1], stack.rho_star
+                )
+            if k - 1 >= 0:
+                rates_down[k, alpha] = ml.lane_change_rate(
+                    stack.rates, dpdt[k, alpha], total[k - 1], stack.rho_star
+                )
+
+    S = ml.density_sources(rho, rates_up, rates_down)
+    if new_stack.kind is md.ModelKind.TWO_WAY_AR:
+        R = ml.momentum_sources(rho, reference_desired_speeds(new_stack),
+                                rates_up, rates_down)
+    dens_rows = list(new_stack.model.density_rows)
+    for k, f in enumerate(new_fields):
+        f.values[dens_rows] += params.dt * S[k]
+        if new_stack.kind is md.ModelKind.TWO_WAY_AR:
+            f.values[1] += params.dt * R[k, 0]
+            f.values[3] += params.dt * R[k, 1]
+    new_stack.prev_offsets = p
+    return new_stack
+
+
+def assert_bitwise_equal(got, want):
+    got = np.ascontiguousarray(got, dtype=float)
+    want = np.ascontiguousarray(want, dtype=float)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def lane_stacks(draw, kind, K, n=12):
+    rho = draw(hnp.arrays(np.float64, (K, 2, n), elements=st.floats(0.02, 0.35)))
+    if kind == "two_way_car":
+        model = car_model()
+        values = rho
+    else:
+        model = ar_model()
+        w = draw(hnp.arrays(np.float64, (K, 2, n), elements=st.floats(0.8, 1.3)))
+        values = np.stack(
+            [rho[:, 0], rho[:, 0] * w[:, 0], rho[:, 1], rho[:, 1] * w[:, 1]], axis=1
+        )
+    rates = ml.LaneChangeRates(
+        lambda0=draw(st.floats(0.1, 2.0)),
+        ramp=draw(st.sampled_from(["positive_part", "sigmoid"])),
+        cutoff=draw(st.sampled_from(["linear", "quadratic"])),
+    )
+    return ml.LaneStack(
+        models=[model] * K,
+        fields=[sv.StateField(v) for v in values],
+        rates=rates,
+        rho_star=1.0,
+    )
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["two_way_car", "two_way_ar"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_batched_step_matches_per_lane_reference(kind, K, data):
+    stack = data.draw(lane_stacks(kind, K))
+    delta = data.draw(st.sampled_from([0.0, 0.1]))
+    grid = sv.Grid1D(n_cells=stack.fields[0].n_cells, dx=1.0)
+    params = sv.SchemeParams(dt=0.05, delta_diff=delta)
+    batched = reference = stack
+    for _ in range(20):
+        batched = ml.coupled_step(batched, grid, params)
+        reference = reference_coupled_step(reference, grid, params)
+        for got, want in zip(batched.fields, reference.fields):
+            assert got.time == want.time
+            assert_bitwise_equal(got.values, want.values)
+        assert_bitwise_equal(batched.prev_offsets, reference.prev_offsets)
