@@ -58,8 +58,9 @@ def speed_set(model, rho_plus, rho_minus, w_plus=None, w_minus=None) -> SpeedSet
 
 def ar_discriminant(speeds: SpeedSet, rho_plus, rho_minus):
     """Discriminant whose sign decides hyperbolicity of the two-way models."""
-    diff = speeds.c_u_plus - speeds.c_u_minus
-    return diff * diff - 4.0 * rho_plus * rho_minus * speeds.c_pm * speeds.c_mp
+    return md._discriminant(
+        speeds.c_u_plus, speeds.c_u_minus, rho_plus, rho_minus, speeds.c_pm, speeds.c_mp
+    )
 
 
 def ar_eigenvalues(speeds: SpeedSet, delta):
@@ -251,8 +252,9 @@ def delta_field(model, rho_plus, rho_minus):
         return s * s - 4.0 * rp * rm * hp * hp
     if model.kind is md.ModelKind.TWO_WAY_CAR:
         spd = md._two_way_char_speeds(model, rp, rm)
-        diff = spd["c_u_plus"] - spd["c_u_minus"]
-        return diff * diff - 4.0 * rp * rm * spd["c_pm"] * spd["c_mp"]
+        return md._discriminant(
+            spd["c_u_plus"], spd["c_u_minus"], rp, rm, spd["c_pm"], spd["c_mp"]
+        )
     raise DomainError("delta_field requires a two-species first-order model")
 
 
@@ -289,25 +291,18 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
     if grid_resolution < 2:
         raise DomainError("grid_resolution must be >= 2")
     if model.kind is md.ModelKind.SIM_FLUX:
-        rho_max = 1.0
-        admissible = None
+        rho_max, admissible = 1.0, np.inf
     else:
-        rho_max = model.pressure.rho_star * (1.0 - 1e-9)
-        admissible = model.pressure.rho_star * (1.0 - 1e-9)
+        rho_max = admissible = model.pressure.rho_star * (1.0 - 1e-9)
     axis = np.linspace(0.0, rho_max, grid_resolution)
     RP, RM = np.meshgrid(axis, axis, indexing="ij")
-    if admissible is None:
-        delta = delta_field(model, RP, RM)
-    else:
-        inside = RP + RM < admissible
-        delta = np.ones_like(RP)
-        rp_in = np.where(inside, RP, 0.0)
-        rm_in = np.where(inside, RM, 0.0)
-        delta = np.where(inside, delta_field(model, rp_in, rm_in), 1.0)
-    hyp = delta >= 0.0
+    inside = RP + RM < admissible
+    rp_in = np.where(inside, RP, 0.0)
+    rm_in = np.where(inside, RM, 0.0)
+    hyp = np.where(inside, delta_field(model, rp_in, rm_in), 1.0) >= 0.0
 
     def point_delta(rp, rm):
-        if admissible is not None and rp + rm >= admissible:
+        if rp + rm >= admissible:
             return 1.0
         return float(delta_field(model, rp, rm))
 
@@ -315,13 +310,8 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
     for axis_dir in (0, 1):
         flips = np.nonzero(np.diff(hyp, axis=axis_dir))
         for i, j in zip(*flips):
-            if axis_dir == 0:
-                p0 = (axis[i], axis[j])
-                p1 = (axis[i + 1], axis[j])
-            else:
-                p0 = (axis[i], axis[j])
-                p1 = (axis[i], axis[j + 1])
-            points.append(_bisect_boundary(point_delta, p0, p1))
+            p1 = (axis[i + 1], axis[j]) if axis_dir == 0 else (axis[i], axis[j + 1])
+            points.append(_bisect_boundary(point_delta, (axis[i], axis[j]), p1))
     boundary = np.array(points) if points else np.empty((0, 2))
     return HyperbolicityMap(
         rho_plus=axis, rho_minus=axis.copy(), hyperbolic=hyp, boundary_points=boundary

@@ -429,13 +429,12 @@ def transfer_rate_diagnostic(model, field: sv.StateField, grid: sv.Grid1D):
         return pi_prime * _centered_gradient(split.g_density, grid.dx)
     if model.kind is md.ModelKind.TWO_WAY_CAR:
         rho_p, rho_m = field.values[0], field.values[1]
-        p_plus, p_minus = md.two_way_pressures(model, rho_p, rho_m)
+        p_plus, p_minus, (d1_p, d2_p), (d1_m, d2_m) = pr.two_way_offsets(
+            model.pressure, model.crowding, model.crowding_minus, rho_p, rho_m,
+            partials=True,
+        )
         g_p = md.moving_steady_split(model, rho_p, p_plus).g_density
         g_m = md.moving_steady_split(model, rho_m, p_minus).g_density
-        d1_p, d2_p = pr.pressure_partials(model.pressure, model.crowding, rho_p, rho_m)
-        d1_m, d2_m = pr.pressure_partials(
-            model.pressure, model.crowding_minus, rho_m, rho_p
-        )
         dg_p = _centered_gradient(g_p, grid.dx)
         dg_m = _centered_gradient(g_m, grid.dx)
         rate_s_plus = -(p_plus + rho_p * d1_p) * dg_p + rho_p * d2_p * dg_m
@@ -482,19 +481,18 @@ def _write_csv(path: Path, header, rows):
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_snapshot(path: Path, snap: sv.StateField, grid: sv.Grid1D, lane=None):
-    n_comp = snap.n_components
-    header = ["t", "x"] + [f"component_{c}" for c in range(n_comp)]
-    if lane is not None:
-        header.insert(1, "lane")
+def _write_snapshot(path: Path, lane_fields: list, grid: sv.Grid1D):
+    """One snapshot CSV of one or more lanes; several lanes get a lane column."""
+    n_comp = lane_fields[0].n_components
+    several = len(lane_fields) > 1
+    header = ["t", "lane", "x"] if several else ["t", "x"]
     rows = []
     x = grid.x
-    for i in range(grid.n_cells):
-        row = [snap.time, x[i]] + [snap.values[c, i] for c in range(n_comp)]
-        if lane is not None:
-            row.insert(1, lane)
-        rows.append(row)
-    _write_csv(path, header, rows)
+    for lane, snap in enumerate(lane_fields):
+        for i in range(grid.n_cells):
+            row = [snap.time, lane, x[i]] if several else [snap.time, x[i]]
+            rows.append(row + [snap.values[c, i] for c in range(n_comp)])
+    _write_csv(path, header + [f"component_{c}" for c in range(n_comp)], rows)
 
 
 def _stability_rows(report: an.StabilityReport):
@@ -563,7 +561,7 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
 
 def _write_single_lane_artifacts(cfg, result, run_result, outdir, snapdir):
     for idx, snap in enumerate(run_result.snapshots):
-        _write_snapshot(snapdir / f"snap_{idx:06d}.csv", snap, cfg.grid)
+        _write_snapshot(snapdir / f"snap_{idx:06d}.csv", [snap], cfg.grid)
 
     audit = run_result.audit
     n_comp = run_result.snapshots[0].n_components
@@ -610,16 +608,11 @@ def _write_single_lane_artifacts(cfg, result, run_result, outdir, snapdir):
 
 
 def _run_multilane(cfg, result, outdir, snapdir):
-    fields = []
-    clip0 = 0.0
-    for lane in range(cfg.n_lanes):
-        f, c = _build_initial_lane(cfg, lane)
-        fields.append(f)
-        clip0 += c
-    result.initial_clipped_mass = clip0
+    lanes = [_build_initial_lane(cfg, lane) for lane in range(cfg.n_lanes)]
+    result.initial_clipped_mass = sum(clipped for _, clipped in lanes)
     stack = ml.LaneStack(
         models=[cfg.model] * cfg.n_lanes,
-        fields=fields,
+        fields=[field for field, _ in lanes],
         rates=cfg.rates,
         rho_star=cfg.model.pressure.rho_star,
     )
@@ -640,8 +633,8 @@ def _run_multilane(cfg, result, outdir, snapdir):
                     f"{mass_budget:.3e}"
                 )
             t = k * cfg.scheme.dt
-            mass_dir = stack.direction_mass(cfg.grid)
             dens = stack.densities()
+            mass_dir = dens.sum(axis=(0, 2)) * cfg.grid.dx
             audit_rows.append(
                 (k, t, cfl, mass_dir[0], mass_dir[1], float(dens.min()),
                  float(dens.max()))
@@ -654,17 +647,7 @@ def _run_multilane(cfg, result, outdir, snapdir):
     result.lane_snapshots = snapshots
 
     for idx, lane_fields in enumerate(snapshots):
-        path = snapdir / f"snap_{idx:06d}.csv"
-        n_comp = lane_fields[0].n_components
-        header = ["t", "lane", "x"] + [f"component_{c}" for c in range(n_comp)]
-        rows = []
-        for lane, snap in enumerate(lane_fields):
-            for i in range(cfg.grid.n_cells):
-                rows.append(
-                    [snap.time, lane, cfg.grid.x[i]]
-                    + [snap.values[c, i] for c in range(n_comp)]
-                )
-        _write_csv(path, header, rows)
+        _write_snapshot(snapdir / f"snap_{idx:06d}.csv", lane_fields, cfg.grid)
     _write_csv(
         outdir / "audit.csv",
         ["step", "t", "cfl", "mass_plus_total", "mass_minus_total",

@@ -209,12 +209,20 @@ class ModelSpec:
             rho_p, rho_m = U[0], U[1]
             spd = _two_way_char_speeds(self, rho_p, rho_m)
         csum = spd["c_u_plus"] + spd["c_u_minus"]
-        cdiff = spd["c_u_plus"] - spd["c_u_minus"]
-        delta = cdiff * cdiff - 4.0 * rho_p * rho_m * spd["c_pm"] * spd["c_mp"]
+        delta = _discriminant(
+            spd["c_u_plus"], spd["c_u_minus"], rho_p, rho_m, spd["c_pm"], spd["c_mp"]
+        )
         out = _pair_max_modulus(csum, delta)
         if self.kind is ModelKind.TWO_WAY_AR:
             out = np.maximum(out, np.maximum(np.abs(spd["u_plus"]), np.abs(spd["u_minus"])))
         return out
+
+
+def _discriminant(c_u_plus, c_u_minus, rho_plus, rho_minus, c_pm, c_mp):
+    """Delta = (c_u+ - c_u-)^2 - 4 rho+ rho- c+- c-+ of a two-way
+    pressure-coupled state; hyperbolic where Delta >= 0."""
+    diff = c_u_plus - c_u_minus
+    return diff * diff - 4.0 * rho_plus * rho_minus * c_pm * c_mp
 
 
 def _pair_max_modulus(trace, disc):
@@ -316,11 +324,9 @@ def car_flux_1w(model: ModelSpec, rho):
 
 def two_way_pressures(model: ModelSpec, rho_plus, rho_minus):
     """Offsets (p(rho+, rho-), p(rho-, rho+)) of a two-way model."""
-    p_plus = pr.two_way_pressure(model.pressure, model.crowding, rho_plus, rho_minus)
-    p_minus = pr.two_way_pressure(
-        model.pressure, model.crowding_minus, rho_minus, rho_plus
+    return pr.two_way_offsets(
+        model.pressure, model.crowding, model.crowding_minus, rho_plus, rho_minus
     )
-    return p_plus, p_minus
 
 
 def two_way_car_flux(model: ModelSpec, rho_plus, rho_minus):
@@ -398,9 +404,9 @@ def _two_way_char_speeds(model, rho_plus, rho_minus, w_plus=None, w_minus=None):
         w_plus = model.V
     if w_minus is None:
         w_minus = model.V
-    p_plus, p_minus = two_way_pressures(model, rp, rm)
-    c_pp, c_pm = pr.pressure_partials(model.pressure, model.crowding, rp, rm)
-    c_mm, c_mp = pr.pressure_partials(model.pressure, model.crowding_minus, rm, rp)
+    p_plus, p_minus, (c_pp, c_pm), (c_mm, c_mp) = pr.two_way_offsets(
+        model.pressure, model.crowding, model.crowding_minus, rp, rm, partials=True
+    )
     u_plus = np.asarray(w_plus) - np.asarray(p_plus)
     u_minus = -np.asarray(w_minus) + np.asarray(p_minus)
     return {

@@ -155,7 +155,7 @@ class LaneStack:
     def densities(self) -> np.ndarray:
         """(K, 2, n) array of per-lane, per-direction densities."""
         rows = list(self.model.density_rows)
-        return np.ascontiguousarray(self.values[rows].swapaxes(0, 1))
+        return np.stack([f.values[rows] for f in self.fields])
 
     def direction_mass(self, grid: sv.Grid1D) -> np.ndarray:
         """Total mass per walking direction, summed over lanes."""

@@ -115,12 +115,12 @@ class CrowdingWeight:
 
 
 def _check_nonnegative(r, name="rho"):
-    if np.any(r < 0):
+    if (r < 0).any():
         raise DomainError(f"{name} must be >= 0")
 
 
 def _check_admissible(total, rho_star):
-    if np.any(total >= rho_star * (1.0 - CONGESTION_REL_TOL)):
+    if (total >= rho_star * (1.0 - CONGESTION_REL_TOL)).any():
         raise CongestionOverflowError(
             f"density reached the jam density {rho_star}"
         )
@@ -213,32 +213,73 @@ def crossover_width(params: PressureParams, rho):
     return _ret(r * params.rho_star * params.eps ** (1.0 / params.gamma), scalar)
 
 
-def two_way_pressure(params: PressureParams, q: CrowdingWeight, rho_own, rho_other):
-    """Offset seen by one direction in counter-flow.
+def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
+                    q_minus: CrowdingWeight, rho_plus, rho_minus, partials=False):
+    """Offsets of both walking directions in counter-flow, from one evaluation.
 
-    Background on the total density plus the singular correction divided
-    by the crowding weight of the own density:
-
-        p = P(rho_own + rho_other) + eps / (q(rho_own) * z**gamma),
-        z = 1/(rho_own + rho_other) - 1/rho_star.
-
-    Raises CongestionOverflowError when the total density reaches
-    rho_star.
+    p(rho_own, rho_other) = P(rho) + eps / (q(rho_own) * z**gamma) with the
+    total density rho and z = 1/rho - 1/rho_star; q is q_plus for the plus
+    direction and q_minus for the minus one.  Returns (p(rho+, rho-),
+    p(rho-, rho+)) and, with partials=True, also the pair (d/d rho_own,
+    d/d rho_other) of each; with eps = 0 these may share one array.
+    Raises DomainError on a negative density and CongestionOverflowError
+    when the total density reaches rho_star.
     """
-    own, s1 = _as_array(rho_own)
-    oth, s2 = _as_array(rho_other)
-    _check_nonnegative(own, "rho_own")
-    _check_nonnegative(oth, "rho_other")
-    total = own + oth
+    plus, s1 = _as_array(rho_plus)
+    minus, s2 = _as_array(rho_minus)
+    _check_nonnegative(plus, "rho_plus")
+    _check_nonnegative(minus, "rho_minus")
+    total = plus + minus
     _check_admissible(total, params.rho_star)
-    out = np.asarray(background_pressure(params, total), dtype=float).copy()
+    r = np.asarray(total)
+    P = params.M * r**params.m
+    dP = params.M * params.m * r ** (params.m - 1.0) if partials else None
     if params.eps > 0:
         pos = total > 0
+        # fill masked entries with a safely interior density
+        tot = np.where(pos, total, 0.5 * params.rho_star)
+        z = 1.0 / tot - 1.0 / params.rho_star
+        zg = np.asarray(z) ** params.gamma
+        if partials:
+            # 0-d partials take the NumPy-scalar power of z, which can round
+            # unlike the 0-d array power of the offsets; both are kept so
+            # that scalar evaluations (the map bisection) keep their bits.
+            zg_partials = zg if isinstance(z, np.ndarray) else z**params.gamma
+            z_tot2 = z * tot**2
+        del tot, z
+    # One direction at a time; the dels free each direction's temporaries
+    # before the next, which keeps the peak memory of array calls down.
+    offsets, pairs = [], []
+    for q, own in ((q_plus, plus), (q_minus, minus)):
+        if params.eps == 0:
+            offsets.append(P)
+            pairs.append((dP, dP))
+            continue
         qv = np.asarray(q.value(own, params.rho_star))
-        z = np.where(pos, 1.0 / np.where(pos, total, 1.0) - 1.0 / params.rho_star, 1.0)
-        corr = np.where(pos, params.eps / (qv * z**params.gamma), 0.0)
-        out = out + corr
-    return _ret(out, s1 and s2)
+        corr = np.where(pos, params.eps / (qv * zg), 0.0)
+        offsets.append(P + corr)
+        if partials:
+            if zg_partials is not zg:
+                corr = np.where(pos, params.eps / (qv * zg_partials), 0.0)
+            dq = np.asarray(q.derivative(own, params.rho_star))
+            # d/d(total) of eps/(q z^gamma) at fixed q, plus the q(rho_own) term
+            dtotal = np.where(pos, corr * params.gamma / z_tot2, 0.0)
+            d_other = dP + dtotal
+            pairs.append((d_other - np.where(pos, corr * dq / qv, 0.0), d_other))
+            del dq, dtotal, d_other
+        del qv, corr
+    scalar = s1 and s2
+    offsets = tuple(_ret(p, scalar) for p in offsets)
+    if not partials:
+        return offsets
+    return offsets + tuple((_ret(a, scalar), _ret(b, scalar)) for a, b in pairs)
+
+
+def two_way_pressure(params: PressureParams, q: CrowdingWeight, rho_own, rho_other):
+    """Offset seen by one direction in counter-flow: the plus offset of
+    two_way_offsets with rho_own as the plus density.  Raises
+    CongestionOverflowError when the total density reaches rho_star."""
+    return two_way_offsets(params, q, q, rho_own, rho_other)[0]
 
 
 def pressure_partials(params: PressureParams, q: CrowdingWeight, rho_own, rho_other):
@@ -248,28 +289,7 @@ def pressure_partials(params: PressureParams, q: CrowdingWeight, rho_own, rho_ot
     shipped crowding weights with moderate beta (the offset increases
     when either density increases).
     """
-    own, s1 = _as_array(rho_own)
-    oth, s2 = _as_array(rho_other)
-    _check_nonnegative(own, "rho_own")
-    _check_nonnegative(oth, "rho_other")
-    total = own + oth
-    _check_admissible(total, params.rho_star)
-    dP = np.asarray(background_pressure_derivative(params, total), dtype=float)
-    d1 = dP.copy()
-    d2 = dP.copy()
-    if params.eps > 0:
-        pos = total > 0
-        # fill masked entries with a safely interior density
-        tot = np.where(pos, total, 0.5 * params.rho_star)
-        z = 1.0 / tot - 1.0 / params.rho_star
-        qv = np.asarray(q.value(own, params.rho_star))
-        dq = np.asarray(q.derivative(own, params.rho_star))
-        corr = np.where(pos, params.eps / (qv * z**params.gamma), 0.0)
-        # d/d(total) of eps/(q z^gamma) at fixed q, plus the q(rho_own) term.
-        dtotal = np.where(pos, corr * params.gamma / (z * tot**2), 0.0)
-        d1 = d1 + dtotal - np.where(pos, corr * dq / qv, 0.0)
-        d2 = d2 + dtotal
-    return _ret(d1, s1 and s2), _ret(d2, s1 and s2)
+    return two_way_offsets(params, q, q, rho_own, rho_other, partials=True)[2]
 
 
 def congested_pressure_share(

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pedflow import pressure as pr
 from pedflow.errors import CongestionOverflowError, DomainError
@@ -289,3 +292,153 @@ def test_momentum_pressure_matches_fd():
         pi_hi, _ = pr.momentum_pressure(params, rho + h)
         pi_lo, _ = pr.momentum_pressure(params, rho - h)
         assert pi_prime == pytest.approx((pi_hi - pi_lo) / (2 * h), rel=1e-8)
+
+
+# The per-direction two_way_pressure and pressure_partials that
+# two_way_offsets replaced, kept as the reference.
+
+
+def reference_two_way_pressure(params, q, rho_own, rho_other):
+    own, s1 = pr._as_array(rho_own)
+    oth, s2 = pr._as_array(rho_other)
+    pr._check_nonnegative(own, "rho_own")
+    pr._check_nonnegative(oth, "rho_other")
+    total = own + oth
+    pr._check_admissible(total, params.rho_star)
+    out = np.asarray(pr.background_pressure(params, total), dtype=float).copy()
+    if params.eps > 0:
+        pos = total > 0
+        qv = np.asarray(q.value(own, params.rho_star))
+        z = np.where(pos, 1.0 / np.where(pos, total, 1.0) - 1.0 / params.rho_star, 1.0)
+        corr = np.where(pos, params.eps / (qv * z**params.gamma), 0.0)
+        out = out + corr
+    return pr._ret(out, s1 and s2)
+
+
+def reference_pressure_partials(params, q, rho_own, rho_other):
+    own, s1 = pr._as_array(rho_own)
+    oth, s2 = pr._as_array(rho_other)
+    pr._check_nonnegative(own, "rho_own")
+    pr._check_nonnegative(oth, "rho_other")
+    total = own + oth
+    pr._check_admissible(total, params.rho_star)
+    dP = np.asarray(pr.background_pressure_derivative(params, total), dtype=float)
+    d1 = dP.copy()
+    d2 = dP.copy()
+    if params.eps > 0:
+        pos = total > 0
+        tot = np.where(pos, total, 0.5 * params.rho_star)
+        z = 1.0 / tot - 1.0 / params.rho_star
+        qv = np.asarray(q.value(own, params.rho_star))
+        dq = np.asarray(q.derivative(own, params.rho_star))
+        corr = np.where(pos, params.eps / (qv * z**params.gamma), 0.0)
+        dtotal = np.where(pos, corr * params.gamma / (z * tot**2), 0.0)
+        d1 = d1 + dtotal - np.where(pos, corr * dq / qv, 0.0)
+        d2 = d2 + dtotal
+    return pr._ret(d1, s1 and s2), pr._ret(d2, s1 and s2)
+
+
+def assert_bitwise_equal(got, want):
+    assert type(got) is type(want)
+    got = np.ascontiguousarray(got, dtype=float)
+    want = np.ascontiguousarray(want, dtype=float)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+crowding_weights = st.builds(
+    pr.CrowdingWeight,
+    kind=st.sampled_from(list(pr.CrowdingKind)),
+    beta=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 3.0),
+)
+
+pressure_params = st.builds(
+    pr.PressureParams,
+    M=st.floats(0.0, 2.0),
+    # special exponents take NumPy fast paths (square, sqrt) that round
+    # differently from pow, so they are drawn explicitly
+    m=st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(1.0, 4.0),
+    eps=st.just(0.0) | st.floats(1e-4, 0.5),
+    gamma=st.sampled_from([2.0, 3.0]) | st.floats(1.01, 4.0),
+    rho_star=st.sampled_from([1.0]) | st.floats(0.5, 2.0),
+)
+
+
+@st.composite
+def density_pairs(draw, rho_star):
+    """(rho_plus, rho_minus) as floats or arrays, with total below rho_star."""
+    fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    loads = st.sampled_from([0.0]) | st.floats(0.0, 0.999)
+    if draw(st.booleans()):
+        load, frac = draw(loads), draw(fractions)
+    else:
+        shape = draw(st.sampled_from([(1,), (7,), (2, 9)]))
+        load = draw(hnp.arrays(np.float64, shape, elements=loads))
+        frac = draw(hnp.arrays(np.float64, shape, elements=fractions))
+    total = rho_star * np.asarray(load)
+    rho_plus = total * np.asarray(frac)
+    rho_minus = total - rho_plus
+    if np.ndim(total) == 0:
+        return float(rho_plus), float(rho_minus)
+    return rho_plus, rho_minus
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=pressure_params,
+    q_plus=crowding_weights,
+    q_minus=crowding_weights,
+    data=st.data(),
+)
+def test_two_way_offsets_match_per_direction_reference(params, q_plus, q_minus, data):
+    rho_plus, rho_minus = data.draw(density_pairs(params.rho_star))
+    # subnormal densities overflow z**gamma in both versions alike
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        want = (
+            reference_two_way_pressure(params, q_plus, rho_plus, rho_minus),
+            reference_two_way_pressure(params, q_minus, rho_minus, rho_plus),
+            reference_pressure_partials(params, q_plus, rho_plus, rho_minus),
+            reference_pressure_partials(params, q_minus, rho_minus, rho_plus),
+        )
+        p_plus, p_minus = pr.two_way_offsets(params, q_plus, q_minus, rho_plus, rho_minus)
+        got = pr.two_way_offsets(
+            params, q_plus, q_minus, rho_plus, rho_minus, partials=True
+        )
+        wrapped = (
+            pr.two_way_pressure(params, q_plus, rho_plus, rho_minus),
+            pr.pressure_partials(params, q_minus, rho_minus, rho_plus),
+        )
+    for offsets in ((p_plus, p_minus), got[:2]):
+        assert_bitwise_equal(offsets[0], want[0])
+        assert_bitwise_equal(offsets[1], want[1])
+    for pair, want_pair in zip(got[2:], want[2:]):
+        assert_bitwise_equal(pair[0], want_pair[0])
+        assert_bitwise_equal(pair[1], want_pair[1])
+    # the one-direction wrappers evaluate the same formulas
+    assert_bitwise_equal(wrapped[0], want[0])
+    assert_bitwise_equal(wrapped[1][0], want[3][0])
+    assert_bitwise_equal(wrapped[1][1], want[3][1])
+
+
+class TestTwoWayOffsetsValidation:
+    @pytest.mark.parametrize("partials", [False, True])
+    @pytest.mark.parametrize(
+        "rho_plus,rho_minus",
+        [(-0.1, 0.2), (0.2, -1e-300), (np.array([0.1, -0.2]), np.array([0.1, 0.1]))],
+    )
+    def test_negative_density_raises(self, rho_plus, rho_minus, partials):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            pr.two_way_offsets(
+                make_params(), pr.CrowdingWeight(), pr.CrowdingWeight(),
+                rho_plus, rho_minus, partials=partials,
+            )
+
+    @pytest.mark.parametrize("partials", [False, True])
+    @pytest.mark.parametrize(
+        "rho_plus,rho_minus", [(0.6, 0.4), (1.0, 0.0), (np.array([0.1, 0.7]), 0.3)]
+    )
+    def test_jam_density_raises(self, rho_plus, rho_minus, partials):
+        with pytest.raises(CongestionOverflowError, match="reached the jam density"):
+            pr.two_way_offsets(
+                make_params(), pr.CrowdingWeight(), pr.CrowdingWeight(),
+                rho_plus, rho_minus, partials=partials,
+            )

@@ -7,6 +7,7 @@ from pedflow import solver as sv
 from pedflow.errors import (
     BlowUpError,
     ClipBudgetError,
+    CongestionOverflowError,
     DomainError,
     StabilityError,
 )
@@ -115,6 +116,27 @@ class TestReconstruction:
         U_L, U_R = sv.muscl_reconstruct(sv.StateField(vals), grid, "none")
         np.testing.assert_array_equal(U_L, vals)
         np.testing.assert_array_equal(U_R, np.roll(vals, -1, axis=1))
+
+    @pytest.mark.xfail(
+        raises=CongestionOverflowError,
+        strict=True,
+        reason="ROADMAP item 4, defect C: componentwise minmod bounds each "
+        "species but not their total, so an interface state can pass rho_star",
+    )
+    def test_admissible_cells_keep_interface_states_below_jam_density(self):
+        # Every cell total is <= 0.95 < rho_star = 1, but the plus slope
+        # (0.2) and the minus slope (-0.01) at cell 1 give U_L a total of
+        # 0.55 + 0.495 = 1.045 there.
+        model = md.ModelSpec.two_way_car(
+            V=1.0,
+            pressure=pr.PressureParams(M=1.0, m=2.0, eps=1e-3, gamma=2.0, rho_star=1.0),
+        )
+        grid = sv.Grid1D(n_cells=4, dx=1.0)
+        U = np.array([[0.25, 0.45, 0.95, 0.95], [0.51, 0.50, 0.0, 0.0]])
+        sv._advance(model, U, grid, sv.SchemeParams(dt=0.01))
+        U_L, U_R = sv.muscl_reconstruct(sv.StateField(U), grid, "minmod")
+        assert np.all(U_L.sum(axis=0) < 1.0)
+        assert np.all(U_R.sum(axis=0) < 1.0)
 
 
 class TestCentralFlux:
