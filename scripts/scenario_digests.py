@@ -1,10 +1,12 @@
 """Print the sha256 of every artifact of the bundled scenarios.
 
-Runs every scenarios/*.cfg through `pedflow simulate` into a temporary
-directory, using the pedflow sources of the checkout this script lives
-in, and prints one `<scenario>/<artifact> <sha256>` line per file.  Run it on two checkouts
-and diff the outputs to show that a change keeps the artifacts
-byte-identical.  Exits 1 if any scenario exits non-zero.
+Runs every scenarios/*.cfg through `pedflow simulate`, and through each
+analysis subcommand its model kind supports, into a temporary directory,
+using the pedflow sources of the checkout this script lives in.  It prints
+one `<scenario>/<artifact> <sha256>` line per simulate artifact and one
+`<scenario>/<subcommand>/<artifact> <sha256>` line per analysis artifact.
+Run it on two checkouts and diff the outputs to show that a change keeps
+the artifacts byte-identical.  Exits 1 if any run exits non-zero.
 """
 
 from __future__ import annotations
@@ -19,20 +21,38 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from pedflow import cli  # noqa: E402
 
+# Analysis subcommands and the model kinds that support them.
+ANALYSES = {
+    "hyperbolicity-map": {"sim_flux", "two_way_car"},
+    "dispersion": {"sim_flux", "two_way_car"},
+    "pressure-table": {"one_way_car", "one_way_ar", "two_way_car", "two_way_ar"},
+}
+
+
+def digest_run(config: Path, command: str, prefix: str) -> int:
+    """Run one subcommand on config and print the digest of each artifact."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code = cli.main([command, "--config", str(config), "--out", tmp])
+        if code != 0:
+            print(f"{prefix}: pedflow {command} exited with code {code}",
+                  file=sys.stderr)
+        for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{prefix}/{path.relative_to(tmp).as_posix()} {digest}", flush=True)
+    return code
+
 
 def main() -> int:
     configs = sorted((ROOT / "scenarios").glob("*.cfg"))
     status = 0
     for config in configs:
-        with tempfile.TemporaryDirectory() as tmp:
-            code = cli.main(["simulate", "--config", str(config), "--out", tmp])
-            if code != 0:
-                print(f"{config.stem}: pedflow exited with code {code}", file=sys.stderr)
+        runs = [("simulate", config.stem)]
+        kind = cli.load_config(config).model.kind.value
+        runs += [(command, f"{config.stem}/{command}")
+                 for command, kinds in ANALYSES.items() if kind in kinds]
+        for command, prefix in runs:
+            if digest_run(config, command, prefix) != 0:
                 status = 1
-            for path in sorted(p for p in Path(tmp).rglob("*") if p.is_file()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{config.stem}/{path.relative_to(tmp).as_posix()} {digest}",
-                      flush=True)
     return status
 
 

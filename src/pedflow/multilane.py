@@ -107,55 +107,43 @@ def momentum_sources(
 class LaneStack:
     """K two-way lanes sharing one model, a grid and a jam density.
 
-    Every lane runs the same two-way model (constant or dynamic desired
-    speed) on its own conserved state.  prev_offsets holds the (K, 2, n)
-    per-lane, per-direction offset fields of the previous step, used for
-    the discrete material derivative that drives the rates.
-    clipped_mass is the negative density mass the transport steps have
-    clipped to zero so far, summed over lanes.
+    values is the (C, K, n) conserved state: components, then lanes, then
+    cells; every lane runs the same two-way model (constant or dynamic
+    desired speed).  prev_offsets holds the (K, 2, n) per-lane,
+    per-direction offset fields of the previous step, used for the
+    discrete material derivative that drives the rates.  clipped_mass is
+    the negative density mass the transport steps have clipped to zero
+    so far, summed over lanes.
     """
 
-    models: list
-    fields: list
+    model: md.ModelSpec
+    values: np.ndarray
     rates: LaneChangeRates
-    rho_star: float
+    time: float = 0.0
     prev_offsets: np.ndarray | None = None
     clipped_mass: float = 0.0
 
     def __post_init__(self):
-        if len(self.models) < 1 or len(self.models) != len(self.fields):
-            raise DomainError("need one model and one state per lane")
-        if self.kind not in (md.ModelKind.TWO_WAY_CAR, md.ModelKind.TWO_WAY_AR):
+        if self.model.kind not in (md.ModelKind.TWO_WAY_CAR, md.ModelKind.TWO_WAY_AR):
             raise DomainError("lanes must be two-way pressure-coupled models")
-        if any(m != self.model for m in self.models):
-            raise DomainError("all lanes must share one model")
-        if abs(self.model.pressure.rho_star - self.rho_star) > 1e-12 * self.rho_star:
-            raise DomainError("rho_star must be the jam density of the lanes' model")
-        n = {f.n_cells for f in self.fields}
-        if len(n) != 1:
-            raise DomainError("all lanes must share the grid")
+        self.values = np.asarray(self.values, dtype=float)
+        shape = self.values.shape
+        if len(shape) != 3 or shape[0] != self.model.n_conserved or shape[1] < 1:
+            raise DomainError(f"lane state must be ({self.model.n_conserved} "
+                              f"components, >= 1 lanes, cells), got {shape}")
 
     @property
     def n_lanes(self) -> int:
-        return len(self.models)
-
-    @property
-    def model(self) -> md.ModelSpec:
-        return self.models[0]
-
-    @property
-    def kind(self):
-        return self.model.kind
-
-    @property
-    def values(self) -> np.ndarray:
-        """(C, K, n) stacked state: components, then lanes, then cells."""
-        return np.stack([f.values for f in self.fields], axis=1)
+        return self.values.shape[1]
 
     def densities(self) -> np.ndarray:
-        """(K, 2, n) array of per-lane, per-direction densities."""
+        """(K, 2, n) array of per-lane, per-direction densities.
+
+        C-contiguous, so that sums over it round in the same order for
+        every stack layout.
+        """
         rows = list(self.model.density_rows)
-        return np.stack([f.values[rows] for f in self.fields])
+        return np.ascontiguousarray(self.values[rows].swapaxes(0, 1))
 
     def direction_mass(self, grid: sv.Grid1D) -> np.ndarray:
         """Total mass per walking direction, summed over lanes."""
@@ -210,6 +198,7 @@ def coupled_step(stack: LaneStack, grid: sv.Grid1D, params: sv.SchemeParams) -> 
             f"lambda0 * dt = {dt * stack.rates.lambda0:.3g} exceeds 1"
         )
     model = stack.model
+    rho_star = model.pressure.rho_star
     U, _, clipped = sv._advance(model, stack.values, grid, params)
     rho, p, u, w = _offsets_and_speeds(model, U)
     dpdt = u * _upwind_gradient(p, u, grid.dx)
@@ -222,10 +211,10 @@ def coupled_step(stack: LaneStack, grid: sv.Grid1D, params: sv.SchemeParams) -> 
     total = rho.sum(axis=1, keepdims=True)
     rates_up = np.zeros(rho.shape)
     rates_down = np.zeros(rho.shape)
-    rates_up[:-1] = lane_change_rate(stack.rates, dpdt[:-1], total[1:], stack.rho_star)
-    rates_down[1:] = lane_change_rate(stack.rates, dpdt[1:], total[:-1], stack.rho_star)
+    rates_up[:-1] = lane_change_rate(stack.rates, dpdt[:-1], total[1:], rho_star)
+    rates_down[1:] = lane_change_rate(stack.rates, dpdt[1:], total[:-1], rho_star)
 
-    t = stack.fields[0].time + dt
+    t = stack.time + dt
     outflow = dt * (rates_up + rates_down)
     worst = np.unravel_index(np.argmax(outflow), outflow.shape)
     if outflow[worst] > 1.0:
@@ -242,10 +231,10 @@ def coupled_step(stack: LaneStack, grid: sv.Grid1D, params: sv.SchemeParams) -> 
         R = momentum_sources(rho, w, rates_up, rates_down)
         U[[1, 3]] += dt * R.swapaxes(0, 1)
     return LaneStack(
-        models=stack.models,
-        fields=[sv.StateField(U[:, k], t) for k in range(U.shape[1])],
+        model=model,
+        values=U,
         rates=stack.rates,
-        rho_star=stack.rho_star,
+        time=t,
         prev_offsets=p,
         clipped_mass=stack.clipped_mass + clipped,
     )

@@ -219,7 +219,6 @@ class AuditTrail:
     mass: np.ndarray  # (n_steps, n_components)
     min_rho: np.ndarray
     max_rho: np.ndarray
-    max_abs: np.ndarray
     clipped_mass: np.ndarray  # cumulative
 
 
@@ -246,9 +245,8 @@ def run(
     Snapshots are taken at the initial time, every snapshot_every time
     units, and at the final time.  The audit records, per step, the
     measured stability number, the mass of every conserved component,
-    density extrema, the largest state magnitude and the cumulative mass
-    removed by negative-density clipping (capped at a small fraction of
-    the initial mass).
+    density extrema and the cumulative mass removed by negative-density
+    clipping (capped at a small fraction of the initial mass).
     """
     if t_end < 0:
         raise DomainError("t_end must be >= 0")
@@ -264,7 +262,7 @@ def run(
 
     n_steps = int(np.ceil(t_end / params.dt - 1e-9)) if t_end > 0 else 0
     rec_step, rec_t, rec_cfl = [], [], []
-    rec_mass, rec_min, rec_max, rec_amax, rec_clip = [], [], [], [], []
+    rec_mass, rec_min, rec_max, rec_clip = [], [], [], []
     clipped_total = 0.0
     next_snap = snapshot_every if snapshot_every else None
 
@@ -283,7 +281,6 @@ def run(
         dens = U[rows]
         rec_min.append(float(dens.min()))
         rec_max.append(float(dens.max()))
-        rec_amax.append(float(np.abs(U).max()))
         rec_clip.append(clipped_total)
         if next_snap is not None and t >= t0 + next_snap - 1e-9 * params.dt:
             result.snapshots.append(StateField(U.copy(), t))
@@ -305,7 +302,6 @@ def run(
         mass=mass_arr,
         min_rho=np.asarray(rec_min, dtype=float),
         max_rho=np.asarray(rec_max, dtype=float),
-        max_abs=np.asarray(rec_amax, dtype=float),
         clipped_mass=np.asarray(rec_clip, dtype=float),
     )
     return result

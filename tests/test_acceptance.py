@@ -399,19 +399,14 @@ def test_criterion_08_conservation(fig3, fig4):
     lane_drift = 0.0
     source_residual = 0.0
     for K in range(1, 9):
-        fields = [
-            sv.StateField(
-                np.stack(
-                    [rng.uniform(0.05, 0.3, 32), rng.uniform(0.05, 0.3, 32)]
-                )
-            )
+        lanes = [
+            np.stack([rng.uniform(0.05, 0.3, 32), rng.uniform(0.05, 0.3, 32)])
             for _ in range(K)
         ]
         stack = ml.LaneStack(
-            models=[model] * K,
-            fields=fields,
+            model=model,
+            values=np.stack(lanes, axis=1),
             rates=ml.LaneChangeRates(lambda0=0.5),
-            rho_star=1.0,
         )
         before = stack.direction_mass(grid)
         for _ in range(25):

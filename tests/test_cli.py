@@ -428,3 +428,141 @@ table.n_points = 50
             "rho,background,singular,total,total_derivative,crossover_width"
         )
         assert len(lines) == 51
+
+
+def simulate_exit_code(cfg_path, tmp_path, *flags):
+    return cli.main(
+        ["simulate", *flags, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    )
+
+
+def two_lane_ar_config(tmp_path, keys, w_plus="1.0", w_minus="1.0"):
+    """Two two_way_ar lanes: two_lane.cfg with dynamic desired speeds."""
+    path = two_lane_config(
+        tmp_path, {"model.kind": "two_way_ar", "run.t_end": 0.5, **keys}
+    )
+    with open(path, "a") as f:
+        f.write(f"initial.w_plus = {w_plus}\ninitial.w_minus = {w_minus}\n")
+    return path
+
+
+class TestConfigValidation:
+    def test_single_per_lane_value_serves_every_lane(self, tmp_path):
+        cfg = cli.load_config(
+            two_lane_ar_config(tmp_path, {}, w_plus="1.0, 1.1", w_minus="1.2")
+        )
+        assert cfg.w_plus == [1.0, 1.1]
+        assert cfg.w_minus == [1.2, 1.2]
+        assert simulate_exit_code(
+            two_lane_ar_config(tmp_path, {}, w_plus="1.0, 1.0", w_minus="1.0"),
+            tmp_path,
+        ) == 0
+
+    @pytest.mark.parametrize(
+        "key", ["initial.rho_plus", "initial.rho_minus", "initial.w_plus",
+                "initial.w_minus"]
+    )
+    def test_per_lane_list_of_wrong_length(self, tmp_path, key):
+        three = "0.1, 0.1, 0.1"
+        if key.startswith("initial.w_"):
+            speeds = {key[len("initial."):]: three}
+            cfg_path = two_lane_ar_config(tmp_path, {}, **speeds)
+        else:
+            cfg_path = two_lane_ar_config(tmp_path, {key: three})
+        with pytest.raises(ConfigError, match=f"{key} lists 3 values for 2 lane"):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path) == 2
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_snapshot_interval(self, tmp_path, value):
+        for cfg_path in (
+            write_config(tmp_path, BASE_CONFIG.replace(
+                "run.snapshot_every = 2.0", f"run.snapshot_every = {value}")),
+            two_lane_config(tmp_path, {"run.snapshot_every": value}),
+        ):
+            with pytest.raises(ConfigError, match="run.snapshot_every must be > 0"):
+                cli.load_config(cfg_path)
+            assert simulate_exit_code(cfg_path, tmp_path) == 2
+
+    @pytest.mark.parametrize("command, key", [
+        ("dispersion", "dispersion.n_points"),
+        ("pressure-table", "table.n_points"),
+    ])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_point_count(self, tmp_path, command, key, value):
+        cfg_path = write_config(tmp_path, TWO_LANE_CFG.read_text() + f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{key} must be > 0"):
+            cli.load_config(cfg_path)
+        assert cli.main(
+            [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        ) == 2
+
+    def test_checks_are_stored_parsed(self, tmp_path):
+        text = BASE_CONFIG + (
+            "check.final_supnorm_lt = 2e-2\ncheck.cluster_count_min = 1\n"
+            "check.drift_negative = yes\n"
+        )
+        cfg = cli.load_config(write_config(tmp_path, text))
+        assert cfg.checks == {
+            "check.final_supnorm_lt": 2e-2,
+            "check.cluster_count_min": 1,
+            "check.drift_negative": True,
+        }
+        assert type(cfg.checks["check.cluster_count_min"]) is int
+
+    def test_misspelled_check_is_a_config_error(self, tmp_path):
+        cfg_path = write_config(tmp_path, BASE_CONFIG + "check.cluster_cout_min = 1\n")
+        with pytest.raises(ConfigError, match="unknown check 'check.cluster_cout_min'"):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path) == 2
+        assert simulate_exit_code(cfg_path, tmp_path, "--check") == 2
+
+    @pytest.mark.parametrize("line", [
+        "check.final_supnorm_lt = abc",
+        "check.cluster_count_max = 1.5",
+        "check.drift_negative = maybe",
+    ])
+    def test_bad_check_value_is_a_config_error(self, tmp_path, line):
+        cfg_path = write_config(tmp_path, BASE_CONFIG + line + "\n")
+        with pytest.raises(ConfigError, match="bad value for 'check."):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path, "--check") == 2
+
+    def test_drift_negative_false_requires_nothing(self, tmp_path):
+        # The tiny run forms no cluster, so it has no drift to be negative.
+        on = write_config(tmp_path, BASE_CONFIG + "check.drift_negative = true\n",
+                          name="on.cfg")
+        off = write_config(tmp_path, BASE_CONFIG + "check.drift_negative = false\n",
+                           name="off.cfg")
+        assert simulate_exit_code(on, tmp_path, "--check") == 4
+        assert simulate_exit_code(off, tmp_path, "--check") == 0
+
+    @pytest.mark.parametrize("line", [
+        "check.final_supnorm_lt = 1.0",
+        "check.cluster_count_min = 1",
+        "check.peak_total_ge = 0.5",
+    ])
+    def test_checks_of_multilane_runs_are_a_config_error(self, tmp_path, line):
+        cfg_path = write_config(tmp_path, TWO_LANE_CFG.read_text() + line + "\n")
+        with pytest.raises(ConfigError, match="single-lane runs only"):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path, "--check") == 2
+
+    def test_cluster_check_of_a_one_way_run_is_a_config_error(self, tmp_path):
+        text = """
+model.kind = one_way_car
+model.V = 1.0
+pressure.M = 1.0
+pressure.m = 2.0
+grid.n_cells = 16
+grid.dx = 1.0
+scheme.dt = 0.05
+initial.rho = 0.3
+noise.seed = 2
+"""
+        supnorm = write_config(tmp_path, text + "check.final_supnorm_lt = 1.0\n",
+                               name="supnorm.cfg")
+        assert cli.load_config(supnorm).checks == {"check.final_supnorm_lt": 1.0}
+        cfg_path = write_config(tmp_path, text + "check.cluster_count_max = 0\n")
+        with pytest.raises(ConfigError, match="needs cluster metrics"):
+            cli.load_config(cfg_path)

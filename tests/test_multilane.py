@@ -146,18 +146,16 @@ class TestSources:
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-13)
 
 
-def make_stack(K, rng, model=None, n=16):
-    model = model or car_model()
-    fields = []
+def make_stack(K, rng, n=16):
+    lanes = []
     for _ in range(K):
         rho_p = rng.uniform(0.1, 0.3, n)
         rho_m = rng.uniform(0.1, 0.3, n)
-        fields.append(sv.StateField(np.stack([rho_p, rho_m])))
+        lanes.append(np.stack([rho_p, rho_m]))
     return ml.LaneStack(
-        models=[model] * K,
-        fields=fields,
+        model=car_model(),
+        values=np.stack(lanes, axis=1),
         rates=ml.LaneChangeRates(lambda0=0.5),
-        rho_star=1.0,
     )
 
 
@@ -169,11 +167,12 @@ class TestCoupledStep:
         grid = sv.Grid1D(n_cells=16, dx=1.0)
         params = sv.SchemeParams(dt=0.05, delta_diff=0.1)
         independent = [
-            sv.step(m, f, grid, params) for m, f in zip(stack.models, stack.fields)
+            sv.step(stack.model, sv.StateField(stack.values[:, k]), grid, params)
+            for k in range(stack.n_lanes)
         ]
         coupled = ml.coupled_step(stack, grid, params)
-        for got, want in zip(coupled.fields, independent):
-            np.testing.assert_array_equal(got.values, want.values)
+        for k, want in enumerate(independent):
+            np.testing.assert_array_equal(coupled.values[:, k], want.values)
 
     def test_per_direction_mass_conserved(self):
         rng = np.random.default_rng(3)
@@ -191,50 +190,42 @@ class TestCoupledStep:
         n = 16
         rho_p = rng.uniform(0.1, 0.3, n)
         rho_m = rng.uniform(0.1, 0.3, n)
-        fields = [
-            sv.StateField(np.stack([rho_p.copy(), rho_m.copy()])) for _ in range(2)
-        ]
+        lane = np.stack([rho_p, rho_m])
         stack = ml.LaneStack(
-            models=[car_model()] * 2,
-            fields=fields,
+            model=car_model(),
+            values=np.stack([lane, lane], axis=1),
             rates=ml.LaneChangeRates(lambda0=0.5),
-            rho_star=1.0,
         )
         grid = sv.Grid1D(n_cells=n, dx=1.0)
         params = sv.SchemeParams(dt=0.05, delta_diff=0.1)
         for _ in range(20):
             stack = ml.coupled_step(stack, grid, params)
-        np.testing.assert_array_equal(
-            stack.fields[0].values, stack.fields[1].values
-        )
+        np.testing.assert_array_equal(stack.values[:, 0], stack.values[:, 1])
 
     def test_ar_lanes_conserve_momentum_totals(self):
         rng = np.random.default_rng(5)
         model = ar_model()
         n = 16
-        fields = []
+        lanes = []
         for _ in range(3):
             rho_p = rng.uniform(0.1, 0.3, n)
             rho_m = rng.uniform(0.1, 0.3, n)
             w_p = rng.uniform(1.0, 1.2, n)
             w_m = rng.uniform(1.0, 1.2, n)
-            fields.append(
-                sv.StateField(np.stack([rho_p, rho_p * w_p, rho_m, rho_m * w_m]))
-            )
+            lanes.append(np.stack([rho_p, rho_p * w_p, rho_m, rho_m * w_m]))
         stack = ml.LaneStack(
-            models=[model] * 3,
-            fields=fields,
+            model=model,
+            values=np.stack(lanes, axis=1),
             rates=ml.LaneChangeRates(lambda0=0.4),
-            rho_star=1.0,
         )
         grid = sv.Grid1D(n_cells=n, dx=1.0)
         params = sv.SchemeParams(dt=0.05)
-        y_before = sum(f.values[1].sum() + f.values[3].sum() for f in stack.fields)
+        y_before = stack.values[[1, 3]].sum()
         mass_before = stack.direction_mass(grid)
         for _ in range(20):
             stack = ml.coupled_step(stack, grid, params)
         mass_after = stack.direction_mass(grid)
-        y_after = sum(f.values[1].sum() + f.values[3].sum() for f in stack.fields)
+        y_after = stack.values[[1, 3]].sum()
         np.testing.assert_allclose(mass_after, mass_before, rtol=1e-12)
         assert y_after == pytest.approx(y_before, rel=1e-12)
 
@@ -248,31 +239,20 @@ class TestCoupledStep:
             ml.coupled_step(stack, grid, params)
 
     def test_stack_validation(self):
-        rng = np.random.default_rng(7)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="two-way"):
             ml.LaneStack(
-                models=[md.ModelSpec.sim_flux()],
-                fields=[sv.StateField(np.zeros((2, 8)))],
+                model=md.ModelSpec.sim_flux(),
+                values=np.zeros((2, 1, 8)),
                 rates=ml.LaneChangeRates(),
-                rho_star=1.0,
             )
-        with pytest.raises(DomainError):
-            ml.LaneStack(
-                models=[car_model()],
-                fields=[],
-                rates=ml.LaneChangeRates(),
-                rho_star=1.0,
-            )
-
-    def test_lanes_must_share_one_model(self):
-        fields = [sv.StateField(np.full((2, 8), 0.2)) for _ in range(2)]
-        with pytest.raises(DomainError, match="one model"):
-            ml.LaneStack(
-                models=[car_model(V=1.0), car_model(V=1.2)],
-                fields=fields,
-                rates=ml.LaneChangeRates(),
-                rho_star=1.0,
-            )
+        # no lanes; a single lane without a lane axis; too many components
+        for shape in [(2, 0, 8), (2, 8), (4, 2, 8)]:
+            with pytest.raises(DomainError, match="lane state must be"):
+                ml.LaneStack(
+                    model=car_model(),
+                    values=np.zeros(shape),
+                    rates=ml.LaneChangeRates(),
+                )
 
     def test_outflow_bound(self):
         # A dense bump in lane 0 drives rates whose combined outflow
@@ -283,10 +263,9 @@ class TestCoupledStep:
         lane0[0, 28:36] = 0.75
         lane1 = np.stack([np.full(n, 0.1), np.full(n, 0.05)])
         stack = ml.LaneStack(
-            models=[car_model()] * 2,
-            fields=[sv.StateField(lane0), sv.StateField(lane1)],
+            model=car_model(),
+            values=np.stack([lane0, lane1], axis=1),
             rates=ml.LaneChangeRates(lambda0=10.0),
-            rho_star=1.0,
         )
         grid = sv.Grid1D(n_cells=n, dx=1.0)
         params = sv.SchemeParams(dt=0.05)
@@ -297,7 +276,7 @@ class TestCoupledStep:
 
     def test_blow_up_names_the_lane(self):
         stack = make_stack(2, np.random.default_rng(9))
-        stack.fields[1].values[0, 5] = np.nan
+        stack.values[0, 1, 5] = np.nan
         grid = sv.Grid1D(n_cells=16, dx=1.0)
         with pytest.raises(BlowUpError, match="of lane 1 at cell"):
             ml.coupled_step(stack, grid, sv.SchemeParams(dt=0.05))
@@ -323,46 +302,52 @@ class TestCoupledStep:
 
 
 def reference_desired_speeds(stack):
-    if stack.kind is md.ModelKind.TWO_WAY_CAR:
-        n = stack.fields[0].n_cells
-        return np.stack([np.full((2, n), m.V, dtype=float) for m in stack.models])
+    model = stack.model
+    if model.kind is md.ModelKind.TWO_WAY_CAR:
+        n = stack.values.shape[-1]
+        return np.stack([np.full((2, n), model.V, dtype=float)
+                         for _ in range(stack.n_lanes)])
     out = []
-    for f in stack.fields:
-        _, w_p, _ = md._species_primitives(f.values[0], f.values[1])
-        _, w_m, _ = md._species_primitives(f.values[2], f.values[3])
+    for k in range(stack.n_lanes):
+        v = stack.values[:, k]
+        _, w_p, _ = md._species_primitives(v[0], v[1])
+        _, w_m, _ = md._species_primitives(v[2], v[3])
         out.append(np.stack([w_p, w_m]))
     return np.stack(out)
 
 
 def reference_offsets_and_speeds(stack):
-    rho = np.stack([f.values[list(stack.model.density_rows)] for f in stack.fields])
+    model = stack.model
+    rows = list(model.density_rows)
+    rho = np.stack([stack.values[rows, k] for k in range(stack.n_lanes)])
     p = np.empty_like(rho)
     u = np.empty_like(rho)
-    for k, model in enumerate(stack.models):
+    for k in range(stack.n_lanes):
         p_plus, p_minus = md.two_way_pressures(model, rho[k, 0], rho[k, 1])
         p[k, 0], p[k, 1] = p_plus, p_minus
         if model.kind is md.ModelKind.TWO_WAY_CAR:
             u[k, 0] = model.V - p_plus
             u[k, 1] = -model.V + p_minus
         else:
-            f = stack.fields[k]
-            _, w_p, _ = md._species_primitives(f.values[0], f.values[1])
-            _, w_m, _ = md._species_primitives(f.values[2], f.values[3])
+            v = stack.values[:, k]
+            _, w_p, _ = md._species_primitives(v[0], v[1])
+            _, w_m, _ = md._species_primitives(v[2], v[3])
             u[k, 0] = w_p - p_plus
             u[k, 1] = -w_m + p_minus
     return rho, p, u
 
 
 def reference_coupled_step(stack, grid, params):
+    model = stack.model
     new_fields = [
-        sv.step(model, f, grid, params)
-        for model, f in zip(stack.models, stack.fields)
+        sv.step(model, sv.StateField(stack.values[:, k], stack.time), grid, params)
+        for k in range(stack.n_lanes)
     ]
     new_stack = ml.LaneStack(
-        models=stack.models,
-        fields=new_fields,
+        model=model,
+        values=np.stack([f.values for f in new_fields], axis=1),
         rates=stack.rates,
-        rho_star=stack.rho_star,
+        time=new_fields[0].time,
         prev_offsets=stack.prev_offsets,
     )
     rho, p, u = reference_offsets_and_speeds(new_stack)
@@ -371,6 +356,7 @@ def reference_coupled_step(stack, grid, params):
         dpdt = dpdt + (p - stack.prev_offsets) / params.dt
 
     K = new_stack.n_lanes
+    rho_star = model.pressure.rho_star
     total = rho.sum(axis=1)
     rates_up = np.zeros_like(rho)
     rates_down = np.zeros_like(rho)
@@ -378,23 +364,23 @@ def reference_coupled_step(stack, grid, params):
         for alpha in range(2):
             if k + 1 < K:
                 rates_up[k, alpha] = ml.lane_change_rate(
-                    stack.rates, dpdt[k, alpha], total[k + 1], stack.rho_star
+                    stack.rates, dpdt[k, alpha], total[k + 1], rho_star
                 )
             if k - 1 >= 0:
                 rates_down[k, alpha] = ml.lane_change_rate(
-                    stack.rates, dpdt[k, alpha], total[k - 1], stack.rho_star
+                    stack.rates, dpdt[k, alpha], total[k - 1], rho_star
                 )
 
     S = ml.density_sources(rho, rates_up, rates_down)
-    if new_stack.kind is md.ModelKind.TWO_WAY_AR:
+    if model.kind is md.ModelKind.TWO_WAY_AR:
         R = ml.momentum_sources(rho, reference_desired_speeds(new_stack),
                                 rates_up, rates_down)
-    dens_rows = list(new_stack.model.density_rows)
-    for k, f in enumerate(new_fields):
-        f.values[dens_rows] += params.dt * S[k]
-        if new_stack.kind is md.ModelKind.TWO_WAY_AR:
-            f.values[1] += params.dt * R[k, 0]
-            f.values[3] += params.dt * R[k, 1]
+    dens_rows = list(model.density_rows)
+    for k in range(K):
+        new_stack.values[dens_rows, k] += params.dt * S[k]
+        if model.kind is md.ModelKind.TWO_WAY_AR:
+            new_stack.values[1, k] += params.dt * R[k, 0]
+            new_stack.values[3, k] += params.dt * R[k, 1]
     new_stack.prev_offsets = p
     return new_stack
 
@@ -423,10 +409,9 @@ def lane_stacks(draw, kind, K, n=12):
         cutoff=draw(st.sampled_from(["linear", "quadratic"])),
     )
     return ml.LaneStack(
-        models=[model] * K,
-        fields=[sv.StateField(v) for v in values],
+        model=model,
+        values=np.ascontiguousarray(values.swapaxes(0, 1)),
         rates=rates,
-        rho_star=1.0,
     )
 
 
@@ -437,13 +422,12 @@ def lane_stacks(draw, kind, K, n=12):
 def test_batched_step_matches_per_lane_reference(kind, K, data):
     stack = data.draw(lane_stacks(kind, K))
     delta = data.draw(st.sampled_from([0.0, 0.1]))
-    grid = sv.Grid1D(n_cells=stack.fields[0].n_cells, dx=1.0)
+    grid = sv.Grid1D(n_cells=stack.values.shape[-1], dx=1.0)
     params = sv.SchemeParams(dt=0.05, delta_diff=delta)
     batched = reference = stack
     for _ in range(20):
         batched = ml.coupled_step(batched, grid, params)
         reference = reference_coupled_step(reference, grid, params)
-        for got, want in zip(batched.fields, reference.fields):
-            assert got.time == want.time
-            assert_bitwise_equal(got.values, want.values)
+        assert batched.time == reference.time
+        assert_bitwise_equal(batched.values, reference.values)
         assert_bitwise_equal(batched.prev_offsets, reference.prev_offsets)
