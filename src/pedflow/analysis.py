@@ -135,23 +135,6 @@ def diffusive_speeds(model, rho_plus, rho_minus) -> DiffusiveSpeeds:
     raise DomainError("diffusive_speeds requires a two-species first-order model")
 
 
-def diffusive_speeds_fd(flux_fn, rho_plus, rho_minus, step=1e-7) -> DiffusiveSpeeds:
-    """Centered finite-difference fallback for a user-supplied flux
-    f(rho_plus, rho_minus) of the plus species."""
-
-    def d(fn, x, y, which):
-        if which == 0:
-            return (fn(x + step, y) - fn(x - step, y)) / (2.0 * step)
-        return (fn(x, y + step) - fn(x, y - step)) / (2.0 * step)
-
-    return DiffusiveSpeeds(
-        c_pp=d(flux_fn, rho_plus, rho_minus, 0),
-        c_pm=d(flux_fn, rho_plus, rho_minus, 1),
-        c_mp=d(flux_fn, rho_minus, rho_plus, 1),
-        c_mm=d(flux_fn, rho_minus, rho_plus, 0),
-    )
-
-
 def diffusive_discriminant(speeds: DiffusiveSpeeds):
     """Discriminant (c_pp + c_mm)^2 - 4 c_pm c_mp in flux-partial form.
 

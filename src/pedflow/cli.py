@@ -91,8 +91,16 @@ def _get(raw, key, cast, default=None, required=False, positive=False):
     return value
 
 
+def _float(text: str) -> float:
+    """float() that also rejects nan and inf."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _float_list(text: str) -> list:
-    return [float(part) for part in text.split(",")]
+    return [_float(part) for part in text.split(",")]
 
 
 def _bool(text: str) -> bool:
@@ -118,10 +126,10 @@ def _per_lane(raw, key, n_lanes: int) -> list:
 # check.* expectations and the type of their values.  All but
 # final_supnorm_lt read the cluster metrics of single-lane runs.
 _CHECKS = {
-    "final_supnorm_lt": float,
+    "final_supnorm_lt": _float,
     "cluster_count_min": int,
     "cluster_count_max": int,
-    "peak_total_ge": float,
+    "peak_total_ge": _float,
     "drift_negative": _bool,
 }
 
@@ -159,11 +167,11 @@ def _build_pressure(raw) -> pr.PressureParams | None:
     if "pressure.M" not in raw:
         return None
     return pr.PressureParams(
-        M=_get(raw, "pressure.M", float, required=True),
-        m=_get(raw, "pressure.m", float, required=True),
-        eps=_get(raw, "pressure.eps", float, 0.0),
-        gamma=_get(raw, "pressure.gamma", float, 2.0),
-        rho_star=_get(raw, "pressure.rho_star", float, 1.0),
+        M=_get(raw, "pressure.M", _float, required=True),
+        m=_get(raw, "pressure.m", _float, required=True),
+        eps=_get(raw, "pressure.eps", _float, 0.0),
+        gamma=_get(raw, "pressure.gamma", _float, 2.0),
+        rho_star=_get(raw, "pressure.rho_star", _float, 1.0),
     )
 
 
@@ -172,7 +180,7 @@ def _build_crowding(raw, prefix="crowding") -> pr.CrowdingWeight | None:
         return None
     return pr.CrowdingWeight(
         kind=_get(raw, f"{prefix}.kind", str, "affine"),
-        beta=_get(raw, f"{prefix}.beta", float, 1.0),
+        beta=_get(raw, f"{prefix}.beta", _float, 1.0),
     )
 
 
@@ -184,13 +192,13 @@ def build_model(raw) -> md.ModelSpec:
         raise ConfigError(f"unknown model.kind '{kind}'") from exc
     try:
         if kind is md.ModelKind.SIM_FLUX:
-            return md.ModelSpec.sim_flux(a=_get(raw, "model.a", float, 0.7))
+            return md.ModelSpec.sim_flux(a=_get(raw, "model.a", _float, 0.7))
         pressure = _build_pressure(raw)
         if pressure is None:
             raise ConfigError(f"model.kind {kind.value} requires pressure.* keys")
         if kind is md.ModelKind.ONE_WAY_CAR:
             return md.ModelSpec.one_way_car(
-                V=_get(raw, "model.V", float, required=True), pressure=pressure
+                V=_get(raw, "model.V", _float, required=True), pressure=pressure
             )
         if kind is md.ModelKind.ONE_WAY_AR:
             return md.ModelSpec.one_way_ar(pressure)
@@ -198,7 +206,7 @@ def build_model(raw) -> md.ModelSpec:
         crowding_minus = _build_crowding(raw, "crowding_minus")
         if kind is md.ModelKind.TWO_WAY_CAR:
             return md.ModelSpec.two_way_car(
-                V=_get(raw, "model.V", float, required=True),
+                V=_get(raw, "model.V", _float, required=True),
                 pressure=pressure,
                 crowding=crowding,
                 crowding_minus=crowding_minus,
@@ -216,16 +224,16 @@ def build_config(raw: dict) -> ScenarioConfig:
     try:
         grid = sv.Grid1D(
             n_cells=_get(raw, "grid.n_cells", int, required=True),
-            dx=_get(raw, "grid.dx", float, required=True),
+            dx=_get(raw, "grid.dx", _float, required=True),
         )
         scheme = sv.SchemeParams(
-            dt=_get(raw, "scheme.dt", float, required=True),
-            delta_diff=_get(raw, "scheme.delta", float, 0.0),
+            dt=_get(raw, "scheme.dt", _float, required=True),
+            delta_diff=_get(raw, "scheme.delta", _float, 0.0),
             limiter=_get(raw, "scheme.limiter", str, "minmod"),
-            cfl_guard=_get(raw, "scheme.cfl_guard", float, 0.45),
+            cfl_guard=_get(raw, "scheme.cfl_guard", _float, 0.45),
         )
         rates = ml.LaneChangeRates(
-            lambda0=_get(raw, "rates.lambda0", float, 0.0),
+            lambda0=_get(raw, "rates.lambda0", _float, 0.0),
             ramp=_get(raw, "rates.ramp", str, "positive_part"),
             cutoff=_get(raw, "rates.cutoff", str, "linear"),
         )
@@ -250,31 +258,33 @@ def build_config(raw: dict) -> ScenarioConfig:
     else:
         if cfg.n_lanes != 1:
             raise ConfigError("multi-lane runs require a two-way model")
-        cfg.rho = _get(raw, "initial.rho", float, required=True)
+        cfg.rho = _get(raw, "initial.rho", _float, required=True)
         if model.kind is md.ModelKind.ONE_WAY_AR:
-            cfg.w = _get(raw, "initial.w", float, required=True)
+            cfg.w = _get(raw, "initial.w", _float, required=True)
 
     if "noise.seed" not in raw:
         raise ConfigError("noise.seed is mandatory (no wall-clock seeding)")
     cfg.seed = _get(raw, "noise.seed", int, required=True)
-    cfg.sigma = _get(raw, "noise.sigma", float, 0.0)
+    if cfg.seed < 0:
+        raise ConfigError("noise.seed must be >= 0")
+    cfg.sigma = _get(raw, "noise.sigma", _float, 0.0)
     cfg.noise_kind = _get(raw, "noise.kind", str, "gaussian")
     if cfg.noise_kind not in ("gaussian", "uniform"):
         raise ConfigError("noise.kind must be 'gaussian' or 'uniform'")
     if cfg.sigma < 0:
         raise ConfigError("noise.sigma must be >= 0")
 
-    cfg.t_end = _get(raw, "run.t_end", float, 0.0)
+    cfg.t_end = _get(raw, "run.t_end", _float, 0.0)
     if cfg.t_end < 0:
         raise ConfigError("run.t_end must be >= 0")
-    cfg.snapshot_every = _get(raw, "run.snapshot_every", float, positive=True)
+    cfg.snapshot_every = _get(raw, "run.snapshot_every", _float, positive=True)
     rho_star = model.pressure.rho_star if model.pressure is not None else 1.0
-    cfg.cluster_threshold = _get(raw, "cluster.threshold", float, 0.9 * rho_star)
+    cfg.cluster_threshold = _get(raw, "cluster.threshold", _float, 0.9 * rho_star)
     cfg.map_resolution = _get(raw, "map.resolution", int, 200)
-    cfg.dispersion_xi_max = _get(raw, "dispersion.xi_max", float, None)
+    cfg.dispersion_xi_max = _get(raw, "dispersion.xi_max", _float, None)
     cfg.dispersion_n_points = _get(raw, "dispersion.n_points", int, 501, positive=True)
     cfg.table_n_points = _get(raw, "table.n_points", int, 200, positive=True)
-    cfg.table_rho_max = _get(raw, "table.rho_max", float, None)
+    cfg.table_rho_max = _get(raw, "table.rho_max", _float, None)
     cfg.checks = _build_checks(raw, cfg)
     return cfg
 
@@ -320,39 +330,29 @@ def _noise(cfg: ScenarioConfig, lane: int, species: int) -> np.ndarray:
     return rng.uniform(-half, half, cfg.grid.n_cells)
 
 
-def _build_initial_lane(cfg: ScenarioConfig, lane: int):
-    """Noisy uniform state of one lane plus the mass clipped at zero.
-
-    Configs that give a desired speed w follow each density row with the
-    momentum row rho * w.
-    """
-    if cfg.model.kind in _TWO_SPECIES:
-        bases = (cfg.rho_plus[lane], cfg.rho_minus[lane])
-        speeds = (cfg.w_plus[lane], cfg.w_minus[lane]) if cfg.w_plus else (None, None)
-    else:
-        bases, speeds = (cfg.rho,), (cfg.w,)
-    clipped = 0.0
-    rows = []
-    for species, base in enumerate(bases):
-        rho = base + _noise(cfg, lane, species)
-        clipped += -float(rho[rho < 0].sum()) * cfg.grid.dx
-        rows.append(np.maximum(rho, 0.0))
-        if speeds[species] is not None:
-            rows.append(rows[-1] * speeds[species])
-    return sv.StateField(np.stack(rows)), clipped
-
-
 def build_initial(cfg: ScenarioConfig) -> sv.StateField:
-    """Perturbed uniform state of a single-lane scenario.
+    """Perturbed uniform state: (C, N) for one lane, (C, K, N) for K lanes.
 
     Per-cell independent noise of standard deviation sigma, one
-    substream per species, fully determined by the seed; densities are
-    clipped at zero.
+    substream per species and lane, fully determined by the seed;
+    densities are clipped at zero.  Configs that give a desired speed w
+    follow each density row with the momentum row rho * w.
     """
-    if cfg.n_lanes != 1:
-        raise DomainError("build_initial is for single-lane scenarios")
-    field, _ = _build_initial_lane(cfg, 0)
-    return field
+    lanes = []
+    for lane in range(cfg.n_lanes):
+        if cfg.model.kind in _TWO_SPECIES:
+            bases = (cfg.rho_plus[lane], cfg.rho_minus[lane])
+            speeds = ((cfg.w_plus[lane], cfg.w_minus[lane]) if cfg.w_plus
+                      else (None, None))
+        else:
+            bases, speeds = (cfg.rho,), (cfg.w,)
+        rows = []
+        for species, base in enumerate(bases):
+            rows.append(np.maximum(base + _noise(cfg, lane, species), 0.0))
+            if speeds[species] is not None:
+                rows.append(rows[-1] * speeds[species])
+        lanes.append(np.stack(rows))
+    return sv.StateField(lanes[0] if cfg.n_lanes == 1 else np.stack(lanes, axis=1))
 
 
 # --------------------------------------------------------------------------
@@ -484,8 +484,6 @@ class ScenarioResult:
     run: sv.RunResult | None = None
     stability: an.StabilityReport | None = None
     clusters: list = dc_field(default_factory=list)
-    initial_clipped_mass: float = 0.0
-    outdir: Path | None = None
 
 
 def _fmt(v) -> str:
@@ -566,16 +564,15 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
     outdir.mkdir(parents=True, exist_ok=True)
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    result = ScenarioResult(config=cfg, outdir=outdir)
+    result = ScenarioResult(config=cfg)
 
     if cfg.model.kind in (md.ModelKind.SIM_FLUX, md.ModelKind.TWO_WAY_CAR):
         speeds = an.diffusive_speeds(cfg.model, cfg.rho_plus[0], cfg.rho_minus[0])
         if cfg.scheme.delta_diff > 0 or an.diffusive_discriminant(speeds) >= 0:
             result.stability = an.instability_summary(speeds, cfg.scheme.delta_diff)
 
+    field = build_initial(cfg)
     if cfg.n_lanes == 1:
-        field, clip0 = _build_initial_lane(cfg, 0)
-        result.initial_clipped_mass = clip0
         with _stepping():
             run_result = sv.run(
                 cfg.model, field, cfg.grid, cfg.scheme, cfg.t_end, cfg.snapshot_every
@@ -583,7 +580,7 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
         result.run = run_result
         _write_single_lane_artifacts(cfg, result, run_result, outdir, snapdir)
     else:
-        _run_multilane(cfg, result, outdir, snapdir)
+        _run_multilane(cfg, field.values, outdir, snapdir)
 
     if result.stability is not None:
         _write_csv(outdir / "stability.csv", ["key", "value"],
@@ -638,14 +635,8 @@ def _write_single_lane_artifacts(cfg, result, run_result, outdir, snapdir):
         )
 
 
-def _run_multilane(cfg, result, outdir, snapdir):
-    lanes = [_build_initial_lane(cfg, lane) for lane in range(cfg.n_lanes)]
-    result.initial_clipped_mass = sum(clipped for _, clipped in lanes)
-    stack = ml.LaneStack(
-        model=cfg.model,
-        values=np.stack([field.values for field, _ in lanes], axis=1),
-        rates=cfg.rates,
-    )
+def _run_multilane(cfg, initial, outdir, snapdir):
+    stack = ml.LaneStack(model=cfg.model, values=initial, rates=cfg.rates)
     mass_budget = sv.CLIP_BUDGET_REL * float(np.sum(stack.direction_mass(cfg.grid)))
     n_steps = int(np.ceil(cfg.t_end / cfg.scheme.dt - 1e-9)) if cfg.t_end > 0 else 0
     snapshots = [sv.StateField(stack.values.copy(), stack.time)]

@@ -170,11 +170,24 @@ class ModelSpec:
             h, _ = _sim_h(self.flux_shape, rho_p + rho_m)
             return np.stack([rho_p * h, -rho_m * h])
         if self.kind is ModelKind.ONE_WAY_CAR:
-            return np.stack([car_flux_1w(self, U[0])])
+            rho = U[0]
+            return np.stack([rho * (self.V - pr.pressure_1w(self.pressure, rho))])
         if self.kind is ModelKind.TWO_WAY_CAR:
-            f_p, f_m = two_way_car_flux(self, U[0], U[1])
-            return np.stack([f_p, f_m])
-        return ar_conserved_flux(self, U)
+            rho_p, rho_m = U[0], U[1]
+            p_plus, p_minus = two_way_pressures(self, rho_p, rho_m)
+            return np.stack([rho_p * (self.V - p_plus), -rho_m * (self.V - p_minus)])
+        # Dynamic desired speed: (rho u, rho w u) per species, with
+        # u = w - p(rho) one-way, u+ = w+ - p(rho+,rho-) and
+        # u- = -w- + p(rho-,rho+) two-way.
+        if self.kind is ModelKind.ONE_WAY_AR:
+            rho, _, u = ar_primitives(self, U)
+            return np.stack([rho * u, U[1] * u])
+        rho_p, w_p, vac_p = _species_primitives(U[0], U[1])
+        rho_m, w_m, vac_m = _species_primitives(U[2], U[3])
+        p_plus, p_minus = two_way_pressures(self, rho_p, rho_m)
+        u_p = np.where(vac_p, 0.0, w_p - p_plus)
+        u_m = np.where(vac_m, 0.0, -w_m + p_minus)
+        return np.stack([rho_p * u_p, U[1] * u_p, rho_m * u_m, U[3] * u_m])
 
     def max_abs_speed(self, U: np.ndarray) -> np.ndarray:
         """Largest absolute characteristic speed per cell.
@@ -235,41 +248,6 @@ def _pair_max_modulus(trace, disc):
     return np.where(disc >= 0.0, real_case, complex_case)
 
 
-def g_profile(params: SimFluxParams, x):
-    """Piecewise-quadratic total-density flux profile.
-
-    x - x^2/(2a) on [0, a], then a/2 - a(a-x)^2 / (2(1-a)^2) on [a, 1],
-    zero outside [0, 1]; continuous at a and 1.
-    """
-    a = params.a
-    xx = np.asarray(x, dtype=float)
-    scalar = xx.ndim == 0
-    low = xx - xx**2 / (2.0 * a)
-    mid = a / 2.0 - a * (a - xx) ** 2 / (2.0 * (1.0 - a) ** 2)
-    out = np.where(
-        (xx >= 0.0) & (xx <= a), low, np.where((xx > a) & (xx <= 1.0), mid, 0.0)
-    )
-    return float(out) if scalar else out
-
-
-def g_slope(params: SimFluxParams, x):
-    """One-sided derivative of g_profile.
-
-    g' jumps at x = 1 (and the curvature jumps at x = a); at those
-    points the one-sided value of larger magnitude is returned, which is
-    the conservative choice for wave-speed estimates.
-    """
-    a = params.a
-    xx = np.asarray(x, dtype=float)
-    scalar = xx.ndim == 0
-    low = 1.0 - xx / a
-    mid = a * (a - xx) / (1.0 - a) ** 2
-    out = np.where(
-        (xx >= 0.0) & (xx <= a), low, np.where((xx > a) & (xx <= 1.0), mid, 0.0)
-    )
-    return float(out) if scalar else out
-
-
 def _sim_h(params: SimFluxParams, rho):
     """g(rho)/rho and its derivative, with the 0/0 at vacuum removed.
 
@@ -296,32 +274,6 @@ def _sim_h(params: SimFluxParams, rho):
     return h, hp
 
 
-def sim_flux(params: SimFluxParams, rho_plus, rho_minus):
-    """Flux rho_plus * g(rho)/rho of the plus species, rho = rho+ + rho-.
-
-    Continuous at vacuum (g(rho)/rho -> 1) and zero whenever the total
-    density reaches 1.
-    """
-    rp = np.asarray(rho_plus, dtype=float)
-    rm = np.asarray(rho_minus, dtype=float)
-    scalar = rp.ndim == 0 and rm.ndim == 0
-    if np.any(rp < 0) or np.any(rm < 0):
-        raise DomainError("densities must be >= 0")
-    h, _ = _sim_h(params, rp + rm)
-    out = rp * h
-    return float(out) if scalar else out
-
-
-def car_flux_1w(model: ModelSpec, rho):
-    """Flux rho * (V - p(rho)) of the one-way constant-desired-speed model."""
-    if model.kind is not ModelKind.ONE_WAY_CAR:
-        raise DomainError("car_flux_1w requires a one_way_car model")
-    r = np.asarray(rho, dtype=float)
-    scalar = r.ndim == 0
-    out = r * (model.V - np.asarray(pr.pressure_1w(model.pressure, r)))
-    return float(out) if scalar else out
-
-
 def two_way_pressures(model: ModelSpec, rho_plus, rho_minus):
     """Offsets (p(rho+, rho-), p(rho-, rho+)) of a two-way model."""
     return pr.two_way_offsets(
@@ -329,28 +281,11 @@ def two_way_pressures(model: ModelSpec, rho_plus, rho_minus):
     )
 
 
-def two_way_car_flux(model: ModelSpec, rho_plus, rho_minus):
-    """Fluxes of the two-way constant-desired-speed model.
-
-    Returns (rho+ (V - p(rho+,rho-)), -rho- (V - p(rho-,rho+))); the
-    minus species flux carries the leading minus sign.
-    """
-    if model.kind is not ModelKind.TWO_WAY_CAR:
-        raise DomainError("two_way_car_flux requires a two_way_car model")
-    p_plus, p_minus = two_way_pressures(model, rho_plus, rho_minus)
-    rp = np.asarray(rho_plus, dtype=float)
-    rm = np.asarray(rho_minus, dtype=float)
-    scalar = rp.ndim == 0 and rm.ndim == 0
-    f_p = rp * (model.V - p_plus)
-    f_m = -rm * (model.V - p_minus)
-    return (float(f_p), float(f_m)) if scalar else (f_p, f_m)
-
-
 def _species_primitives(rho, y):
-    """Recover (rho, w, u-part) for one species; vacuum cells get w = 0.
+    """Recover (rho, w, vacuum mask) for one species; vacuum cells get w = 0.
 
-    The returned third entry is w only; the caller applies the pressure
-    closure.  Vacuum cells with leftover momentum are an error.
+    The caller applies the pressure closure.  Vacuum cells with leftover
+    momentum are an error.
     """
     rho = np.asarray(rho, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -369,26 +304,6 @@ def ar_primitives(model: ModelSpec, U: np.ndarray):
     p = np.asarray(pr.pressure_1w(model.pressure, rho))
     u = np.where(vac, 0.0, w - p)
     return rho, w, u
-
-
-def ar_conserved_flux(model: ModelSpec, U: np.ndarray) -> np.ndarray:
-    """Flux of the dynamic-desired-speed models in conserved variables.
-
-    One-way: (rho u, rho w u) with u = w - p(rho).  Two-way: the same
-    per species with u+ = w+ - p(rho+,rho-) and u- = -w- + p(rho-,rho+).
-    """
-    U = np.asarray(U, dtype=float)
-    if model.kind is ModelKind.ONE_WAY_AR:
-        rho, w, u = ar_primitives(model, U)
-        return np.stack([rho * u, U[1] * u])
-    if model.kind is not ModelKind.TWO_WAY_AR:
-        raise DomainError("ar_conserved_flux requires a dynamic desired-speed model")
-    rho_p, w_p, vac_p = _species_primitives(U[0], U[1])
-    rho_m, w_m, vac_m = _species_primitives(U[2], U[3])
-    p_plus, p_minus = two_way_pressures(model, rho_p, rho_m)
-    u_p = np.where(vac_p, 0.0, w_p - np.asarray(p_plus))
-    u_m = np.where(vac_m, 0.0, -w_m + np.asarray(p_minus))
-    return np.stack([rho_p * u_p, U[1] * u_p, rho_m * u_m, U[3] * u_m])
 
 
 def _two_way_char_speeds(model, rho_plus, rho_minus, w_plus=None, w_minus=None):
@@ -419,16 +334,6 @@ def _two_way_char_speeds(model, rho_plus, rho_minus, w_plus=None, w_minus=None):
         "c_u_plus": u_plus - rp * np.asarray(c_pp),
         "c_u_minus": u_minus + rm * np.asarray(c_mm),
     }
-
-
-def characteristic_speed_1w(model: ModelSpec, rho, u):
-    """Speed u - rho * p'(rho) at which speed information travels in the
-    one-way models (upstream relative to the walkers)."""
-    r = np.asarray(rho, dtype=float)
-    scalar = r.ndim == 0
-    dp = np.asarray(pr.pressure_1w_derivative(model.pressure, r))
-    out = np.asarray(u, dtype=float) - r * dp
-    return float(out) if scalar else out
 
 
 def moving_steady_split(model: ModelSpec, rho, p_value) -> MovingSteady:

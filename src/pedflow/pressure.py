@@ -291,29 +291,3 @@ def pressure_partials(params: PressureParams, q: CrowdingWeight, rho_own, rho_ot
     """
     return two_way_offsets(params, q, q, rho_own, rho_other, partials=True)[2]
 
-
-def congested_pressure_share(
-    q: CrowdingWeight,
-    rho_plus,
-    rho_minus,
-    p_bar_plus,
-    p_star,
-    rho_star,
-):
-    """Offset of the minority direction at exact congestion.
-
-    When rho_plus + rho_minus = rho_star, the two directions share the
-    excess offset above P(rho_star) in inverse proportion to their
-    crowding weights:
-
-        p_bar_minus = p_star + q(rho_plus) * (p_bar_plus - p_star) / q(rho_minus)
-    """
-    if abs(rho_plus + rho_minus - rho_star) > 1e-9 * rho_star:
-        raise DomainError(
-            "congested_pressure_share requires rho_plus + rho_minus = rho_star"
-        )
-    if p_bar_plus < p_star:
-        raise DomainError("p_bar_plus must be >= p_star")
-    q_plus = q.value(rho_plus, rho_star)
-    q_minus = q.value(rho_minus, rho_star)
-    return p_star + q_plus * (p_bar_plus - p_star) / q_minus

@@ -39,15 +39,12 @@ class Grid1D:
 
     n_cells: int
     dx: float
-    boundary: str = "periodic"
 
     def __post_init__(self):
         if self.n_cells < 4:
             raise DomainError("n_cells must be >= 4 (reconstruction stencil)")
         if self.dx <= 0:
             raise DomainError("dx must be > 0")
-        if self.boundary != "periodic":
-            raise DomainError("only periodic boundaries are supported")
 
     @property
     def length(self) -> float:
@@ -146,14 +143,6 @@ def central_flux(model, U_L, U_R, a_local):
     return 0.5 * (model.flux(U_L) + model.flux(U_R)) - 0.5 * a_local * (U_R - U_L)
 
 
-def local_speed(model, U_i, U_ip1):
-    """Largest absolute characteristic speed over two adjacent states."""
-    return np.maximum(
-        model.max_abs_speed(np.atleast_2d(U_i).T if np.ndim(U_i) == 1 else U_i),
-        model.max_abs_speed(np.atleast_2d(U_ip1).T if np.ndim(U_ip1) == 1 else U_ip1),
-    )
-
-
 def measured_cfl(model, field: StateField, grid: Grid1D, params: SchemeParams) -> float:
     """Combined advective + diffusive stability number of one step."""
     spd = model.max_abs_speed(field.values)
@@ -229,7 +218,6 @@ class RunResult:
     snapshots: list = field(default_factory=list)
     audit: AuditTrail | None = None
     final: StateField | None = None
-    initial_mass: np.ndarray | None = None
 
 
 def run(
@@ -256,9 +244,9 @@ def run(
     rows = list(model.density_rows)
 
     result = RunResult()
-    result.initial_mass = U.sum(axis=1) * dx
+    initial_mass = U.sum(axis=1) * dx
     result.snapshots.append(StateField(U.copy(), t0))
-    mass_budget = CLIP_BUDGET_REL * float(np.sum(result.initial_mass[rows]))
+    mass_budget = CLIP_BUDGET_REL * float(np.sum(initial_mass[rows]))
 
     n_steps = int(np.ceil(t_end / params.dt - 1e-9)) if t_end > 0 else 0
     rec_step, rec_t, rec_cfl = [], [], []

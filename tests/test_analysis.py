@@ -14,14 +14,37 @@ def car_model(eps=1e-3, m=2.0):
     return md.ModelSpec.two_way_car(V=1.0, pressure=params)
 
 
+def sim_plus_flux(rp, rm):
+    """Plus-species flux of SIM at one state, through ModelSpec.flux."""
+    return SIM.flux(np.array([rp, rm]))[0]
+
+
 def fd_flux_jacobian(flux_fn, rp, rm, h=1e-7):
     """Test-local finite-difference partials, independent of the package's
-    analytic path (and of its fd fallback)."""
+    analytic path (and of diffusive_speeds_fd)."""
     return (
         (flux_fn(rp + h, rm) - flux_fn(rp - h, rm)) / (2 * h),
         (flux_fn(rp, rm + h) - flux_fn(rp, rm - h)) / (2 * h),
         (flux_fn(rm, rp + h) - flux_fn(rm, rp - h)) / (2 * h),
         (flux_fn(rm + h, rp) - flux_fn(rm - h, rp)) / (2 * h),
+    )
+
+
+def diffusive_speeds_fd(flux_fn, rho_plus, rho_minus, step=1e-7):
+    """Centered finite-difference partials of a flux f(rho_plus, rho_minus)
+    of the plus species: the reference the analytic partials are checked
+    against."""
+
+    def d(fn, x, y, which):
+        if which == 0:
+            return (fn(x + step, y) - fn(x - step, y)) / (2.0 * step)
+        return (fn(x, y + step) - fn(x, y - step)) / (2.0 * step)
+
+    return an.DiffusiveSpeeds(
+        c_pp=d(flux_fn, rho_plus, rho_minus, 0),
+        c_pm=d(flux_fn, rho_plus, rho_minus, 1),
+        c_mp=d(flux_fn, rho_minus, rho_plus, 1),
+        c_mm=d(flux_fn, rho_minus, rho_plus, 0),
     )
 
 
@@ -49,10 +72,7 @@ class TestDiscriminant:
 
     def test_sim_flux_reference_state_not_hyperbolic(self):
         # independent route: finite differences of the flux itself
-        def f(rp, rm):
-            return md.sim_flux(SIM.flux_shape, rp, rm)
-
-        c_pp, c_pm, c_mp, c_mm = fd_flux_jacobian(f, 0.5, 0.3)
+        c_pp, c_pm, c_mp, c_mm = fd_flux_jacobian(sim_plus_flux, 0.5, 0.3)
         delta_fd = (c_pp + c_mm) ** 2 - 4.0 * c_pm * c_mp
         assert delta_fd < 0
         assert an.delta_field(SIM, 0.5, 0.3) == pytest.approx(delta_fd, rel=1e-5)
@@ -102,12 +122,9 @@ class TestArEigenvalues:
 
 class TestDiffusiveSpeeds:
     def test_sim_flux_matches_fd(self):
-        def f(rp, rm):
-            return md.sim_flux(SIM.flux_shape, rp, rm)
-
         for rp, rm in [(0.35, 0.3), (0.5, 0.3), (0.1, 0.05), (0.45, 0.45)]:
             speeds = an.diffusive_speeds(SIM, rp, rm)
-            c_pp, c_pm, c_mp, c_mm = fd_flux_jacobian(f, rp, rm)
+            c_pp, c_pm, c_mp, c_mm = fd_flux_jacobian(sim_plus_flux, rp, rm)
             assert speeds.c_pp == pytest.approx(c_pp, abs=1e-6)
             assert speeds.c_pm == pytest.approx(c_pm, abs=1e-6)
             assert speeds.c_mp == pytest.approx(c_mp, abs=1e-6)
@@ -155,10 +172,7 @@ class TestDiffusiveSpeeds:
         assert not an.diffusive_speeds(SIM, 0.35, 0.3).at_kink
 
     def test_fd_fallback_matches_analytic(self):
-        def f(rp, rm):
-            return md.sim_flux(SIM.flux_shape, rp, rm)
-
-        got = an.diffusive_speeds_fd(f, 0.35, 0.3)
+        got = diffusive_speeds_fd(sim_plus_flux, 0.35, 0.3)
         want = an.diffusive_speeds(SIM, 0.35, 0.3)
         assert got.c_pp == pytest.approx(want.c_pp, abs=1e-6)
         assert got.c_mm == pytest.approx(want.c_mm, abs=1e-6)

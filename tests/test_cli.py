@@ -47,6 +47,17 @@ def write_config(tmp_path, text, name="scenario.cfg"):
     return path
 
 
+def base_config(tmp_path, keys):
+    """BASE_CONFIG with the given keys set, replacing their lines if present."""
+    text = BASE_CONFIG
+    for key, value in keys.items():
+        text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text,
+                          flags=re.M)
+        if n == 0:
+            text += f"{key} = {value}\n"
+    return write_config(tmp_path, text)
+
+
 class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         cfg = cli.load_config(write_config(tmp_path, BASE_CONFIG))
@@ -125,6 +136,40 @@ class TestBuildInitial:
         field = cli.build_initial(self.cfg(tmp_path, 1e-2, kind=kind))
         sample_std = field.values[0].std()
         assert abs(sample_std - 1e-2) / 1e-2 < 0.05
+
+
+    @pytest.mark.parametrize("kind", ["two_way_car", "two_way_ar"])
+    @pytest.mark.parametrize("n_lanes", [2, 3])
+    def test_lane_k_draws_the_substreams_of_seed_plus_2k(self, tmp_path, kind, n_lanes):
+        # rho_minus = 0.05 with sigma = 0.05 also clips some cells at zero
+        lists = {
+            "initial.rho_plus": [0.3, 0.15, 0.2],
+            "initial.rho_minus": [0.1, 0.25, 0.05],
+            "initial.w_plus": [1.0, 1.1, 0.9],
+            "initial.w_minus": [1.2, 0.8, 1.0],
+        }
+
+        def build(lanes, seed):
+            values = {key: ", ".join(str(v[k]) for k in lanes)
+                      for key, v in lists.items()}
+            keys = {"model.kind": kind, "lanes.count": len(lanes), "noise.seed": seed,
+                    "noise.sigma": 0.05, "initial.rho_plus": values["initial.rho_plus"],
+                    "initial.rho_minus": values["initial.rho_minus"]}
+            cfg_path = two_lane_config(tmp_path, keys)
+            if kind == "two_way_ar":
+                with open(cfg_path, "a") as f:
+                    f.write(f"initial.w_plus = {values['initial.w_plus']}\n"
+                            f"initial.w_minus = {values['initial.w_minus']}\n")
+            return cli.build_initial(cli.load_config(cfg_path)).values
+
+        stack = build(range(n_lanes), 99)
+        assert stack.shape[1:] == (n_lanes, 128)
+        for k in range(n_lanes):
+            lane = build([k], 99 + 2 * k)
+            assert lane.shape == (stack.shape[0], 128)
+            np.testing.assert_array_equal(
+                np.ascontiguousarray(stack[:, k]).view(np.int64), lane.view(np.int64)
+            )
 
 
 class TestClusterMetrics:
@@ -566,3 +611,26 @@ noise.seed = 2
         cfg_path = write_config(tmp_path, text + "check.cluster_count_max = 0\n")
         with pytest.raises(ConfigError, match="needs cluster metrics"):
             cli.load_config(cfg_path)
+
+    def test_nan_stability_guard_is_a_config_error(self, tmp_path):
+        # dt = 1 breaks a finite guard; a nan guard would let the run pass
+        finite = base_config(tmp_path, {"scheme.dt": 1.0, "scheme.cfl_guard": 0.95})
+        assert simulate_exit_code(finite, tmp_path) == 3
+        cfg_path = base_config(tmp_path, {"scheme.dt": 1.0, "scheme.cfl_guard": "nan"})
+        with pytest.raises(ConfigError, match="bad value for 'scheme.cfl_guard'"):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path) == 2
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("grid.dx", "inf", "bad value for 'grid.dx'"),
+        ("scheme.dt", "nan", "bad value for 'scheme.dt'"),
+        ("initial.rho_plus", "-inf", "bad value for 'initial.rho_plus'"),
+        ("noise.seed", -3, "noise.seed must be >= 0"),
+    ])
+    def test_non_finite_value_or_negative_seed_is_a_config_error(
+        self, tmp_path, key, value, message
+    ):
+        cfg_path = base_config(tmp_path, {key: value})
+        with pytest.raises(ConfigError, match=message):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path) == 2

@@ -211,43 +211,6 @@ class TestPressurePartials:
         assert d1_near > 1e3 * d1_far
 
 
-class TestCongestedShare:
-    def test_symmetric_split(self):
-        q = pr.CrowdingWeight(kind="affine", beta=1.0)
-        out = pr.congested_pressure_share(q, 0.5, 0.5, 2.0, 1.5, rho_star=1.0)
-        assert out == pytest.approx(2.0)
-
-    def test_zero_excess(self):
-        q = pr.CrowdingWeight()
-        out = pr.congested_pressure_share(q, 0.7, 0.3, 1.5, 1.5, rho_star=1.0)
-        assert out == pytest.approx(1.5)
-
-    def test_affine_example(self):
-        # q(0.75)/q(0.25) = 1.75/1.25 = 1.4 with unit excess
-        q = pr.CrowdingWeight(kind="affine", beta=1.0)
-        p_star = 0.5
-        out = pr.congested_pressure_share(q, 0.75, 0.25, p_star + 1.0, p_star, 1.0)
-        assert out == pytest.approx(p_star + 1.4)
-
-    def test_constraint_violation(self):
-        q = pr.CrowdingWeight()
-        with pytest.raises(DomainError):
-            pr.congested_pressure_share(q, 0.5, 0.4, 2.0, 1.0, rho_star=1.0)
-        with pytest.raises(DomainError):
-            pr.congested_pressure_share(q, 0.5, 0.5, 0.5, 1.0, rho_star=1.0)
-
-    def test_output_at_least_p_star(self):
-        rng = np.random.default_rng(5)
-        q = pr.CrowdingWeight(kind="power", beta=2.0)
-        for _ in range(50):
-            r_plus = rng.uniform(0.05, 0.95)
-            excess = rng.uniform(0.0, 3.0)
-            out = pr.congested_pressure_share(
-                q, r_plus, 1.0 - r_plus, 1.0 + excess, 1.0, rho_star=1.0
-            )
-            assert out >= 1.0
-
-
 class TestCrowdingWeight:
     def test_kinds_positive_increasing_bounded(self):
         rho = np.linspace(0.0, 1.0, 50)

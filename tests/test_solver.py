@@ -56,8 +56,6 @@ class TestGridAndParams:
             sv.Grid1D(n_cells=3, dx=1.0)
         with pytest.raises(DomainError):
             sv.Grid1D(n_cells=8, dx=0.0)
-        with pytest.raises(DomainError):
-            sv.Grid1D(n_cells=8, dx=1.0, boundary="outflow")
 
     def test_grid_geometry(self):
         grid = sv.Grid1D(n_cells=8, dx=0.5)
@@ -167,21 +165,6 @@ class TestCentralFlux:
     def test_negative_speed_rejected(self):
         with pytest.raises(DomainError):
             sv.central_flux(SIM, noisy_state(4), noisy_state(4), -1.0)
-
-
-class TestLocalSpeed:
-    def test_duplicate_states(self):
-        U = np.array([0.5, 0.3])
-        a = sv.local_speed(SIM, U, U)
-        assert a[0] == pytest.approx(SIM.max_abs_speed(U[:, None])[0])
-
-    def test_vacuum_limit(self):
-        U = np.array([0.0, 0.0])
-        assert sv.local_speed(SIM, U, U)[0] == pytest.approx(1.0)
-
-    def test_non_hyperbolic_states_give_finite_speed(self):
-        a = sv.local_speed(SIM, np.array([0.5, 0.3]), np.array([0.45, 0.45]))
-        assert np.isfinite(a[0]) and a[0] > 0
 
 
 class TestStep:
