@@ -9,6 +9,17 @@ perturbations.  With a diffusivity delta added, only wave numbers below
 sqrt(|Delta|)/(2 delta) grow; the fastest-growing one is
 sqrt(|Delta|)/(4 delta) with rate |Delta|/(16 delta), which sets the
 emergent cluster scale.
+
+The linearization of a uniform state is held in one record,
+DiffusiveSpeeds: the partials c_pp, c_pm, c_mp, c_mm of the system flux
+(f(rho+, rho-), -f(rho-, rho+)).  They map onto the decoupled speeds
+c_u+- and the pressure partials c+- = d p(rho+, rho-)/d rho- and
+c-+ = d p(rho-, rho+)/d rho+ of the formula above as
+
+    c_pp = c_u+,   c_pm = -rho+ c+-,   c_mm = -c_u-,   c_mp = -rho- c-+,
+
+so that Delta = (c_pp + c_mm)^2 - 4 c_pm c_mp, and the characteristic
+speeds of a hyperbolic state are ((c_pp - c_mm) -+ sqrt(Delta)) / 2.
 """
 
 from __future__ import annotations
@@ -18,63 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models as md
-from .errors import DomainError, NonHyperbolicError
+from .errors import DomainError
 
 #: Density tolerance used to locate the Delta = 0 level set.
 BOUNDARY_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SpeedSet:
-    """Characteristic ingredients of a two-way pressure-coupled state.
-
-    c_pp, c_pm are the own/other-density partials of the plus-species
-    offset; c_mm, c_mp the same for the minus species.  c_u_plus and
-    c_u_minus are the decoupled characteristic speeds of each species.
-    """
-
-    c_pp: float
-    c_pm: float
-    c_mp: float
-    c_mm: float
-    c_u_plus: float
-    c_u_minus: float
-
-
-def speed_set(model, rho_plus, rho_minus, w_plus=None, w_minus=None) -> SpeedSet:
-    """Evaluate the SpeedSet of a two-way CAR/AR model at one state."""
-    if model.kind not in (md.ModelKind.TWO_WAY_CAR, md.ModelKind.TWO_WAY_AR):
-        raise DomainError("speed_set requires a two-way pressure-coupled model")
-    spd = md._two_way_char_speeds(model, rho_plus, rho_minus, w_plus, w_minus)
-    return SpeedSet(
-        c_pp=float(spd["c_pp"]),
-        c_pm=float(spd["c_pm"]),
-        c_mp=float(spd["c_mp"]),
-        c_mm=float(spd["c_mm"]),
-        c_u_plus=float(spd["c_u_plus"]),
-        c_u_minus=float(spd["c_u_minus"]),
-    )
-
-
-def ar_discriminant(speeds: SpeedSet, rho_plus, rho_minus):
-    """Discriminant whose sign decides hyperbolicity of the two-way models."""
-    return md._discriminant(
-        speeds.c_u_plus, speeds.c_u_minus, rho_plus, rho_minus, speeds.c_pm, speeds.c_mp
-    )
-
-
-def ar_eigenvalues(speeds: SpeedSet, delta):
-    """Coupled characteristic speeds (c_u+ + c_u- -+ sqrt(Delta)) / 2.
-
-    Returns the ordered pair (lam_minus, lam_plus).  The dynamic
-    desired-speed system has two further characteristic speeds, the
-    actual speeds u+ and u- themselves.
-    """
-    if delta < 0:
-        raise NonHyperbolicError(f"negative discriminant {delta}")
-    sq = np.sqrt(delta)
-    csum = speeds.c_u_plus + speeds.c_u_minus
-    return 0.5 * (csum - sq), 0.5 * (csum + sq)
 
 
 @dataclass(frozen=True)
@@ -84,15 +42,12 @@ class DiffusiveSpeeds:
     c_pp = d1 f(rho+,rho-), c_pm = d2 f(rho+,rho-), and the mirrored
     c_mm = d1 f(rho-,rho+), c_mp = d2 f(rho-,rho+) for the flux f of the
     plus species; the system flux is (f(rho+,rho-), -f(rho-,rho+)).
-    at_kink is set when the state sits exactly on a slope kink of the
-    flux profile, where only one-sided derivatives exist.
     """
 
     c_pp: float
     c_pm: float
     c_mp: float
     c_mm: float
-    at_kink: bool = False
 
     @property
     def jacobian(self) -> np.ndarray:
@@ -102,45 +57,35 @@ class DiffusiveSpeeds:
         )
 
 
-def diffusive_speeds(model, rho_plus, rho_minus) -> DiffusiveSpeeds:
-    """Analytic flux partials of a two-species first-order model.
+def _flux_partials(model, rho_plus, rho_minus):
+    """(c_pp, c_pm, c_mp, c_mm) of a two-species first-order model,
+    elementwise over arrays of uniform states.
 
     Supported kinds: sim_flux (piecewise-quadratic profile) and
-    two_way_car (assembled from the pressure partials).
+    two_way_car (assembled from the pressure partials through the sign
+    mapping of the module docstring).
     """
-    rp = float(rho_plus)
-    rm = float(rho_minus)
-    if rp < 0 or rm < 0:
-        raise DomainError("densities must be >= 0")
+    rp = np.asarray(rho_plus, dtype=float)
+    rm = np.asarray(rho_minus, dtype=float)
     if model.kind is md.ModelKind.SIM_FLUX:
-        a = model.flux_shape.a
-        rho = rp + rm
-        h, hp = md._sim_h(model.flux_shape, np.asarray(rho))
-        h, hp = float(h), float(hp)
-        return DiffusiveSpeeds(
-            c_pp=h + rp * hp,
-            c_pm=rp * hp,
-            c_mp=rm * hp,
-            c_mm=h + rm * hp,
-            at_kink=(rho == a or rho == 1.0),
-        )
+        _, h, hp = md._sim_h(model.flux_shape, rp, rm)
+        return h + rp * hp, rp * hp, rm * hp, h + rm * hp
     if model.kind is md.ModelKind.TWO_WAY_CAR:
         spd = md._two_way_char_speeds(model, rp, rm)
-        return DiffusiveSpeeds(
-            c_pp=float(spd["c_u_plus"]),
-            c_pm=float(-rp * spd["c_pm"]),
-            c_mp=float(-rm * spd["c_mp"]),
-            c_mm=float(-spd["c_u_minus"]),
-        )
-    raise DomainError("diffusive_speeds requires a two-species first-order model")
+        c_u_plus, c_u_minus = spd["c_u_plus"], spd["c_u_minus"]
+        return c_u_plus, -rp * spd["c_pm"], -rm * spd["c_mp"], -c_u_minus
+    raise DomainError("the flux partials require a two-species first-order model")
+
+
+def diffusive_speeds(model, rho_plus, rho_minus) -> DiffusiveSpeeds:
+    """Analytic flux partials of a sim_flux or two_way_car model at one state."""
+    partials = _flux_partials(model, rho_plus, rho_minus)
+    return DiffusiveSpeeds(*(float(c) for c in partials))
 
 
 def diffusive_discriminant(speeds: DiffusiveSpeeds):
-    """Discriminant (c_pp + c_mm)^2 - 4 c_pm c_mp in flux-partial form.
-
-    Identical to ar_discriminant under the identification
-    c_pp ~ c_u+, c_pm ~ -rho+ c+-, c_mm ~ -c_u-, c_mp ~ -rho- c-+.
-    """
+    """Discriminant Delta = (c_pp + c_mm)^2 - 4 c_pm c_mp; hyperbolic where
+    Delta >= 0.  Elementwise when the fields are arrays."""
     s = speeds.c_pp + speeds.c_mm
     return s * s - 4.0 * speeds.c_pm * speeds.c_mp
 
@@ -227,18 +172,9 @@ def instability_summary(speeds: DiffusiveSpeeds, delta_diff) -> StabilityReport:
 
 def delta_field(model, rho_plus, rho_minus):
     """Vectorized discriminant over arrays of uniform states."""
-    rp = np.asarray(rho_plus, dtype=float)
-    rm = np.asarray(rho_minus, dtype=float)
-    if model.kind is md.ModelKind.SIM_FLUX:
-        h, hp = md._sim_h(model.flux_shape, rp + rm)
-        s = 2.0 * h + (rp + rm) * hp
-        return s * s - 4.0 * rp * rm * hp * hp
-    if model.kind is md.ModelKind.TWO_WAY_CAR:
-        spd = md._two_way_char_speeds(model, rp, rm)
-        return md._discriminant(
-            spd["c_u_plus"], spd["c_u_minus"], rp, rm, spd["c_pm"], spd["c_mp"]
-        )
-    raise DomainError("delta_field requires a two-species first-order model")
+    return diffusive_discriminant(
+        DiffusiveSpeeds(*_flux_partials(model, rho_plus, rho_minus))
+    )
 
 
 @dataclass(frozen=True)

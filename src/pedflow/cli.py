@@ -438,40 +438,6 @@ def emit_dispersion_table(model, rho_plus, rho_minus, delta_diff, xi_grid):
     return meta, rows
 
 
-def transfer_rate_diagnostic(model, field: sv.StateField, grid: sv.Grid1D):
-    """Post-processing transfer rate between standing and moving walkers.
-
-    For the one-way constant-desired-speed model the rate into the
-    moving population is pi'(rho) * d_x g with pi = rho*P(rho) and g the
-    moving density; the two-way variant returns the pair of rates into
-    the standing populations, which also couple the opposite stream.
-    """
-    if model.kind is md.ModelKind.ONE_WAY_CAR:
-        rho = field.values[0]
-        p = np.asarray(pr.pressure_1w(model.pressure, rho))
-        split = md.moving_steady_split(model, rho, p)
-        _, pi_prime = pr.momentum_pressure(model.pressure, rho)
-        return pi_prime * _centered_gradient(split.g_density, grid.dx)
-    if model.kind is md.ModelKind.TWO_WAY_CAR:
-        rho_p, rho_m = field.values[0], field.values[1]
-        p_plus, p_minus, (d1_p, d2_p), (d1_m, d2_m) = pr.two_way_offsets(
-            model.pressure, model.crowding, model.crowding_minus, rho_p, rho_m,
-            partials=True,
-        )
-        g_p = md.moving_steady_split(model, rho_p, p_plus).g_density
-        g_m = md.moving_steady_split(model, rho_m, p_minus).g_density
-        dg_p = _centered_gradient(g_p, grid.dx)
-        dg_m = _centered_gradient(g_m, grid.dx)
-        rate_s_plus = -(p_plus + rho_p * d1_p) * dg_p + rho_p * d2_p * dg_m
-        rate_s_minus = (p_minus + rho_m * d1_m) * dg_m - rho_m * d2_m * dg_p
-        return rate_s_plus, rate_s_minus
-    raise DomainError("transfer diagnostic requires a constant-desired-speed model")
-
-
-def _centered_gradient(f: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * dx)
-
-
 # --------------------------------------------------------------------------
 # scenario runner
 

@@ -19,11 +19,6 @@ class VacuumError(DomainError):
     cannot be recovered."""
 
 
-class NonHyperbolicError(PedflowError):
-    """Real characteristic speeds were requested at a state where the
-    discriminant is negative."""
-
-
 class StabilityError(PedflowError):
     """The combined advective + diffusive stability number exceeded the
     configured guard."""

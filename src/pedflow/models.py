@@ -75,14 +75,6 @@ class SimFluxParams:
 
 
 @dataclass(frozen=True)
-class MovingSteady:
-    """Split of a species density into moving and standing walkers."""
-
-    g_density: float
-    s_density: float
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """One member of the model family plus its parameters.
 
@@ -167,7 +159,7 @@ class ModelSpec:
             )
         if self.kind is ModelKind.SIM_FLUX:
             rho_p, rho_m = U[0], U[1]
-            h, _ = _sim_h(self.flux_shape, rho_p + rho_m)
+            _, h, _ = _sim_h(self.flux_shape, rho_p, rho_m)
             return np.stack([rho_p * h, -rho_m * h])
         if self.kind is ModelKind.ONE_WAY_CAR:
             rho = U[0]
@@ -199,8 +191,7 @@ class ModelSpec:
         U = np.asarray(U, dtype=float)
         if self.kind is ModelKind.SIM_FLUX:
             rho_p, rho_m = U[0], U[1]
-            rho = rho_p + rho_m
-            h, hp = _sim_h(self.flux_shape, rho)
+            rho, h, hp = _sim_h(self.flux_shape, rho_p, rho_m)
             tr = (rho_p - rho_m) * hp
             det = -h * h - h * hp * rho
             return _pair_max_modulus(tr, tr * tr - 4.0 * det)
@@ -221,21 +212,16 @@ class ModelSpec:
         else:
             rho_p, rho_m = U[0], U[1]
             spd = _two_way_char_speeds(self, rho_p, rho_m)
-        csum = spd["c_u_plus"] + spd["c_u_minus"]
-        delta = _discriminant(
-            spd["c_u_plus"], spd["c_u_minus"], rho_p, rho_m, spd["c_pm"], spd["c_mp"]
-        )
-        out = _pair_max_modulus(csum, delta)
+        c_u_plus, c_u_minus = spd["c_u_plus"], spd["c_u_minus"]
+        # Delta in the order of the decoupled speeds, not in the flux-partial
+        # order of analysis.diffusive_discriminant: the two round differently,
+        # and the latter changes the two_lane.cfg audit.csv.
+        diff = c_u_plus - c_u_minus
+        delta = diff * diff - 4.0 * rho_p * rho_m * spd["c_pm"] * spd["c_mp"]
+        out = _pair_max_modulus(c_u_plus + c_u_minus, delta)
         if self.kind is ModelKind.TWO_WAY_AR:
             out = np.maximum(out, np.maximum(np.abs(spd["u_plus"]), np.abs(spd["u_minus"])))
         return out
-
-
-def _discriminant(c_u_plus, c_u_minus, rho_plus, rho_minus, c_pm, c_mp):
-    """Delta = (c_u+ - c_u-)^2 - 4 rho+ rho- c+- c-+ of a two-way
-    pressure-coupled state; hyperbolic where Delta >= 0."""
-    diff = c_u_plus - c_u_minus
-    return diff * diff - 4.0 * rho_plus * rho_minus * c_pm * c_mp
 
 
 def _pair_max_modulus(trace, disc):
@@ -248,17 +234,18 @@ def _pair_max_modulus(trace, disc):
     return np.where(disc >= 0.0, real_case, complex_case)
 
 
-def _sim_h(params: SimFluxParams, rho):
-    """g(rho)/rho and its derivative, with the 0/0 at vacuum removed.
+def _sim_h(params: SimFluxParams, rho_plus, rho_minus):
+    """Total density rho of the two species, h = g(rho)/rho and h'.
 
-    On [0, a] the ratio is exactly the polynomial 1 - rho/(2a), so the
-    vacuum limit h(0) = 1 needs no special casing.  At rho = 1 the
+    A negative species density raises DomainError.  The 0/0 at vacuum is
+    removed: on [0, a] the ratio is exactly the polynomial 1 - rho/(2a),
+    so the vacuum limit h(0) = 1 needs no special casing.  At rho = 1 the
     inside one-sided branch is used (larger magnitude).
     """
     a = params.a
-    r = np.asarray(rho, dtype=float)
-    if np.any(r < 0):
+    if np.any(np.minimum(rho_plus, rho_minus) < 0):
         raise DomainError("densities must be >= 0")
+    r = np.asarray(rho_plus + rho_minus, dtype=float)
     h = 1.0 - r / (2.0 * a)
     hp = np.full_like(r, -1.0 / (2.0 * a))
     mid = (r > a) & (r <= 1.0)
@@ -271,7 +258,7 @@ def _sim_h(params: SimFluxParams, rho):
     high = r > 1.0
     h = np.where(high, 0.0, h)
     hp = np.where(high, 0.0, hp)
-    return h, hp
+    return r, h, hp
 
 
 def two_way_pressures(model: ModelSpec, rho_plus, rho_minus):
@@ -310,7 +297,8 @@ def _two_way_char_speeds(model, rho_plus, rho_minus, w_plus=None, w_minus=None):
     """Characteristic ingredients of a two-way pressure-coupled model.
 
     For constant-desired-speed models w defaults to V.  Returns actual
-    speeds u+-, the four pressure partials and the decoupled speeds
+    speeds u+-, the cross pressure partials c_pm = d p(rho+,rho-)/d rho-
+    and c_mp = d p(rho-,rho+)/d rho+, and the decoupled speeds
     c_u+ = u+ - rho+ d1p(rho+,rho-), c_u- = u- + rho- d1p(rho-,rho+).
     """
     rp = np.asarray(rho_plus, dtype=float)
@@ -327,29 +315,8 @@ def _two_way_char_speeds(model, rho_plus, rho_minus, w_plus=None, w_minus=None):
     return {
         "u_plus": u_plus,
         "u_minus": u_minus,
-        "c_pp": np.asarray(c_pp),
         "c_pm": np.asarray(c_pm),
         "c_mp": np.asarray(c_mp),
-        "c_mm": np.asarray(c_mm),
         "c_u_plus": u_plus - rp * np.asarray(c_pp),
         "c_u_minus": u_minus + rm * np.asarray(c_mm),
     }
-
-
-def moving_steady_split(model: ModelSpec, rho, p_value) -> MovingSteady:
-    """Split a species density into moving and standing walkers.
-
-    The offset scaled by the desired speed is the standing fraction:
-    s = rho * p / V and g = rho - s, so g + s = rho exactly.
-    """
-    if model.V is None:
-        raise DomainError("moving_steady_split requires a constant-desired-speed model")
-    if np.any(np.asarray(p_value) < 0) or np.any(np.asarray(p_value) > model.V):
-        raise DomainError("offset must lie in [0, V]")
-    r = np.asarray(rho, dtype=float)
-    scalar = r.ndim == 0
-    s = r * np.asarray(p_value, dtype=float) / model.V
-    g = r - s
-    if scalar:
-        return MovingSteady(float(g), float(s))
-    return MovingSteady(g, s)

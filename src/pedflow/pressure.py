@@ -140,17 +140,6 @@ def background_pressure_derivative(params: PressureParams, rho):
     return _ret(params.M * params.m * r ** (params.m - 1.0), scalar)
 
 
-def momentum_pressure(params: PressureParams, rho):
-    """Density-weighted background offset rho*P(rho) and its derivative.
-
-    Used only by the moving/steady transfer diagnostic.
-    """
-    p = background_pressure(params, rho)
-    dp = background_pressure_derivative(params, rho)
-    r, scalar = _as_array(rho)
-    return _ret(r * p, scalar), _ret(p + r * dp, scalar)
-
-
 def singular_correction_1w(params: PressureParams, rho):
     """One-way singular correction eps / (1/rho - 1/rho_star)**gamma.
 

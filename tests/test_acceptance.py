@@ -330,26 +330,26 @@ def test_criterion_07_eigen_oracles():
     worst_char = 0.0
     checked = 0
     while checked < 1000:
-        speeds = an.SpeedSet(
-            c_pp=rng.uniform(0, 2),
-            c_pm=rng.uniform(0, 2),
-            c_mp=rng.uniform(0, 2),
-            c_mm=rng.uniform(0, 2),
-            c_u_plus=rng.uniform(-2, 2),
-            c_u_minus=rng.uniform(-2, 2),
-        )
+        c_u_plus, c_u_minus = rng.uniform(-2, 2, 2)
+        c_pm, c_mp = rng.uniform(0, 2, 2)
         rho_plus, rho_minus = rng.uniform(0, 1, 2)
-        delta = an.ar_discriminant(speeds, rho_plus, rho_minus)
-        if delta < 0:
+        # c_pp = c_u+, c_pm = -rho+ c+-, c_mm = -c_u-, c_mp = -rho- c-+
+        speeds = an.DiffusiveSpeeds(
+            c_pp=c_u_plus,
+            c_pm=-rho_plus * c_pm,
+            c_mp=-rho_minus * c_mp,
+            c_mm=-c_u_minus,
+        )
+        if an.diffusive_discriminant(speeds) < 0:
             continue
         matrix = np.array(
             [
-                [speeds.c_u_plus, -rho_plus * speeds.c_pm],
-                [rho_minus * speeds.c_mp, speeds.c_u_minus],
+                [c_u_plus, -rho_plus * c_pm],
+                [rho_minus * c_mp, c_u_minus],
             ]
         )
         expected = np.sort(np.linalg.eigvals(matrix).real)
-        got = an.ar_eigenvalues(speeds, delta)
+        got = an.instability_summary(speeds, 0.0).eigenvalues
         worst_char = max(
             worst_char, abs(got[0] - expected[0]), abs(got[1] - expected[1])
         )

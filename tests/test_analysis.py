@@ -4,7 +4,7 @@ import pytest
 from pedflow import analysis as an
 from pedflow import models as md
 from pedflow import pressure as pr
-from pedflow.errors import DomainError, NonHyperbolicError
+from pedflow.errors import DomainError
 
 SIM = md.ModelSpec.sim_flux(0.7)
 
@@ -48,27 +48,31 @@ def diffusive_speeds_fd(flux_fn, rho_plus, rho_minus, step=1e-7):
     )
 
 
-def random_speed_set(rng):
-    return an.SpeedSet(
-        c_pp=rng.uniform(0, 2),
-        c_pm=rng.uniform(0, 2),
-        c_mp=rng.uniform(0, 2),
-        c_mm=rng.uniform(0, 2),
-        c_u_plus=rng.uniform(-2, 2),
-        c_u_minus=rng.uniform(-2, 2),
+def mapped_speeds(c_u_plus, c_u_minus, c_pm, c_mp, rho_plus, rho_minus):
+    """DiffusiveSpeeds of the decoupled speeds c_u+- and the pressure
+    partials c+- = c_pm, c-+ = c_mp through the documented sign mapping."""
+    return an.DiffusiveSpeeds(
+        c_pp=c_u_plus,
+        c_pm=-rho_plus * c_pm,
+        c_mp=-rho_minus * c_mp,
+        c_mm=-c_u_minus,
     )
+
+
+def characteristic_speeds(speeds):
+    return an.instability_summary(speeds, 0.0).eigenvalues
 
 
 class TestDiscriminant:
     def test_decoupled_pressures_always_hyperbolic(self):
-        speeds = an.SpeedSet(1.0, 0.0, 0.0, 1.0, 0.5, -0.5)
-        assert an.ar_discriminant(speeds, 0.4, 0.4) == pytest.approx(1.0)
+        speeds = mapped_speeds(0.5, -0.5, 0.0, 0.0, 0.4, 0.4)
+        assert an.diffusive_discriminant(speeds) == pytest.approx(1.0)
 
     def test_single_species_always_hyperbolic(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            speeds = random_speed_set(rng)
-            assert an.ar_discriminant(speeds, rng.uniform(0, 1), 0.0) >= 0.0
+        rho = np.linspace(0.0, 0.99, 34)
+        for model in (SIM, car_model()):
+            assert np.all(an.delta_field(model, rho, np.zeros_like(rho)) >= 0.0)
+            assert np.all(an.delta_field(model, np.zeros_like(rho), rho) >= 0.0)
 
     def test_sim_flux_reference_state_not_hyperbolic(self):
         # independent route: finite differences of the flux itself
@@ -78,43 +82,53 @@ class TestDiscriminant:
         assert an.delta_field(SIM, 0.5, 0.3) == pytest.approx(delta_fd, rel=1e-5)
         assert an.delta_field(SIM, 0.5, 0.3) < 0
 
+    def test_delta_field_matches_the_pointwise_record(self):
+        rng = np.random.default_rng(3)
+        for model in (SIM, car_model()):
+            rp = rng.uniform(0.0, 0.45, 50)
+            rm = rng.uniform(0.0, 0.45, 50)
+            field = an.delta_field(model, rp, rm)
+            for k in range(50):
+                speeds = an.diffusive_speeds(model, rp[k], rm[k])
+                want = an.diffusive_discriminant(speeds)
+                assert field[k] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
 
 class TestArEigenvalues:
+    """Characteristic speeds of a hyperbolic two-way state, read from
+    instability_summary at zero diffusivity."""
+
     def test_degenerate_root(self):
-        speeds = an.SpeedSet(1.0, 0.0, 0.0, 1.0, 0.7, 0.7)
-        lam_minus, lam_plus = an.ar_eigenvalues(speeds, 0.0)
+        speeds = mapped_speeds(0.7, 0.7, 0.0, 0.0, 0.3, 0.3)
+        lam_minus, lam_plus = characteristic_speeds(speeds)
         assert lam_minus == pytest.approx(0.7)
         assert lam_plus == pytest.approx(0.7)
 
     def test_decoupled_case_returns_uncoupled_speeds(self):
-        speeds = an.SpeedSet(1.0, 0.0, 0.0, 1.0, 0.9, -0.4)
-        delta = an.ar_discriminant(speeds, 0.3, 0.3)
-        lam_minus, lam_plus = an.ar_eigenvalues(speeds, delta)
+        speeds = mapped_speeds(0.9, -0.4, 1.0, 1.0, 0.0, 0.0)
+        lam_minus, lam_plus = characteristic_speeds(speeds)
         assert lam_minus == pytest.approx(-0.4)
         assert lam_plus == pytest.approx(0.9)
 
     def test_negative_discriminant_rejected(self):
-        speeds = an.SpeedSet(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
-        with pytest.raises(NonHyperbolicError):
-            an.ar_eigenvalues(speeds, -1.0)
+        speeds = mapped_speeds(0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
+        assert an.diffusive_discriminant(speeds) == pytest.approx(-4.0)
+        with pytest.raises(DomainError):
+            an.instability_summary(speeds, 0.0)
 
     def test_matches_matrix_eigensolve(self):
         rng = np.random.default_rng(1)
         checked = 0
         while checked < 200:
-            speeds = random_speed_set(rng)
+            c_u_plus, c_u_minus = rng.uniform(-2, 2, 2)
+            c_pm, c_mp = rng.uniform(0, 2, 2)
             rp, rm = rng.uniform(0, 1, 2)
-            delta = an.ar_discriminant(speeds, rp, rm)
-            if delta < 0:
+            speeds = mapped_speeds(c_u_plus, c_u_minus, c_pm, c_mp, rp, rm)
+            if an.diffusive_discriminant(speeds) < 0:
                 continue
-            matrix = np.array(
-                [
-                    [speeds.c_u_plus, -rp * speeds.c_pm],
-                    [rm * speeds.c_mp, speeds.c_u_minus],
-                ]
-            )
+            matrix = np.array([[c_u_plus, -rp * c_pm], [rm * c_mp, c_u_minus]])
             expected = np.sort(np.linalg.eigvals(matrix).real)
-            got = an.ar_eigenvalues(speeds, delta)
+            got = characteristic_speeds(speeds)
             assert abs(got[0] - expected[0]) < 1e-10
             assert abs(got[1] - expected[1]) < 1e-10
             checked += 1
@@ -140,15 +154,22 @@ class TestDiffusiveSpeeds:
         assert speeds.c_mp < 0
 
     def test_two_way_car_identification(self):
-        # own-density flux partial must equal the decoupled speed c_u+
+        # the flux partials are the decoupled speeds and pressure partials
+        # of the module docstring's sign mapping
         model = car_model()
         for rp, rm in [(0.2, 0.1), (0.4, 0.3), (0.1, 0.6)]:
+            p_plus, p_minus, (d1_p, d2_p), (d1_m, d2_m) = pr.two_way_offsets(
+                model.pressure, model.crowding, model.crowding_minus, rp, rm,
+                partials=True,
+            )
+            c_u_plus = (model.V - p_plus) - rp * d1_p
+            c_u_minus = (-model.V + p_minus) + rm * d1_m
             speeds = an.diffusive_speeds(model, rp, rm)
-            sset = an.speed_set(model, rp, rm)
-            assert speeds.c_pp == pytest.approx(sset.c_u_plus, abs=1e-10)
-            assert speeds.c_mm == pytest.approx(-sset.c_u_minus, abs=1e-10)
-            assert speeds.c_pm == pytest.approx(-rp * sset.c_pm, abs=1e-10)
-            assert speeds.c_mp == pytest.approx(-rm * sset.c_mp, abs=1e-10)
+            want = mapped_speeds(c_u_plus, c_u_minus, d2_p, d2_m, rp, rm)
+            assert speeds.c_pp == pytest.approx(want.c_pp, abs=1e-10)
+            assert speeds.c_mm == pytest.approx(want.c_mm, abs=1e-10)
+            assert speeds.c_pm == pytest.approx(want.c_pm, abs=1e-10)
+            assert speeds.c_mp == pytest.approx(want.c_mp, abs=1e-10)
 
     def test_two_way_car_matches_fd(self):
         model = car_model()
@@ -166,10 +187,16 @@ class TestDiffusiveSpeeds:
         assert speeds.c_mp == pytest.approx(c_mp, rel=1e-5)
         assert speeds.c_mm == pytest.approx(c_mm, rel=1e-5)
 
-    def test_kink_flag(self):
-        assert an.diffusive_speeds(SIM, 0.5, 0.5).at_kink
-        assert an.diffusive_speeds(SIM, 0.35, 0.35).at_kink
-        assert not an.diffusive_speeds(SIM, 0.35, 0.3).at_kink
+    def test_partials_at_the_kinks(self):
+        # total density a = 0.7: the rising branch, h = 1/2, h' = -1/(2a)
+        a = 0.7
+        speeds = an.diffusive_speeds(SIM, 0.35, 0.35)
+        assert speeds.c_pp == pytest.approx(0.5 - 0.35 / (2 * a))
+        assert speeds.c_pm == pytest.approx(-0.35 / (2 * a))
+        # total density 1: the falling branch, h = 0, h' = -a/(1-a)
+        speeds = an.diffusive_speeds(SIM, 0.5, 0.5)
+        assert speeds.c_pp == pytest.approx(-0.5 * a / (1 - a))
+        assert speeds.c_mp == pytest.approx(-0.5 * a / (1 - a))
 
     def test_fd_fallback_matches_analytic(self):
         got = diffusive_speeds_fd(sim_plus_flux, 0.35, 0.3)

@@ -7,7 +7,6 @@ import pytest
 from pedflow import analysis as an
 from pedflow import cli
 from pedflow import models as md
-from pedflow import pressure as pr
 from pedflow import solver as sv
 from pedflow.errors import ClipBudgetError, ConfigError
 
@@ -247,32 +246,6 @@ class TestDispersionTable:
         growth = np.array([max(r[2], r[4]) for r in rows])
         xi = np.array([r[0] for r in rows])
         assert xi[np.argmax(growth)] == pytest.approx(meta["dominant_xi"], abs=0.011)
-
-
-class TestTransferDiagnostic:
-    def test_uniform_state_has_no_transfer(self):
-        params = pr.PressureParams(M=1.0, m=2.0, eps=0.0, gamma=2.0, rho_star=1.0)
-        model = md.ModelSpec.one_way_car(V=1.0, pressure=params)
-        grid = sv.Grid1D(n_cells=16, dx=1.0)
-        field = sv.StateField(np.full((1, 16), 0.4))
-        rate = cli.transfer_rate_diagnostic(model, field, grid)
-        np.testing.assert_allclose(rate, 0.0, atol=1e-15)
-
-    def test_two_way_rates_balance_moving_population(self):
-        params = pr.PressureParams(M=1.0, m=2.0, eps=1e-3, gamma=2.0, rho_star=1.0)
-        model = md.ModelSpec.two_way_car(V=1.0, pressure=params)
-        grid = sv.Grid1D(n_cells=32, dx=1.0)
-        x = grid.x
-        vals = np.stack(
-            [0.25 + 0.05 * np.sin(2 * np.pi * x / grid.length),
-             0.2 + 0.03 * np.cos(2 * np.pi * x / grid.length)]
-        )
-        rate_plus, rate_minus = cli.transfer_rate_diagnostic(
-            model, sv.StateField(vals), grid
-        )
-        assert rate_plus.shape == (32,)
-        assert np.any(rate_plus != 0)
-        assert np.any(rate_minus != 0)
 
 
 class TestRunScenario:

@@ -103,6 +103,14 @@ class TestSimFlux:
         with pytest.raises(DomainError):
             sim_plus_flux(-0.4, 0.3)
 
+    def test_negative_species_raises(self):
+        # rejected even where the total density is positive
+        for U in ([[-0.1], [0.3]], [[0.3], [-0.1]]):
+            with pytest.raises(DomainError):
+                SIM.flux(U)
+            with pytest.raises(DomainError):
+                SIM.max_abs_speed(U)
+
     def test_continuity_straddle(self):
         gap = 1e-9
         for total in (0.7, 1.0):
@@ -231,40 +239,6 @@ class TestCharacteristicSpeed:
         # u = 1 - 0.25, p'(0.5) = 1
         model = md.ModelSpec.one_way_car(V=1.0, pressure=pressure_params(eps=0.0))
         assert cell_speed(model, 0.5) == pytest.approx(0.25)
-
-
-class TestMovingSteadySplit:
-    def test_all_moving(self):
-        model = md.ModelSpec.one_way_car(V=1.0, pressure=pressure_params(eps=0.0))
-        split = md.moving_steady_split(model, 0.4, 0.0)
-        assert split.g_density == pytest.approx(0.4)
-        assert split.s_density == 0.0
-
-    def test_all_steady(self):
-        model = md.ModelSpec.one_way_car(V=1.0, pressure=pressure_params(eps=0.0))
-        split = md.moving_steady_split(model, 0.4, 1.0)
-        assert split.g_density == pytest.approx(0.0)
-        assert split.s_density == pytest.approx(0.4)
-
-    def test_hand_evaluation(self):
-        model = md.ModelSpec.one_way_car(V=1.0, pressure=pressure_params(eps=0.0))
-        split = md.moving_steady_split(model, 0.4, 0.25)
-        assert split.g_density == pytest.approx(0.3)
-        assert split.s_density == pytest.approx(0.1)
-
-    def test_exact_total(self):
-        model = md.ModelSpec.one_way_car(V=1.3, pressure=pressure_params(eps=0.0))
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            rho = rng.uniform(0, 1)
-            p = rng.uniform(0, 1.3)
-            split = md.moving_steady_split(model, rho, p)
-            assert split.g_density + split.s_density == pytest.approx(rho, rel=5e-16)
-
-    def test_excess_offset_rejected(self):
-        model = md.ModelSpec.one_way_car(V=1.0, pressure=pressure_params(eps=0.0))
-        with pytest.raises(DomainError):
-            md.moving_steady_split(model, 0.4, 1.5)
 
 
 class TestModelSpec:

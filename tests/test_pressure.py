@@ -123,11 +123,16 @@ class TestCrossoverWidth:
 
 class TestTwoWayPressure:
     def test_symmetric_arguments(self):
+        # the mirrored direction: one weight at equal densities gives equal
+        # offsets, and swapping densities and weights swaps the offsets
         params = make_params()
         for q in ALL_WEIGHTS:
-            a = pr.two_way_pressure(params, q, 0.3, 0.3)
-            b = pr.two_way_pressure(params, q, 0.3, 0.3)
-            assert a == b
+            p_plus, p_minus = pr.two_way_offsets(params, q, q, 0.3, 0.3)
+            assert p_plus == p_minus
+            for q_other in ALL_WEIGHTS:
+                a_plus, a_minus = pr.two_way_offsets(params, q, q_other, 0.4, 0.2)
+                b_plus, b_minus = pr.two_way_offsets(params, q_other, q, 0.2, 0.4)
+                assert (b_plus, b_minus) == (a_minus, a_plus)
 
     @pytest.mark.parametrize("q", ALL_WEIGHTS)
     def test_reciprocity_identity(self, q):
@@ -244,17 +249,6 @@ class TestParamsValidation:
             make_params(gamma=1.0)
         with pytest.raises(DomainError):
             make_params(rho_star=0.0)
-
-
-def test_momentum_pressure_matches_fd():
-    params = make_params(M=1.5, m=2.0, eps=0.0)
-    for rho in (0.1, 0.4, 0.8):
-        pi, pi_prime = pr.momentum_pressure(params, rho)
-        assert pi == pytest.approx(rho * pr.background_pressure(params, rho))
-        h = 1e-6
-        pi_hi, _ = pr.momentum_pressure(params, rho + h)
-        pi_lo, _ = pr.momentum_pressure(params, rho - h)
-        assert pi_prime == pytest.approx((pi_hi - pi_lo) / (2 * h), rel=1e-8)
 
 
 # The per-direction two_way_pressure and pressure_partials that

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pedflow import models as md
 from pedflow import pressure as pr
@@ -9,6 +12,7 @@ from pedflow.errors import (
     ClipBudgetError,
     CongestionOverflowError,
     DomainError,
+    PedflowError,
     StabilityError,
 )
 
@@ -308,3 +312,83 @@ class TestRun:
         rho_f, w_f, u_f = md.ar_primitives(model, res.final.values)
         assert w_f.max() <= w0.max() * 1.01
         assert w_f.min() >= w0.min() * 0.99
+
+
+_LAW = pr.PressureParams(M=1.0, m=2.0, eps=1e-3, gamma=2.0, rho_star=1.0)
+ALL_KINDS = {
+    md.ModelKind.SIM_FLUX: SIM,
+    md.ModelKind.ONE_WAY_CAR: md.ModelSpec.one_way_car(V=1.0, pressure=_LAW),
+    md.ModelKind.ONE_WAY_AR: md.ModelSpec.one_way_ar(_LAW),
+    md.ModelKind.TWO_WAY_CAR: md.ModelSpec.two_way_car(V=1.0, pressure=_LAW),
+    md.ModelKind.TWO_WAY_AR: md.ModelSpec.two_way_ar(_LAW),
+}
+
+
+@st.composite
+def noisy_admissible_states(draw, model, n=16):
+    """Species densities load * share * (1 + amp * noise) on n cells, with
+    a total below 0.95 rho_star, and momenta rho * w with w in [0.5, 1.5]."""
+    amp = draw(st.floats(0.0, 1.0))
+    load = draw(st.floats(0.0, 0.95 / (1.0 + amp)))
+    noise = st.floats(-1.0, 1.0)
+    if len(model.density_rows) == 1:
+        shares = [1.0]
+    else:
+        share = draw(st.floats(0.0, 1.0))
+        shares = [share, 1.0 - share]
+    rows = []
+    for share in shares:
+        wiggle = draw(hnp.arrays(np.float64, n, elements=noise))
+        rho = load * share * (1.0 + amp * wiggle)
+        rows.append(rho)
+        if model.n_conserved == 2 * len(shares):
+            w = draw(hnp.arrays(np.float64, n, elements=st.floats(0.5, 1.5)))
+            rows.append(rho * w)
+    return np.stack(rows)
+
+
+def _run_or_error(model, U0, grid, params):
+    # a density below about 1e-155 overflows the partials of the singular
+    # pressure (gamma = 2); the run then stops with a BlowUpError
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return sv.run(
+                model, sv.StateField(U0), grid, params, t_end=5 * params.dt
+            )
+    except PedflowError as err:
+        return type(err)
+
+
+@pytest.mark.parametrize("kind", list(ALL_KINDS), ids=lambda kind: kind.value)
+@settings(max_examples=30, deadline=None)
+@given(delta_diff=st.sampled_from([0.0, 0.1]), data=st.data())
+def test_every_kind_conserves_mass_and_keeps_densities_nonnegative(
+    kind, delta_diff, data
+):
+    # A few steps from a noisy admissible state either stop with a classified
+    # error or conserve every component up to round-off and the audited
+    # clipped mass, keep every density >= 0, and rerun bit for bit.
+    model = ALL_KINDS[kind]
+    U0 = data.draw(noisy_admissible_states(model))
+    grid = sv.Grid1D(n_cells=16, dx=1.0)
+    params = sv.SchemeParams(dt=0.02, delta_diff=delta_diff)
+    first = _run_or_error(model, U0, grid, params)
+    second = _run_or_error(model, U0, grid, params)
+    if isinstance(first, type):
+        assert second is first
+        return
+    rows = list(model.density_rows)
+    for snap in first.snapshots:
+        assert np.all(snap.values[rows] >= 0.0)
+    clipped = first.audit.clipped_mass[-1]
+    mass0 = U0.sum(axis=1) * grid.dx
+    mass = first.final.values.sum(axis=1) * grid.dx
+    tol = 1e-13 * (1.0 + np.abs(U0).sum() * grid.dx) + clipped
+    assert np.all(np.abs(mass - mass0) <= tol)
+    np.testing.assert_array_equal(
+        first.final.values.view(np.int64), second.final.values.view(np.int64)
+    )
+    for name in ("cfl", "mass", "min_rho", "max_rho", "clipped_mass"):
+        np.testing.assert_array_equal(
+            getattr(first.audit, name), getattr(second.audit, name)
+        )
