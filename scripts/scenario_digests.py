@@ -21,13 +21,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from pedflow import cli  # noqa: E402
 
-# Analysis subcommands and the model kinds that support them.
-ANALYSES = {
-    "hyperbolicity-map": {"sim_flux", "two_way_car"},
-    "dispersion": {"sim_flux", "two_way_car"},
-    "pressure-table": {"one_way_car", "one_way_ar", "two_way_car", "two_way_ar"},
-}
-
 
 def digest_run(config: Path, command: str, prefix: str) -> int:
     """Run one subcommand on config and print the digest of each artifact."""
@@ -46,10 +39,10 @@ def main() -> int:
     configs = sorted((ROOT / "scenarios").glob("*.cfg"))
     status = 0
     for config in configs:
-        runs = [("simulate", config.stem)]
-        kind = cli.load_config(config).model.kind.value
-        runs += [(command, f"{config.stem}/{command}")
-                 for command, kinds in ANALYSES.items() if kind in kinds]
+        kind = cli.load_config(config).model.kind
+        runs = [(command, config.stem if command == "simulate"
+                 else f"{config.stem}/{command}")
+                for command, (_, kinds) in cli.SUBCOMMANDS.items() if kind in kinds]
         for command, prefix in runs:
             if digest_run(config, command, prefix) != 0:
                 status = 1

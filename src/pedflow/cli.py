@@ -1,12 +1,12 @@
 """Batch front end: scenario configs, seeded noise, artifact emission.
 
 A scenario is described by a flat key = value text file (dotted key
-namespaces, '#' comments); see the README for the full key schema.  The
-`simulate` subcommand runs it and writes per-snapshot CSV files, a
-per-step audit CSV, a linear-stability summary of the initial uniform
-state and per-snapshot cluster metrics.  `hyperbolicity-map`,
-`dispersion` and `pressure-table` emit the corresponding analysis
-tables without time stepping.
+namespaces, '#' comments); CONFIG_KEYS declares every key, and the
+README's config table lists them.  The `simulate` subcommand runs it and
+writes per-snapshot CSV files, a per-step audit CSV, a linear-stability
+summary of the initial uniform state and per-snapshot cluster metrics.
+`hyperbolicity-map`, `dispersion` and `pressure-table` emit the
+corresponding analysis tables without time stepping.
 
 Noise is reproducible by construction: every species/lane pair draws
 from its own numpy PCG64 generator seeded with master_seed + 2*lane +
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable, Set
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -30,65 +31,20 @@ from . import pressure as pr
 from . import solver as sv
 from .errors import ClipBudgetError, ConfigError, DomainError, PedflowError
 
+# Model kinds, grouped by what their configs read.
+_ALL = frozenset(md.ModelKind)
+_PRESSURE = _ALL - {md.ModelKind.SIM_FLUX}
+_ONE_WAY = frozenset({md.ModelKind.ONE_WAY_CAR, md.ModelKind.ONE_WAY_AR})
+_CAR = frozenset({md.ModelKind.ONE_WAY_CAR, md.ModelKind.TWO_WAY_CAR})
 # Kinds with two density species, rho_plus and rho_minus: the only kinds
-# that run several lanes and whose runs write cluster metrics.
-_TWO_SPECIES = (md.ModelKind.SIM_FLUX, md.ModelKind.TWO_WAY_CAR, md.ModelKind.TWO_WAY_AR)
+# whose runs write cluster metrics.
+_TWO_SPECIES = _ALL - _ONE_WAY
+# Two-way pressure kinds: crowding weights and several lanes.
+_TWO_WAY = _TWO_SPECIES & _PRESSURE
+# Kinds whose linearisation analysis.diffusive_speeds evaluates.
+_ANALYSED = frozenset({md.ModelKind.SIM_FLUX, md.ModelKind.TWO_WAY_CAR})
 
-_KNOWN_KEYS = {
-    "model.kind", "model.a", "model.V",
-    "pressure.M", "pressure.m", "pressure.eps", "pressure.gamma",
-    "pressure.rho_star",
-    "crowding.kind", "crowding.beta",
-    "crowding_minus.kind", "crowding_minus.beta",
-    "grid.n_cells", "grid.dx",
-    "scheme.dt", "scheme.delta", "scheme.limiter", "scheme.cfl_guard",
-    "initial.rho_plus", "initial.rho_minus", "initial.w_plus",
-    "initial.w_minus", "initial.rho", "initial.w",
-    "noise.sigma", "noise.seed", "noise.kind",
-    "run.t_end", "run.snapshot_every",
-    "cluster.threshold",
-    "lanes.count",
-    "rates.lambda0", "rates.ramp", "rates.cutoff",
-    "map.resolution",
-    "dispersion.xi_max", "dispersion.n_points",
-    "table.n_points", "table.rho_max",
-}
-
-
-def parse_config(path) -> dict:
-    """Read a flat key = value file into a string dict."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    raw = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS and not key.startswith("check."):
-            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-        if key in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-        raw[key] = value
-    return raw
-
-
-def _get(raw, key, cast, default=None, required=False, positive=False):
-    if key not in raw:
-        if required:
-            raise ConfigError(f"missing required key '{key}'")
-        return default
-    try:
-        value = cast(raw[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for '{key}': {raw[key]!r}") from exc
-    if positive and not value > 0:
-        raise ConfigError(f"{key} must be > 0")
-    return value
+REQUIRED = object()  # default of a key that must be given
 
 
 def _float(text: str) -> float:
@@ -110,9 +66,141 @@ def _bool(text: str) -> bool:
     return value in ("1", "true", "yes", "on")
 
 
-def _per_lane(raw, key, n_lanes: int) -> list:
-    """One value per lane from a comma list; a single value serves every lane."""
-    values = _get(raw, key, _float_list, required=True)
+def _one_of(*choices):
+    def cast(text: str) -> str:
+        if text not in choices:
+            raise ValueError(text)
+        return text
+    return cast
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config key: its cast, its default, the model kinds that read it
+    and an optional lower bound, (">", value) or (">=", value).
+
+    A callable default is evaluated on the values read before this key.
+    arg is the constructor argument or ScenarioConfig field the value
+    fills; it defaults to the last part of the key.
+    """
+
+    key: str
+    cast: Callable[[str], object]
+    default: object
+    kinds: Set[md.ModelKind]
+    bound: tuple | None = None
+    arg: str = ""
+
+    def __post_init__(self):
+        if not self.arg:
+            object.__setattr__(self, "arg", self.key.split(".", 1)[1])
+
+    def read(self, raw: dict, values: dict):
+        """This key's value in raw, cast and bound-checked, or its default."""
+        if self.key not in raw:
+            if self.default is REQUIRED:
+                raise ConfigError(f"missing required key '{self.key}'")
+            return self.default(values) if callable(self.default) else self.default
+        try:
+            value = self.cast(raw[self.key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for '{self.key}': {raw[self.key]!r}") from exc
+        if self.bound is not None:
+            op, low = self.bound
+            if not (value > low if op == ">" else value >= low):
+                raise ConfigError(f"{self.key} must be {op} {low}")
+        return value
+
+
+# Every accepted key; the README's config table lists the same rows.
+# check.* keys hold --check expectations; all but final_supnorm_lt read
+# the cluster metrics.
+CONFIG_KEYS = (
+    ConfigKey("model.kind", md.ModelKind, REQUIRED, _ALL),
+    ConfigKey("model.a", _float, 0.7, {md.ModelKind.SIM_FLUX}),
+    ConfigKey("model.V", _float, REQUIRED, _CAR),
+    ConfigKey("pressure.M", _float, REQUIRED, _PRESSURE),
+    ConfigKey("pressure.m", _float, REQUIRED, _PRESSURE),
+    ConfigKey("pressure.eps", _float, 0.0, _PRESSURE),
+    ConfigKey("pressure.gamma", _float, 2.0, _PRESSURE),
+    ConfigKey("pressure.rho_star", _float, 1.0, _PRESSURE),
+    ConfigKey("crowding.kind", pr.CrowdingKind, "affine", _TWO_WAY),
+    ConfigKey("crowding.beta", _float, 1.0, _TWO_WAY),
+    # an absent crowding_minus section means: the same weight as crowding
+    ConfigKey("crowding_minus.kind", pr.CrowdingKind, None, _TWO_WAY),
+    ConfigKey("crowding_minus.beta", _float, None, _TWO_WAY),
+    ConfigKey("grid.n_cells", int, REQUIRED, _ALL),
+    ConfigKey("grid.dx", _float, REQUIRED, _ALL),
+    ConfigKey("scheme.dt", _float, REQUIRED, _ALL),
+    ConfigKey("scheme.delta", _float, 0.0, _ALL, arg="delta_diff"),
+    ConfigKey("scheme.limiter", str, "minmod", _ALL),
+    ConfigKey("scheme.cfl_guard", _float, 0.45, _ALL),
+    ConfigKey("initial.rho_plus", _float_list, REQUIRED, _TWO_SPECIES),
+    ConfigKey("initial.rho_minus", _float_list, REQUIRED, _TWO_SPECIES),
+    ConfigKey("initial.w_plus", _float_list, REQUIRED, {md.ModelKind.TWO_WAY_AR}),
+    ConfigKey("initial.w_minus", _float_list, REQUIRED, {md.ModelKind.TWO_WAY_AR}),
+    ConfigKey("initial.rho", _float, REQUIRED, _ONE_WAY),
+    ConfigKey("initial.w", _float, REQUIRED, {md.ModelKind.ONE_WAY_AR}),
+    ConfigKey("noise.sigma", _float, 0.0, _ALL, (">=", 0)),
+    ConfigKey("noise.seed", int, REQUIRED, _ALL, (">=", 0)),
+    ConfigKey("noise.kind", _one_of("gaussian", "uniform"), "gaussian", _ALL,
+              arg="noise_kind"),
+    ConfigKey("run.t_end", _float, 0.0, _ALL, (">=", 0)),
+    ConfigKey("run.snapshot_every", _float, None, _ALL, (">", 0)),
+    ConfigKey("cluster.threshold", _float,
+              lambda values: 0.9 * values.get("pressure.rho_star", 1.0),
+              _TWO_SPECIES, arg="cluster_threshold"),
+    ConfigKey("lanes.count", int, 1, _TWO_WAY, (">=", 1), arg="n_lanes"),
+    ConfigKey("rates.lambda0", _float, 0.0, _TWO_WAY),
+    ConfigKey("rates.ramp", str, "positive_part", _TWO_WAY),
+    ConfigKey("rates.cutoff", str, "linear", _TWO_WAY),
+    ConfigKey("map.resolution", int, 200, _ANALYSED, (">=", 2), arg="map_resolution"),
+    ConfigKey("dispersion.xi_max", _float, None, _ANALYSED, (">", 0),
+              arg="dispersion_xi_max"),
+    ConfigKey("dispersion.n_points", int, 501, _ANALYSED, (">", 0),
+              arg="dispersion_n_points"),
+    ConfigKey("table.n_points", int, 200, _PRESSURE, (">", 0), arg="table_n_points"),
+    ConfigKey("table.rho_max", _float, None, _PRESSURE, arg="table_rho_max"),
+    ConfigKey("check.final_supnorm_lt", _float, None, _ALL),
+    ConfigKey("check.cluster_count_min", int, None, _TWO_SPECIES),
+    ConfigKey("check.cluster_count_max", int, None, _TWO_SPECIES),
+    ConfigKey("check.peak_total_ge", _float, None, _TWO_SPECIES),
+    ConfigKey("check.drift_negative", _bool, None, _TWO_SPECIES),
+)
+_KEY_INDEX = {row.key: row for row in CONFIG_KEYS}
+
+# Key sections that hold the arguments of one constructor; the first
+# three are parts of the model.
+_SECTIONS = {"pressure": pr.PressureParams, "crowding": pr.CrowdingWeight,
+             "crowding_minus": pr.CrowdingWeight, "grid": sv.Grid1D,
+             "scheme": sv.SchemeParams, "rates": ml.LaneChangeRates}
+_MODEL_PARTS = ("pressure", "crowding", "crowding_minus")
+
+
+def parse_config(path) -> dict:
+    """Read a flat key = value file into a string dict."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    raw = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in _KEY_INDEX:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in raw:
+            raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
+        raw[key] = value
+    return raw
+
+
+def _per_lane(key: str, values: list, n_lanes: int) -> list:
+    """One value per lane from a list; a single value serves every lane."""
     if len(values) == 1:
         return values * n_lanes
     if len(values) != n_lanes:
@@ -123,187 +211,79 @@ def _per_lane(raw, key, n_lanes: int) -> list:
     return values
 
 
-# check.* expectations and the type of their values.  All but
-# final_supnorm_lt read the cluster metrics of single-lane runs.
-_CHECKS = {
-    "final_supnorm_lt": _float,
-    "cluster_count_min": int,
-    "cluster_count_max": int,
-    "peak_total_ge": _float,
-    "drift_negative": _bool,
-}
-
-
 @dataclass
 class ScenarioConfig:
-    """Typed scenario description assembled from a raw key dict."""
+    """Typed scenario description assembled from a raw key dict.
+
+    The field of a key that the model kind does not read is None.
+    """
 
     model: md.ModelSpec
     grid: sv.Grid1D
     scheme: sv.SchemeParams
-    rho_plus: list = dc_field(default_factory=list)
-    rho_minus: list = dc_field(default_factory=list)
-    w_plus: list = dc_field(default_factory=list)
-    w_minus: list = dc_field(default_factory=list)
+    seed: int
+    sigma: float
+    noise_kind: str
+    t_end: float
+    snapshot_every: float | None = None
+    n_lanes: int = 1
+    rates: ml.LaneChangeRates | None = None
+    rho_plus: list | None = None
+    rho_minus: list | None = None
+    w_plus: list | None = None
+    w_minus: list | None = None
     rho: float | None = None
     w: float | None = None
-    sigma: float = 0.0
-    seed: int = 0
-    noise_kind: str = "gaussian"
-    t_end: float = 0.0
-    snapshot_every: float | None = None
     cluster_threshold: float | None = None
-    n_lanes: int = 1
-    rates: ml.LaneChangeRates = dc_field(default_factory=ml.LaneChangeRates)
     checks: dict = dc_field(default_factory=dict)
-    map_resolution: int = 200
+    map_resolution: int | None = None
     dispersion_xi_max: float | None = None
-    dispersion_n_points: int = 501
-    table_n_points: int = 200
+    dispersion_n_points: int | None = None
+    table_n_points: int | None = None
     table_rho_max: float | None = None
 
 
-def _build_pressure(raw) -> pr.PressureParams | None:
-    if "pressure.M" not in raw:
-        return None
-    return pr.PressureParams(
-        M=_get(raw, "pressure.M", _float, required=True),
-        m=_get(raw, "pressure.m", _float, required=True),
-        eps=_get(raw, "pressure.eps", _float, 0.0),
-        gamma=_get(raw, "pressure.gamma", _float, 2.0),
-        rho_star=_get(raw, "pressure.rho_star", _float, 1.0),
-    )
-
-
-def _build_crowding(raw, prefix="crowding") -> pr.CrowdingWeight | None:
-    if f"{prefix}.kind" not in raw and f"{prefix}.beta" not in raw:
-        return None
-    return pr.CrowdingWeight(
-        kind=_get(raw, f"{prefix}.kind", str, "affine"),
-        beta=_get(raw, f"{prefix}.beta", _float, 1.0),
-    )
-
-
-def build_model(raw) -> md.ModelSpec:
-    kind = _get(raw, "model.kind", str, required=True)
-    try:
-        kind = md.ModelKind(kind)
-    except ValueError as exc:
-        raise ConfigError(f"unknown model.kind '{kind}'") from exc
-    try:
-        if kind is md.ModelKind.SIM_FLUX:
-            return md.ModelSpec.sim_flux(a=_get(raw, "model.a", _float, 0.7))
-        pressure = _build_pressure(raw)
-        if pressure is None:
-            raise ConfigError(f"model.kind {kind.value} requires pressure.* keys")
-        if kind is md.ModelKind.ONE_WAY_CAR:
-            return md.ModelSpec.one_way_car(
-                V=_get(raw, "model.V", _float, required=True), pressure=pressure
-            )
-        if kind is md.ModelKind.ONE_WAY_AR:
-            return md.ModelSpec.one_way_ar(pressure)
-        crowding = _build_crowding(raw) or pr.CrowdingWeight()
-        crowding_minus = _build_crowding(raw, "crowding_minus")
-        if kind is md.ModelKind.TWO_WAY_CAR:
-            return md.ModelSpec.two_way_car(
-                V=_get(raw, "model.V", _float, required=True),
-                pressure=pressure,
-                crowding=crowding,
-                crowding_minus=crowding_minus,
-            )
-        return md.ModelSpec.two_way_ar(
-            pressure, crowding=crowding, crowding_minus=crowding_minus
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def build_config(raw: dict) -> ScenarioConfig:
-    """Validate a raw key dict into a ScenarioConfig."""
-    model = build_model(raw)
+    """Validate a raw key dict into a ScenarioConfig.
+
+    One pass over CONFIG_KEYS casts, bounds and kind-checks every key: a
+    key that the model kind does not read is an error.  The values then
+    fill the constructors of their sections and the config fields.
+    """
+    kind = _KEY_INDEX["model.kind"].read(raw, {})
+    values = {}
+    for row in CONFIG_KEYS:
+        if kind in row.kinds:
+            values[row.key] = row.read(raw, values)
+        elif row.key in raw:
+            raise ConfigError(f"{row.key} is not read by model.kind {kind.value}")
+
+    n_lanes = values.get("lanes.count", 1)
+    stiffness = values.get("rates.lambda0", 0.0) * values["scheme.dt"]
+    if n_lanes > 1 and stiffness > 1.0 + 1e-12:
+        raise ConfigError(f"rates.lambda0 * scheme.dt = {stiffness:.3g} exceeds 1")
+    parts = {name: {} for name in ("model", "check", "fields", *_SECTIONS)}
+    for row in CONFIG_KEYS:
+        value = values.get(row.key)
+        if isinstance(value, list):
+            value = _per_lane(row.key, value, n_lanes)
+        section = row.key.split(".", 1)[0]
+        if value is not None:
+            parts.get(section, parts["fields"])[
+                row.key if section == "check" else row.arg] = value
+    if parts["check"] and n_lanes > 1:
+        raise ConfigError("check.* keys apply to single-lane runs only")
+    model_args = parts["model"]
+    del model_args["kind"]
     try:
-        grid = sv.Grid1D(
-            n_cells=_get(raw, "grid.n_cells", int, required=True),
-            dx=_get(raw, "grid.dx", _float, required=True),
-        )
-        scheme = sv.SchemeParams(
-            dt=_get(raw, "scheme.dt", _float, required=True),
-            delta_diff=_get(raw, "scheme.delta", _float, 0.0),
-            limiter=_get(raw, "scheme.limiter", str, "minmod"),
-            cfl_guard=_get(raw, "scheme.cfl_guard", _float, 0.45),
-        )
-        rates = ml.LaneChangeRates(
-            lambda0=_get(raw, "rates.lambda0", _float, 0.0),
-            ramp=_get(raw, "rates.ramp", str, "positive_part"),
-            cutoff=_get(raw, "rates.cutoff", str, "linear"),
-        )
+        built = {name: cls(**parts[name]) for name, cls in _SECTIONS.items()
+                 if parts[name]}
+        model_args.update({name: built.pop(name) for name in _MODEL_PARTS
+                           if name in built})
+        model = getattr(md.ModelSpec, kind.value)(**model_args)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-
-    cfg = ScenarioConfig(model=model, grid=grid, scheme=scheme, rates=rates)
-    cfg.n_lanes = _get(raw, "lanes.count", int, 1)
-    if cfg.n_lanes < 1:
-        raise ConfigError("lanes.count must be >= 1")
-    if cfg.n_lanes > 1 and rates.lambda0 * scheme.dt > 1.0 + 1e-12:
-        raise ConfigError(
-            f"rates.lambda0 * scheme.dt = {rates.lambda0 * scheme.dt:.3g} exceeds 1"
-        )
-
-    if model.kind in _TWO_SPECIES:
-        cfg.rho_plus = _per_lane(raw, "initial.rho_plus", cfg.n_lanes)
-        cfg.rho_minus = _per_lane(raw, "initial.rho_minus", cfg.n_lanes)
-        if model.kind is md.ModelKind.TWO_WAY_AR:
-            cfg.w_plus = _per_lane(raw, "initial.w_plus", cfg.n_lanes)
-            cfg.w_minus = _per_lane(raw, "initial.w_minus", cfg.n_lanes)
-    else:
-        if cfg.n_lanes != 1:
-            raise ConfigError("multi-lane runs require a two-way model")
-        cfg.rho = _get(raw, "initial.rho", _float, required=True)
-        if model.kind is md.ModelKind.ONE_WAY_AR:
-            cfg.w = _get(raw, "initial.w", _float, required=True)
-
-    if "noise.seed" not in raw:
-        raise ConfigError("noise.seed is mandatory (no wall-clock seeding)")
-    cfg.seed = _get(raw, "noise.seed", int, required=True)
-    if cfg.seed < 0:
-        raise ConfigError("noise.seed must be >= 0")
-    cfg.sigma = _get(raw, "noise.sigma", _float, 0.0)
-    cfg.noise_kind = _get(raw, "noise.kind", str, "gaussian")
-    if cfg.noise_kind not in ("gaussian", "uniform"):
-        raise ConfigError("noise.kind must be 'gaussian' or 'uniform'")
-    if cfg.sigma < 0:
-        raise ConfigError("noise.sigma must be >= 0")
-
-    cfg.t_end = _get(raw, "run.t_end", _float, 0.0)
-    if cfg.t_end < 0:
-        raise ConfigError("run.t_end must be >= 0")
-    cfg.snapshot_every = _get(raw, "run.snapshot_every", _float, positive=True)
-    rho_star = model.pressure.rho_star if model.pressure is not None else 1.0
-    cfg.cluster_threshold = _get(raw, "cluster.threshold", _float, 0.9 * rho_star)
-    cfg.map_resolution = _get(raw, "map.resolution", int, 200)
-    cfg.dispersion_xi_max = _get(raw, "dispersion.xi_max", _float, None)
-    cfg.dispersion_n_points = _get(raw, "dispersion.n_points", int, 501, positive=True)
-    cfg.table_n_points = _get(raw, "table.n_points", int, 200, positive=True)
-    cfg.table_rho_max = _get(raw, "table.rho_max", _float, None)
-    cfg.checks = _build_checks(raw, cfg)
-    return cfg
-
-
-def _build_checks(raw, cfg: ScenarioConfig) -> dict:
-    """Parsed check.* expectations, keyed by their config key."""
-    keys = [key for key in raw if key.startswith("check.")]
-    if keys and cfg.n_lanes > 1:
-        raise ConfigError("check.* keys apply to single-lane runs only")
-    checks = {}
-    for key in keys:
-        name = key[len("check."):]
-        if name not in _CHECKS:
-            raise ConfigError(f"unknown check '{key}'")
-        if name != "final_supnorm_lt" and cfg.model.kind not in _TWO_SPECIES:
-            raise ConfigError(f"{key} needs cluster metrics, which "
-                              f"{cfg.model.kind.value} runs do not write")
-        checks[key] = _get(raw, key, _CHECKS[name])
-    return checks
+    return ScenarioConfig(model=model, checks=parts["check"], **built, **parts["fields"])
 
 
 def load_config(path) -> ScenarioConfig:
@@ -369,10 +349,6 @@ class ClusterMetrics:
     main_centroid: float | None = None
 
 
-def _total_density(model: md.ModelSpec, values: np.ndarray) -> np.ndarray:
-    return values[list(model.density_rows)].sum(axis=0)
-
-
 def cluster_metrics(model, field: sv.StateField, grid: sv.Grid1D,
                     threshold: float) -> ClusterMetrics:
     """Maximal periodic runs of cells with total density >= threshold.
@@ -380,7 +356,7 @@ def cluster_metrics(model, field: sv.StateField, grid: sv.Grid1D,
     Centroids are density-weighted circular means of the cell centers in
     each run; main_centroid belongs to the most massive cluster.
     """
-    total = _total_density(model, field.values)
+    total = field.values[list(model.density_rows)].sum(axis=0)
     mask = total >= threshold
     if not mask.any():
         return ClusterMetrics(0, np.empty(0), 0.0)
@@ -463,10 +439,12 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header, rows):
+    """Write header and rows; a row is a sequence of values or a joined line."""
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.write((row if isinstance(row, str) else ",".join(_fmt(v) for v in row))
+                    + "\n")
 
 
 def _write_snapshot(path: Path, snap: sv.StateField, grid: sv.Grid1D):
@@ -478,13 +456,16 @@ def _write_snapshot(path: Path, snap: sv.StateField, grid: sv.Grid1D):
     lanes = snap.values if several else snap.values[:, None]
     n_comp = snap.n_components
     header = ["t", "lane", "x"] if several else ["t", "x"]
-    rows = []
-    x = grid.x
-    for lane in range(lanes.shape[1]):
-        for i in range(grid.n_cells):
-            row = [snap.time, lane, x[i]] if several else [snap.time, x[i]]
-            rows.append(row + [lanes[c, lane, i] for c in range(n_comp)])
-    _write_csv(path, header + [f"component_{c}" for c in range(n_comp)], rows)
+    x = grid.x.tolist()
+
+    def rows():  # formatted while written, so no lane is held as text
+        for lane in range(lanes.shape[1]):
+            lead = f"{_fmt(snap.time)},{lane}," if several else f"{_fmt(snap.time)},"
+            columns = [map(repr, lanes[c, lane].tolist()) for c in range(n_comp)]
+            for cells in zip(map(repr, x), *columns):
+                yield lead + ",".join(cells)
+
+    _write_csv(path, header + [f"component_{c}" for c in range(n_comp)], rows())
 
 
 def _summary_rows(report: an.StabilityReport):
@@ -532,7 +513,7 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
     snapdir.mkdir(exist_ok=True)
     result = ScenarioResult(config=cfg)
 
-    if cfg.model.kind in (md.ModelKind.SIM_FLUX, md.ModelKind.TWO_WAY_CAR):
+    if cfg.model.kind in _ANALYSED:
         speeds = an.diffusive_speeds(cfg.model, cfg.rho_plus[0], cfg.rho_minus[0])
         if cfg.scheme.delta_diff > 0 or an.diffusive_discriminant(speeds) >= 0:
             result.stability = an.instability_summary(speeds, cfg.scheme.delta_diff)
@@ -574,30 +555,20 @@ def _write_single_lane_artifacts(cfg, result, run_result, outdir, snapdir):
     _write_csv(outdir / "audit.csv", header, rows)
 
     if cfg.model.kind in _TWO_SPECIES:
-        prev = None
-        cluster_rows = []
+        prev_t = prev_centroid = None
         for snap in run_result.snapshots:
             metrics = cluster_metrics(cfg.model, snap, cfg.grid, cfg.cluster_threshold)
             drift = None
-            if (
-                prev is not None
-                and metrics.main_centroid is not None
-                and prev[1] is not None
-            ):
-                drift = cluster_drift(
-                    prev[1], metrics.main_centroid, cfg.grid.length,
-                    snap.time - prev[0],
-                )
+            if prev_centroid is not None and metrics.main_centroid is not None:
+                drift = cluster_drift(prev_centroid, metrics.main_centroid,
+                                      cfg.grid.length, snap.time - prev_t)
             result.clusters.append((snap.time, metrics, drift))
-            cluster_rows.append(
-                (snap.time, metrics.count, metrics.peak_total,
-                 metrics.main_centroid, drift)
-            )
-            prev = (snap.time, metrics.main_centroid)
+            prev_t, prev_centroid = snap.time, metrics.main_centroid
         _write_csv(
             outdir / "clusters.csv",
             ["t", "count", "peak_total", "main_centroid", "drift_velocity"],
-            cluster_rows,
+            [(t, m.count, m.peak_total, m.main_centroid, drift)
+             for t, m, drift in result.clusters],
         )
 
 
@@ -684,9 +655,8 @@ def evaluate_checks(result: ScenarioResult) -> list:
 # subcommands
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    result = run_scenario(cfg, args.out)
+def _cmd_simulate(cfg: ScenarioConfig, outdir: Path, args) -> int:
+    result = run_scenario(cfg, outdir)
     if args.check:
         failures = evaluate_checks(result)
         if failures:
@@ -696,10 +666,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_hyperbolicity_map(args) -> int:
-    cfg = load_config(args.config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_hyperbolicity_map(cfg: ScenarioConfig, outdir: Path, args) -> int:
     hmap = an.hyperbolicity_map(cfg.model, cfg.map_resolution)
     (outdir / "map.txt").write_text(hmap.to_table_text())
     _write_csv(
@@ -710,10 +677,7 @@ def _cmd_hyperbolicity_map(args) -> int:
     return 0
 
 
-def _cmd_dispersion(args) -> int:
-    cfg = load_config(args.config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_dispersion(cfg: ScenarioConfig, outdir: Path, args) -> int:
     speeds = an.diffusive_speeds(cfg.model, cfg.rho_plus[0], cfg.rho_minus[0])
     delta = an.diffusive_discriminant(speeds)
     xi_max = cfg.dispersion_xi_max
@@ -735,12 +699,7 @@ def _cmd_dispersion(args) -> int:
     return 0
 
 
-def _cmd_pressure_table(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.model.pressure is None:
-        raise ConfigError("pressure-table requires a pressure-based model")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_pressure_table(cfg: ScenarioConfig, outdir: Path, args) -> int:
     params = cfg.model.pressure
     rho_max = cfg.table_rho_max
     if rho_max is None:
@@ -766,27 +725,38 @@ def _cmd_pressure_table(args) -> int:
     return 0
 
 
+# Subcommand -> (handler(cfg, outdir, args), the model kinds it supports).
+SUBCOMMANDS = {
+    "simulate": (_cmd_simulate, _ALL),
+    "hyperbolicity-map": (_cmd_hyperbolicity_map, _ANALYSED),
+    "dispersion": (_cmd_dispersion, _ANALYSED),
+    "pressure-table": (_cmd_pressure_table, _PRESSURE),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pedflow",
         description="Two-way corridor crowd models: simulate and analyze.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("simulate", _cmd_simulate),
-        ("hyperbolicity-map", _cmd_hyperbolicity_map),
-        ("dispersion", _cmd_dispersion),
-        ("pressure-table", _cmd_pressure_table),
-    ):
+    for name in SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         if name == "simulate":
             p.add_argument("--check", action="store_true")
-        p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
+    handler, kinds = SUBCOMMANDS[args.command]
     try:
-        return args.fn(args)
+        cfg = load_config(args.config)
+        if cfg.model.kind not in kinds:
+            raise ConfigError(
+                f"{args.command} does not support model.kind {cfg.model.kind.value}"
+            )
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        return handler(cfg, outdir, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -31,11 +31,12 @@ TWO_LANE_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "two_lane.
 
 
 def two_lane_config(tmp_path, keys):
-    """scenarios/two_lane.cfg with the values of the given keys replaced."""
+    """scenarios/two_lane.cfg with the values of the given keys replaced;
+    a key given None is dropped."""
     text = TWO_LANE_CFG.read_text()
     for key, value in keys.items():
-        text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = {value}", text,
-                          flags=re.M)
+        line = "" if value is None else f"{key} = {value}"
+        text, n = re.subn(rf"^{re.escape(key)} = .*$", line, text, flags=re.M)
         assert n == 1, key
     return write_config(tmp_path, text)
 
@@ -154,6 +155,8 @@ class TestBuildInitial:
             keys = {"model.kind": kind, "lanes.count": len(lanes), "noise.seed": seed,
                     "noise.sigma": 0.05, "initial.rho_plus": values["initial.rho_plus"],
                     "initial.rho_minus": values["initial.rho_minus"]}
+            if kind == "two_way_ar":
+                keys["model.V"] = None
             cfg_path = two_lane_config(tmp_path, keys)
             if kind == "two_way_ar":
                 with open(cfg_path, "a") as f:
@@ -457,7 +460,7 @@ def simulate_exit_code(cfg_path, tmp_path, *flags):
 def two_lane_ar_config(tmp_path, keys, w_plus="1.0", w_minus="1.0"):
     """Two two_way_ar lanes: two_lane.cfg with dynamic desired speeds."""
     path = two_lane_config(
-        tmp_path, {"model.kind": "two_way_ar", "run.t_end": 0.5, **keys}
+        tmp_path, {"model.kind": "two_way_ar", "model.V": None, "run.t_end": 0.5, **keys}
     )
     with open(path, "a") as f:
         f.write(f"initial.w_plus = {w_plus}\ninitial.w_minus = {w_minus}\n")
@@ -530,7 +533,7 @@ class TestConfigValidation:
 
     def test_misspelled_check_is_a_config_error(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG + "check.cluster_cout_min = 1\n")
-        with pytest.raises(ConfigError, match="unknown check 'check.cluster_cout_min'"):
+        with pytest.raises(ConfigError, match="unknown key 'check.cluster_cout_min'"):
             cli.load_config(cfg_path)
         assert simulate_exit_code(cfg_path, tmp_path) == 2
         assert simulate_exit_code(cfg_path, tmp_path, "--check") == 2
@@ -582,7 +585,8 @@ noise.seed = 2
                                name="supnorm.cfg")
         assert cli.load_config(supnorm).checks == {"check.final_supnorm_lt": 1.0}
         cfg_path = write_config(tmp_path, text + "check.cluster_count_max = 0\n")
-        with pytest.raises(ConfigError, match="needs cluster metrics"):
+        with pytest.raises(ConfigError, match="check.cluster_count_max is not read by "
+                                              "model.kind one_way_car"):
             cli.load_config(cfg_path)
 
     def test_nan_stability_guard_is_a_config_error(self, tmp_path):
@@ -607,3 +611,151 @@ noise.seed = 2
         with pytest.raises(ConfigError, match=message):
             cli.load_config(cfg_path)
         assert simulate_exit_code(cfg_path, tmp_path) == 2
+
+    def test_key_the_model_kind_does_not_read_is_a_config_error(self, tmp_path):
+        for cfg_path, message in (
+            (base_config(tmp_path, {"pressure.M": -5}),
+             "pressure.M is not read by model.kind sim_flux"),
+            (write_config(tmp_path, TWO_LANE_CFG.read_text() + "initial.w_plus = 1.0\n",
+                          name="w_plus.cfg"),
+             "initial.w_plus is not read by model.kind two_way_car"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                cli.load_config(cfg_path)
+            assert simulate_exit_code(cfg_path, tmp_path) == 2
+
+    def test_lanes_of_a_sim_flux_config_are_rejected_before_any_output(self, tmp_path):
+        cfg_path = base_config(tmp_path, {"lanes.count": 2})
+        with pytest.raises(ConfigError, match="lanes.count is not read by model.kind sim_flux"):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["dispersion", "hyperbolicity-map"])
+    def test_analysis_of_a_one_way_kind_is_a_config_error(self, tmp_path, capsys, command):
+        cfg_path = TWO_LANE_CFG.parent / "pressure.cfg"
+        assert cli.main(
+            [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        ) == 2
+        assert f"{command} does not support model.kind one_way_car" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("hyperbolicity-map", "map.resolution", 1, "map.resolution must be >= 2"),
+        ("dispersion", "dispersion.xi_max", -3, "dispersion.xi_max must be > 0"),
+    ])
+    def test_analysis_bounds_are_checked_at_load(self, tmp_path, command, key, value,
+                                                 message):
+        cfg_path = base_config(tmp_path, {key: value})
+        with pytest.raises(ConfigError, match=message):
+            cli.load_config(cfg_path)
+        assert cli.main(
+            [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        ) == 2
+
+
+ROOT = TWO_LANE_CFG.parent.parent
+
+# A valid value of every key of cli.CONFIG_KEYS; model.kind is set per test.
+VALID = {
+    "model.kind": None, "model.a": "0.6", "model.V": "1.0",
+    "pressure.M": "1.0", "pressure.m": "2.0", "pressure.eps": "1e-3",
+    "pressure.gamma": "2.0", "pressure.rho_star": "1.0",
+    "crowding.kind": "power", "crowding.beta": "0.5",
+    "crowding_minus.kind": "constant", "crowding_minus.beta": "2.0",
+    "grid.n_cells": "16", "grid.dx": "1.0",
+    "scheme.dt": "0.05", "scheme.delta": "0.1", "scheme.limiter": "none",
+    "scheme.cfl_guard": "0.9",
+    "initial.rho_plus": "0.3", "initial.rho_minus": "0.2",
+    "initial.w_plus": "1.0", "initial.w_minus": "1.1",
+    "initial.rho": "0.3", "initial.w": "1.0",
+    "noise.sigma": "0.01", "noise.seed": "3", "noise.kind": "uniform",
+    "run.t_end": "1.0", "run.snapshot_every": "0.5",
+    "cluster.threshold": "0.8",
+    "lanes.count": "2",
+    "rates.lambda0": "0.5", "rates.ramp": "sigmoid", "rates.cutoff": "quadratic",
+    "map.resolution": "40",
+    "dispersion.xi_max": "1.5", "dispersion.n_points": "11",
+    "table.n_points": "11", "table.rho_max": "0.9",
+    "check.final_supnorm_lt": "0.1", "check.cluster_count_min": "1",
+    "check.cluster_count_max": "2", "check.peak_total_ge": "0.5",
+    "check.drift_negative": "yes",
+}
+
+
+def kind_config(tmp_path, kind, keys):
+    """A config of the given kind with every required key it reads, plus
+    keys; a key given None is left out."""
+    lines = {"model.kind": kind.value}
+    lines.update({row.key: VALID[row.key] for row in cli.CONFIG_KEYS[1:]
+                  if row.default is cli.REQUIRED and kind in row.kinds})
+    lines.update(keys)
+    return write_config(tmp_path, "".join(
+        f"{key} = {value}\n" for key, value in lines.items() if value is not None))
+
+
+class TestConfigTable:
+    def test_valid_values_cover_the_table(self):
+        assert list(VALID) == [row.key for row in cli.CONFIG_KEYS]
+
+    @pytest.mark.parametrize("row", cli.CONFIG_KEYS, ids=lambda row: row.key)
+    def test_every_key_is_cast_bounded_and_kind_checked(self, tmp_path, row):
+        kind = min(row.kinds)
+
+        def rejected(value, message, kind=kind):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                cli.load_config(kind_config(tmp_path, kind, {row.key: value}))
+
+        value = kind.value if row.key == "model.kind" else VALID[row.key]
+        cli.load_config(kind_config(tmp_path, kind, {row.key: value}))
+        if row.default is cli.REQUIRED:
+            rejected(None, f"missing required key '{row.key}'")
+        if row.cast is str:  # the constructor of the key's section rejects it
+            with pytest.raises(ConfigError):
+                cli.load_config(kind_config(tmp_path, kind, {row.key: "bogus"}))
+        else:
+            for bad in ("bogus", "nan", "inf", "-inf"):
+                rejected(bad, f"bad value for '{row.key}': '{bad}'")
+        if row.bound is not None:
+            op, low = row.bound
+            rejected(low - 1 if op == ">=" else low, f"{row.key} must be {op} {low}")
+        for other in sorted(set(md.ModelKind) - set(row.kinds)):
+            rejected(value, f"{row.key} is not read by model.kind {other.value}", other)
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.cfg")),
+                             ids=lambda path: path.name)
+    def test_every_bundled_scenario_loads(self, path):
+        cli.load_config(path)
+
+    def test_readme_tables_match_the_key_and_subcommand_tables(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme.split("### Config format", 1)[1].split("\n### ", 1)[0]
+        groups = {
+            name: {md.ModelKind(kind) for kind in re.findall(r"`(\w+)`", kinds)}
+            for name, kinds in re.findall(r"^\* `([\w-]+)`: (.*)$", section, flags=re.M)
+        }
+
+        def kinds_of(cell):
+            name = cell.strip("`")
+            return groups.get(name) or {md.ModelKind(name)}
+
+        rows = [[cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+                for line in section.splitlines() if line.startswith("| `")]
+        keys = [cells for cells in rows if len(cells) == 5]
+        assert [cells[0].strip("`") for cells in keys] == [
+            row.key for row in cli.CONFIG_KEYS]
+        for (key, _, default, kinds, bound), row in zip(keys, cli.CONFIG_KEYS):
+            assert kinds_of(kinds) == set(row.kinds), key
+            assert bound == ("" if row.bound is None else "`%s %s`" % row.bound), key
+            if row.default is cli.REQUIRED:
+                assert default == "required", key
+            elif row.default is not None and not callable(row.default):
+                assert row.cast(default) == row.default, key
+            else:
+                assert default and default != "required", key
+        commands = {cells[0].strip("`"): kinds_of(cells[1])
+                    for cells in rows if len(cells) == 2}
+        assert commands == {name: set(kinds)
+                            for name, (_, kinds) in cli.SUBCOMMANDS.items()}
