@@ -99,28 +99,22 @@ def dispersion(speeds: DiffusiveSpeeds, delta_diff, xi):
 
     with the principal complex square root (so sqrt(Delta) = i sqrt(|Delta|)
     when Delta < 0).  The mode frequency is s = xi * lam(xi) and the mode
-    grows exactly when Im s > 0.
+    grows exactly when Im s > 0.  Arrays over xi are returned, 0-d for
+    a scalar xi.
     """
     if delta_diff < 0:
         raise DomainError("diffusivity must be >= 0")
     xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 0
-    delta = diffusive_discriminant(speeds)
-    sq = np.sqrt(complex(delta))
+    sq = np.sqrt(complex(diffusive_discriminant(speeds)))
     base = (speeds.c_pp - speeds.c_mm) - 2.0j * delta_diff * xi
-    lam_plus = 0.5 * (base + sq)
-    lam_minus = 0.5 * (base - sq)
-    if scalar:
-        return complex(lam_plus), complex(lam_minus)
-    return lam_plus, lam_minus
+    return 0.5 * (base + sq), 0.5 * (base - sq)
 
 
 def growth_rate(speeds: DiffusiveSpeeds, delta_diff, xi):
     """Largest Im(xi * lam(xi)) over the two modes."""
     lam_plus, lam_minus = dispersion(speeds, delta_diff, xi)
     xi = np.asarray(xi, dtype=float)
-    out = np.maximum(np.imag(xi * lam_plus), np.imag(xi * lam_minus))
-    return float(out) if out.ndim == 0 else out
+    return np.maximum(np.imag(xi * lam_plus), np.imag(xi * lam_minus))
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,7 @@ CONFIG_KEYS = (
     ConfigKey("dispersion.n_points", int, 501, _ANALYSED, (">", 0),
               arg="dispersion_n_points"),
     ConfigKey("table.n_points", int, 200, _PRESSURE, (">", 0), arg="table_n_points"),
-    ConfigKey("table.rho_max", _float, None, _PRESSURE, arg="table_rho_max"),
+    ConfigKey("table.rho_max", _float, None, _PRESSURE, (">", 0), arg="table_rho_max"),
     ConfigKey("check.final_supnorm_lt", _float, None, _ALL),
     ConfigKey("check.cluster_count_min", int, None, _TWO_SPECIES),
     ConfigKey("check.cluster_count_max", int, None, _TWO_SPECIES),
@@ -259,9 +259,20 @@ def build_config(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"{row.key} is not read by model.kind {kind.value}")
 
     n_lanes = values.get("lanes.count", 1)
+    # Keys that one run mode reads: single-lane runs write the cluster
+    # metrics and check expectations, multi-lane runs exchange walkers.
+    for prefix, multi in (("check.", False), ("cluster.", False), ("rates.", True)):
+        if (n_lanes > 1) != multi and any(key.startswith(prefix) for key in raw):
+            mode = "multi-lane" if multi else "single-lane"
+            raise ConfigError(f"{prefix}* keys apply to {mode} runs only")
     stiffness = values.get("rates.lambda0", 0.0) * values["scheme.dt"]
-    if n_lanes > 1 and stiffness > 1.0 + 1e-12:
+    if stiffness > 1.0 + 1e-12:
         raise ConfigError(f"rates.lambda0 * scheme.dt = {stiffness:.3g} exceeds 1")
+    rho_max = values.get("table.rho_max")
+    if rho_max is not None and (
+            rho_max >= values["pressure.rho_star"] * (1.0 - pr.CONGESTION_REL_TOL)):
+        raise ConfigError("table.rho_max must be < pressure.rho_star * "
+                          f"(1 - {pr.CONGESTION_REL_TOL:g})")
     parts = {name: {} for name in ("model", "check", "fields", *_SECTIONS)}
     for row in CONFIG_KEYS:
         value = values.get(row.key)
@@ -271,8 +282,6 @@ def build_config(raw: dict) -> ScenarioConfig:
         if value is not None:
             parts.get(section, parts["fields"])[
                 row.key if section == "check" else row.arg] = value
-    if parts["check"] and n_lanes > 1:
-        raise ConfigError("check.* keys apply to single-lane runs only")
     model_args = parts["model"]
     del model_args["kind"]
     try:
@@ -405,13 +414,10 @@ def emit_dispersion_table(model, rho_plus, rho_minus, delta_diff, xi_grid):
     """
     speeds = an.diffusive_speeds(model, rho_plus, rho_minus)
     meta = dict(_summary_rows(an.instability_summary(speeds, delta_diff)))
-    rows = []
-    for xi in np.asarray(xi_grid, dtype=float):
-        lam_plus, lam_minus = an.dispersion(speeds, delta_diff, float(xi))
-        s_plus = xi * lam_plus
-        s_minus = xi * lam_minus
-        rows.append((float(xi), s_plus.real, s_plus.imag, s_minus.real, s_minus.imag))
-    return meta, rows
+    xi = np.asarray(xi_grid, dtype=float)
+    s_plus, s_minus = (xi * lam for lam in an.dispersion(speeds, delta_diff, xi))
+    columns = (xi, s_plus.real, s_plus.imag, s_minus.real, s_minus.imag)
+    return meta, list(zip(*(c.tolist() for c in columns)))
 
 
 # --------------------------------------------------------------------------
@@ -581,9 +587,7 @@ def _run_multilane(cfg, initial, outdir, snapdir):
     next_snap = cfg.snapshot_every
     with _stepping():
         for k in range(1, n_steps + 1):
-            cfl = sv.measured_cfl(
-                cfg.model, sv.StateField(stack.values), cfg.grid, cfg.scheme
-            )
+            cfl = sv.measured_cfl(cfg.model, stack.values, cfg.grid, cfg.scheme)
             stack = ml.coupled_step(stack, cfg.grid, cfg.scheme)
             if stack.clipped_mass > mass_budget:
                 raise ClipBudgetError(
@@ -705,22 +709,17 @@ def _cmd_pressure_table(cfg: ScenarioConfig, outdir: Path, args) -> int:
     if rho_max is None:
         rho_max = min(params.rho_star * (1.0 - params.eps ** (1.0 / params.gamma)),
                       params.rho_star * 0.999)
-    rows = [
-        (
-            r,
-            pr.background_pressure(params, r),
-            pr.singular_correction_1w(params, r),
-            pr.pressure_1w(params, r),
-            pr.pressure_1w_derivative(params, r),
-            pr.crossover_width(params, r) if r > 0 else 0.0,
-        )
-        for r in np.linspace(0.0, rho_max, cfg.table_n_points)
-    ]
+    rho = np.linspace(0.0, rho_max, cfg.table_n_points)
+    P, S, dP, dS = pr.one_way_offsets(params, rho, partials=True)
+    width = np.zeros_like(rho)
+    pos = rho > 0
+    width[pos] = pr.crossover_width(params, rho[pos])
+    columns = (rho, P, S, P + S, dP + dS, width)
     _write_csv(
         outdir / "pressure_table.csv",
         ["rho", "background", "singular", "total", "total_derivative",
          "crossover_width"],
-        rows,
+        zip(*(c.tolist() for c in columns)),
     )
     return 0
 

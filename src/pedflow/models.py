@@ -30,9 +30,6 @@ import numpy as np
 from . import pressure as pr
 from .errors import DomainError, VacuumError
 
-# Below this density a cell is treated as vacuum: u = w = 0.
-VACUUM_FLOOR = 1e-12
-
 
 class ModelKind(str, Enum):
     ONE_WAY_AR = "one_way_ar"
@@ -163,7 +160,8 @@ class ModelSpec:
             return np.stack([rho_p * h, -rho_m * h])
         if self.kind is ModelKind.ONE_WAY_CAR:
             rho = U[0]
-            return np.stack([rho * (self.V - pr.pressure_1w(self.pressure, rho))])
+            P, S = pr.one_way_offsets(self.pressure, rho)
+            return np.stack([rho * (self.V - (P + S))])
         if self.kind is ModelKind.TWO_WAY_CAR:
             rho_p, rho_m = U[0], U[1]
             p_plus, p_minus = two_way_pressures(self, rho_p, rho_m)
@@ -197,12 +195,10 @@ class ModelSpec:
             return _pair_max_modulus(tr, tr * tr - 4.0 * det)
         if self.kind is ModelKind.ONE_WAY_CAR:
             rho = U[0]
-            p = pr.pressure_1w(self.pressure, rho)
-            dp = pr.pressure_1w_derivative(self.pressure, rho)
-            return np.abs(self.V - p - rho * dp)
+            P, S, dP, dS = pr.one_way_offsets(self.pressure, rho, partials=True)
+            return np.abs(self.V - (P + S) - rho * (dP + dS))
         if self.kind is ModelKind.ONE_WAY_AR:
-            rho, w, u = ar_primitives(self, U)
-            dp = pr.pressure_1w_derivative(self.pressure, rho)
+            rho, w, u, dp = ar_primitives(self, U, partials=True)
             return np.maximum(np.abs(u), np.abs(u - rho * dp))
         # two-way CAR / AR
         if self.kind is ModelKind.TWO_WAY_AR:
@@ -276,21 +272,24 @@ def _species_primitives(rho, y):
     """
     rho = np.asarray(rho, dtype=float)
     y = np.asarray(y, dtype=float)
-    vac = rho < VACUUM_FLOOR
-    if np.any(vac & (np.abs(y) > VACUUM_FLOOR)):
+    vac = rho < pr.VACUUM_FLOOR
+    if np.any(vac & (np.abs(y) > pr.VACUUM_FLOOR)):
         raise VacuumError("zero density with non-zero momentum")
     w = np.where(vac, 0.0, y / np.where(vac, 1.0, rho))
     return rho, w, vac
 
 
-def ar_primitives(model: ModelSpec, U: np.ndarray):
-    """(rho, w, u) of the one-way dynamic-desired-speed model."""
+def ar_primitives(model: ModelSpec, U: np.ndarray, partials=False):
+    """(rho, w, u) of the one-way dynamic-desired-speed model; with
+    partials=True also the offset derivative dp/drho."""
     if model.kind is not ModelKind.ONE_WAY_AR:
         raise DomainError("ar_primitives requires a one_way_ar model")
     rho, w, vac = _species_primitives(U[0], U[1])
-    p = np.asarray(pr.pressure_1w(model.pressure, rho))
-    u = np.where(vac, 0.0, w - p)
-    return rho, w, u
+    parts = pr.one_way_offsets(model.pressure, rho, partials)
+    u = np.where(vac, 0.0, w - (parts[0] + parts[1]))
+    if not partials:
+        return rho, w, u
+    return rho, w, u, parts[2] + parts[3]
 
 
 def _two_way_char_speeds(model, rho_plus, rho_minus, w_plus=None, w_minus=None):
@@ -301,22 +300,21 @@ def _two_way_char_speeds(model, rho_plus, rho_minus, w_plus=None, w_minus=None):
     and c_mp = d p(rho-,rho+)/d rho+, and the decoupled speeds
     c_u+ = u+ - rho+ d1p(rho+,rho-), c_u- = u- + rho- d1p(rho-,rho+).
     """
-    rp = np.asarray(rho_plus, dtype=float)
-    rm = np.asarray(rho_minus, dtype=float)
     if w_plus is None:
         w_plus = model.V
     if w_minus is None:
         w_minus = model.V
     p_plus, p_minus, (c_pp, c_pm), (c_mm, c_mp) = pr.two_way_offsets(
-        model.pressure, model.crowding, model.crowding_minus, rp, rm, partials=True
+        model.pressure, model.crowding, model.crowding_minus, rho_plus, rho_minus,
+        partials=True,
     )
-    u_plus = np.asarray(w_plus) - np.asarray(p_plus)
-    u_minus = -np.asarray(w_minus) + np.asarray(p_minus)
+    u_plus = w_plus - p_plus
+    u_minus = -w_minus + p_minus
     return {
         "u_plus": u_plus,
         "u_minus": u_minus,
-        "c_pm": np.asarray(c_pm),
-        "c_mp": np.asarray(c_mp),
-        "c_u_plus": u_plus - rp * np.asarray(c_pp),
-        "c_u_minus": u_minus + rm * np.asarray(c_mm),
+        "c_pm": c_pm,
+        "c_mp": c_mp,
+        "c_u_plus": u_plus - rho_plus * c_pp,
+        "c_u_minus": u_minus + rho_minus * c_mm,
     }

@@ -56,7 +56,6 @@ def lane_change_rate(rates: LaneChangeRates, dpdt, rho_target, rho_star):
     """
     dpdt = np.asarray(dpdt, dtype=float)
     rt = np.asarray(rho_target, dtype=float)
-    scalar = dpdt.ndim == 0 and rt.ndim == 0
     if np.any(rt > rho_star * (1.0 + 1e-12)):
         raise DomainError("rho_target must be <= rho_star")
     if rates.ramp == "positive_part":
@@ -66,8 +65,7 @@ def lane_change_rate(rates: LaneChangeRates, dpdt, rho_target, rho_star):
     cut = np.maximum(1.0 - rt / rho_star, 0.0)
     if rates.cutoff == "quadratic":
         cut = cut * cut
-    out = rates.lambda0 * ramp * cut
-    return float(out) if scalar else out
+    return rates.lambda0 * ramp * cut
 
 
 def density_sources(rho: np.ndarray, rates_up: np.ndarray, rates_down: np.ndarray):

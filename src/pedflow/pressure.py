@@ -27,14 +27,9 @@ from .errors import CongestionOverflowError, DomainError
 # having left the admissible region (model breakdown, not stiffness).
 CONGESTION_REL_TOL = 1e-12
 
-
-def _as_array(x):
-    a = np.asarray(x, dtype=float)
-    return a, (a.ndim == 0)
-
-
-def _ret(a, scalar):
-    return float(a) if scalar else a
+# Below this density a cell is treated as vacuum: the singular correction
+# and its partials are 0 there, and the dynamic models set u = w = 0.
+VACUUM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,24 +89,20 @@ class CrowdingWeight:
             raise DomainError(f"beta must be >= 0, got {self.beta}")
 
     def value(self, rho, rho_star):
-        r, scalar = _as_array(rho)
+        r = np.asarray(rho, dtype=float)
         if self.kind is CrowdingKind.CONSTANT:
-            out = np.ones_like(r)
-        elif self.kind is CrowdingKind.AFFINE:
-            out = 1.0 + self.beta * r / rho_star
-        else:
-            out = (1.0 + r / rho_star) ** self.beta
-        return _ret(out, scalar)
+            return np.ones_like(r)
+        if self.kind is CrowdingKind.AFFINE:
+            return 1.0 + self.beta * r / rho_star
+        return (1.0 + r / rho_star) ** self.beta
 
     def derivative(self, rho, rho_star):
-        r, scalar = _as_array(rho)
+        r = np.asarray(rho, dtype=float)
         if self.kind is CrowdingKind.CONSTANT:
-            out = np.zeros_like(r)
-        elif self.kind is CrowdingKind.AFFINE:
-            out = np.full_like(r, self.beta / rho_star)
-        else:
-            out = self.beta * (1.0 + r / rho_star) ** (self.beta - 1.0) / rho_star
-        return _ret(out, scalar)
+            return np.zeros_like(r)
+        if self.kind is CrowdingKind.AFFINE:
+            return np.full_like(r, self.beta / rho_star)
+        return self.beta * (1.0 + r / rho_star) ** (self.beta - 1.0) / rho_star
 
 
 def _check_nonnegative(r, name="rho"):
@@ -126,80 +117,46 @@ def _check_admissible(total, rho_star):
         )
 
 
-def background_pressure(params: PressureParams, rho):
-    """Background offset P(rho) = M * rho**m."""
-    r, scalar = _as_array(rho)
-    _check_nonnegative(r)
-    return _ret(params.M * r**params.m, scalar)
+def one_way_offsets(params: PressureParams, rho, partials=False):
+    """Background and singular parts of the one-way offset, from one evaluation.
 
-
-def background_pressure_derivative(params: PressureParams, rho):
-    """dP/drho = M * m * rho**(m-1)."""
-    r, scalar = _as_array(rho)
-    _check_nonnegative(r)
-    return _ret(params.M * params.m * r ** (params.m - 1.0), scalar)
-
-
-def singular_correction_1w(params: PressureParams, rho):
-    """One-way singular correction eps / (1/rho - 1/rho_star)**gamma.
-
-    Strictly increasing, divergent at rho_star, extended by continuity
-    to 0 at rho = 0.  Densities at or beyond rho_star raise
-    CongestionOverflowError.
+    Returns (P, S) with the background P(rho) = M * rho**m and the singular
+    correction S(rho) = eps / (1/rho - 1/rho_star)**gamma, whose sum is the
+    offset; with partials=True also their derivatives (dP, dS), where
+    dS = eps * gamma / ((1/rho - 1/rho_star)**(gamma+1) * rho**2).  S is
+    strictly increasing from VACUUM_FLOOR on and divergent at rho_star;
+    below VACUUM_FLOOR, S and dS are 0, their limit at vacuum (gamma > 1).
+    Raises DomainError on a negative density and CongestionOverflowError
+    when the density reaches rho_star.
     """
-    r, scalar = _as_array(rho)
+    r = np.asarray(rho, dtype=float)
     _check_nonnegative(r)
     _check_admissible(r, params.rho_star)
-    out = np.zeros_like(r)
-    pos = r > 0
+    P = params.M * r**params.m
+    S = np.zeros_like(r)
+    dS = np.zeros_like(r) if partials else None
+    pos = r >= VACUUM_FLOOR
     if params.eps > 0 and np.any(pos):
+        # indexing gives a 1-d array even for a 0-d rho, so the powers below
+        # are array powers for every input shape
         z = 1.0 / r[pos] - 1.0 / params.rho_star
-        out[pos] = params.eps / z**params.gamma
-    return _ret(out, scalar)
-
-
-def singular_correction_derivative_1w(params: PressureParams, rho):
-    """d/drho of the one-way singular correction.
-
-    Equals eps * gamma / ((1/rho - 1/rho_star)**(gamma+1) * rho**2);
-    tends to 0 as rho -> 0 because gamma > 1.
-    """
-    r, scalar = _as_array(rho)
-    _check_nonnegative(r)
-    _check_admissible(r, params.rho_star)
-    out = np.zeros_like(r)
-    pos = r > 0
-    if params.eps > 0 and np.any(pos):
-        z = 1.0 / r[pos] - 1.0 / params.rho_star
-        out[pos] = params.eps * params.gamma / (z ** (params.gamma + 1.0) * r[pos] ** 2)
-    return _ret(out, scalar)
-
-
-def pressure_1w(params: PressureParams, rho):
-    """Total one-way offset: background plus singular correction."""
-    r, scalar = _as_array(rho)
-    out = np.asarray(background_pressure(params, r)) + singular_correction_1w(params, r)
-    return _ret(out, scalar)
-
-
-def pressure_1w_derivative(params: PressureParams, rho):
-    """Derivative of the total one-way offset."""
-    r, scalar = _as_array(rho)
-    out = np.asarray(
-        background_pressure_derivative(params, r)
-    ) + singular_correction_derivative_1w(params, r)
-    return _ret(out, scalar)
+        S[pos] = params.eps / z**params.gamma
+        if partials:
+            dS[pos] = params.eps * params.gamma / (z ** (params.gamma + 1.0) * r[pos] ** 2)
+    if not partials:
+        return P, S
+    return P, S, params.M * params.m * r ** (params.m - 1.0), dS
 
 
 def crossover_width(params: PressureParams, rho):
     """Width rho * rho_star * eps**(1/gamma) of the band below rho_star
     where the singular correction becomes order one."""
-    r, scalar = _as_array(rho)
+    r = np.asarray(rho, dtype=float)
     if np.any(r <= 0) or np.any(r > params.rho_star):
         raise DomainError("crossover_width requires 0 < rho <= rho_star")
     if params.eps == 0:
-        return _ret(np.zeros_like(r), scalar)
-    return _ret(r * params.rho_star * params.eps ** (1.0 / params.gamma), scalar)
+        return np.zeros_like(r)
+    return r * params.rho_star * params.eps ** (1.0 / params.gamma)
 
 
 def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
@@ -211,11 +168,12 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
     direction and q_minus for the minus one.  Returns (p(rho+, rho-),
     p(rho-, rho+)) and, with partials=True, also the pair (d/d rho_own,
     d/d rho_other) of each; with eps = 0 these may share one array.
-    Raises DomainError on a negative density and CongestionOverflowError
-    when the total density reaches rho_star.
+    The correction and its partials are 0 where the total density is
+    below VACUUM_FLOOR.  Raises DomainError on a negative density and
+    CongestionOverflowError when the total density reaches rho_star.
     """
-    plus, s1 = _as_array(rho_plus)
-    minus, s2 = _as_array(rho_minus)
+    plus = np.asarray(rho_plus, dtype=float)
+    minus = np.asarray(rho_minus, dtype=float)
     _check_nonnegative(plus, "rho_plus")
     _check_nonnegative(minus, "rho_minus")
     total = plus + minus
@@ -224,7 +182,7 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
     P = params.M * r**params.m
     dP = params.M * params.m * r ** (params.m - 1.0) if partials else None
     if params.eps > 0:
-        pos = total > 0
+        pos = total >= VACUUM_FLOOR
         # fill masked entries with a safely interior density
         tot = np.where(pos, total, 0.5 * params.rho_star)
         z = 1.0 / tot - 1.0 / params.rho_star
@@ -257,11 +215,9 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
             pairs.append((d_other - np.where(pos, corr * dq / qv, 0.0), d_other))
             del dq, dtotal, d_other
         del qv, corr
-    scalar = s1 and s2
-    offsets = tuple(_ret(p, scalar) for p in offsets)
     if not partials:
-        return offsets
-    return offsets + tuple((_ret(a, scalar), _ret(b, scalar)) for a, b in pairs)
+        return tuple(offsets)
+    return tuple(offsets) + tuple(pairs)
 
 
 def two_way_pressure(params: PressureParams, q: CrowdingWeight, rho_own, rho_other):

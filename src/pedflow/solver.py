@@ -106,8 +106,9 @@ def _minmod(a, b):
     return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
 
 
-def muscl_reconstruct(field: StateField, grid: Grid1D, limiter: str = "minmod"):
-    """Left/right interface states from limited linear slopes.
+def muscl_reconstruct(U: np.ndarray, grid: Grid1D, limiter: str = "minmod"):
+    """Left/right interface states of the state array U from limited
+    linear slopes.
 
     Interface j sits between cells j and j+1 (periodic wrap at the
     end): U_L[..., j] comes from cell j, U_R[..., j] from cell j+1.  Cells
@@ -115,7 +116,6 @@ def muscl_reconstruct(field: StateField, grid: Grid1D, limiter: str = "minmod"):
     carried along.  With limiter='none' the slopes are zero and the scheme
     is first order.
     """
-    U = field.values if isinstance(field, StateField) else np.atleast_2d(field)
     if U.shape[-1] < 4:
         raise DomainError("reconstruction needs at least 4 cells")
     if limiter == "minmod":
@@ -143,9 +143,9 @@ def central_flux(model, U_L, U_R, a_local):
     return 0.5 * (model.flux(U_L) + model.flux(U_R)) - 0.5 * a_local * (U_R - U_L)
 
 
-def measured_cfl(model, field: StateField, grid: Grid1D, params: SchemeParams) -> float:
-    """Combined advective + diffusive stability number of one step."""
-    spd = model.max_abs_speed(field.values)
+def measured_cfl(model, U: np.ndarray, grid: Grid1D, params: SchemeParams) -> float:
+    """Combined advective + diffusive stability number of one step of U."""
+    spd = model.max_abs_speed(U)
     return float(
         np.max(spd) * params.dt / grid.dx
         + 2.0 * params.delta_diff * params.dt / grid.dx**2
@@ -166,7 +166,7 @@ def _advance(model, U, grid: Grid1D, params: SchemeParams):
     if cfl > params.cfl_guard:
         raise StabilityError(cfl, params.cfl_guard)
 
-    U_L, U_R = muscl_reconstruct(StateField(U), grid, params.limiter)
+    U_L, U_R = muscl_reconstruct(U, grid, params.limiter)
     F = central_flux(model, U_L, U_R, a_iface)
     div = (F - np.roll(F, 1, axis=-1)) / dx
     U_new = U - dt * div
@@ -190,12 +190,6 @@ def _advance(model, U, grid: Grid1D, params: SchemeParams):
         dens[neg] = 0.0
         U_new[rows] = dens
     return U_new, cfl, clipped
-
-
-def step(model, field: StateField, grid: Grid1D, params: SchemeParams) -> StateField:
-    """Advance one time step; raises on CFL violation or blow-up."""
-    U_new, _, _ = _advance(model, field.values, grid, params)
-    return StateField(U_new, field.time + params.dt)
 
 
 @dataclass

@@ -446,7 +446,7 @@ def test_criterion_09_pressure_law():
     for _ in range(500):
         rho_plus = rng.uniform(0.01, 0.7)
         rho_minus = rng.uniform(0.01, 0.95 - rho_plus)
-        bg = pr.background_pressure(params, rho_plus + rho_minus)
+        bg, _ = pr.one_way_offsets(params, rho_plus + rho_minus)
         q_plus = pr.two_way_pressure(params, q, rho_plus, rho_minus) - bg
         q_minus = pr.two_way_pressure(params, q, rho_minus, rho_plus) - bg
         lhs = q.value(rho_plus, 1.0) * q_plus
@@ -480,9 +480,8 @@ def test_criterion_09_pressure_law():
             p_sweep = pr.PressureParams(M=1.0, m=2.0, eps=eps, gamma=gamma, rho_star=1.0)
 
             def excess(rho):
-                return pr.singular_correction_1w(p_sweep, rho) - pr.background_pressure(
-                    p_sweep, rho
-                )
+                background, singular = pr.one_way_offsets(p_sweep, rho)
+                return singular - background
 
             crossing = _bisect_zero(lambda r: -excess(r), 0.2, 1.0 - 1e-9, iters=100)
             width = pr.crossover_width(p_sweep, p_sweep.rho_star)

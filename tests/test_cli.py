@@ -157,6 +157,8 @@ class TestBuildInitial:
                     "initial.rho_minus": values["initial.rho_minus"]}
             if kind == "two_way_ar":
                 keys["model.V"] = None
+            if len(lanes) == 1:  # one lane exchanges no walkers
+                keys.update(dict.fromkeys(["rates.lambda0", "rates.ramp", "rates.cutoff"]))
             cfg_path = two_lane_config(tmp_path, keys)
             if kind == "two_way_ar":
                 with open(cfg_path, "a") as f:
@@ -624,6 +626,44 @@ noise.seed = 2
                 cli.load_config(cfg_path)
             assert simulate_exit_code(cfg_path, tmp_path) == 2
 
+    def test_cluster_threshold_of_a_multilane_run_is_rejected_before_any_output(
+        self, tmp_path
+    ):
+        # multi-lane runs write no cluster metrics, so the key would be ignored
+        cfg_path = write_config(tmp_path, TWO_LANE_CFG.read_text()
+                                + "cluster.threshold = 0.5\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "cluster.* keys apply to single-lane runs only")):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_rates_of_a_single_lane_run_are_rejected_before_any_output(self, tmp_path):
+        # one lane exchanges no walkers, so the rates.* keys would be ignored
+        cfg_path = two_lane_config(
+            tmp_path, {"lanes.count": 1, "initial.rho_plus": 0.3, "initial.rho_minus": 0.1}
+        )
+        with pytest.raises(ConfigError, match=re.escape(
+                "rates.* keys apply to multi-lane runs only")):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rho_max, message", [
+        (1.5, "table.rho_max must be < pressure.rho_star"),
+        (1.0, "table.rho_max must be < pressure.rho_star"),
+        (0.0, "table.rho_max must be > 0"),
+        (-0.5, "table.rho_max must be > 0"),
+    ])
+    def test_table_rho_max_is_checked_at_load(self, tmp_path, capsys, rho_max, message):
+        text = (TWO_LANE_CFG.parent / "pressure.cfg").read_text()
+        cfg_path = write_config(tmp_path, text + f"table.rho_max = {rho_max}\n")
+        assert cli.main(
+            ["pressure-table", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_lanes_of_a_sim_flux_config_are_rejected_before_any_output(self, tmp_path):
         cfg_path = base_config(tmp_path, {"lanes.count": 2})
         with pytest.raises(ConfigError, match="lanes.count is not read by model.kind sim_flux"):
@@ -703,13 +743,15 @@ class TestConfigTable:
     @pytest.mark.parametrize("row", cli.CONFIG_KEYS, ids=lambda row: row.key)
     def test_every_key_is_cast_bounded_and_kind_checked(self, tmp_path, row):
         kind = min(row.kinds)
+        # rates.* keys are read by multi-lane runs only
+        lanes = {"lanes.count": VALID["lanes.count"]} if row.key.startswith("rates.") else {}
 
-        def rejected(value, message, kind=kind):
+        def rejected(value, message, kind=kind, lanes=lanes):
             with pytest.raises(ConfigError, match=re.escape(message)):
-                cli.load_config(kind_config(tmp_path, kind, {row.key: value}))
+                cli.load_config(kind_config(tmp_path, kind, {**lanes, row.key: value}))
 
         value = kind.value if row.key == "model.kind" else VALID[row.key]
-        cli.load_config(kind_config(tmp_path, kind, {row.key: value}))
+        cli.load_config(kind_config(tmp_path, kind, {**lanes, row.key: value}))
         if row.default is cli.REQUIRED:
             rejected(None, f"missing required key '{row.key}'")
         if row.cast is str:  # the constructor of the key's section rejects it
@@ -722,7 +764,8 @@ class TestConfigTable:
             op, low = row.bound
             rejected(low - 1 if op == ">=" else low, f"{row.key} must be {op} {low}")
         for other in sorted(set(md.ModelKind) - set(row.kinds)):
-            rejected(value, f"{row.key} is not read by model.kind {other.value}", other)
+            rejected(value, f"{row.key} is not read by model.kind {other.value}", other,
+                     {})
 
     @pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.cfg")),
                              ids=lambda path: path.name)
