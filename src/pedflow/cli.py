@@ -406,13 +406,13 @@ def cluster_drift(prev_centroid: float, centroid: float, length: float,
 # analysis tables
 
 
-def emit_dispersion_table(model, rho_plus, rho_minus, delta_diff, xi_grid):
-    """Mode frequencies s = xi * lam(xi) over a wave-number grid.
+def emit_dispersion_table(speeds: an.DiffusiveSpeeds, delta_diff, xi_grid):
+    """Mode frequencies s = xi * lam(xi) over a wave-number grid, for the
+    linearisation speeds of one state.
 
     Returns (meta, rows): meta carries the stability summary of the
     state, rows are (xi, Re s+, Im s+, Re s-, Im s-).
     """
-    speeds = an.diffusive_speeds(model, rho_plus, rho_minus)
     meta = dict(_summary_rows(an.instability_summary(speeds, delta_diff)))
     xi = np.asarray(xi_grid, dtype=float)
     s_plus, s_minus = (xi * lam for lam in an.dispersion(speeds, delta_diff, xi))
@@ -451,6 +451,14 @@ def _write_csv(path: Path, header, rows):
         for row in rows:
             f.write((row if isinstance(row, str) else ",".join(_fmt(v) for v in row))
                     + "\n")
+
+
+def _audit_lines(step, *values):
+    """Audit CSV lines, formatted a column at a time: the step numbers as
+    integers, every other column of values as float reprs."""
+    columns = [map(str, np.asarray(step, dtype=int).tolist())]
+    columns += [map(repr, np.asarray(v, dtype=float).tolist()) for v in values]
+    return map(",".join, zip(*columns))
 
 
 def _write_snapshot(path: Path, snap: sv.StateField, grid: sv.Grid1D):
@@ -552,13 +560,10 @@ def _write_single_lane_artifacts(cfg, result, run_result, outdir, snapdir):
         + [f"mass_{c}" for c in range(n_comp)]
         + ["min_rho", "max_rho", "clipped_mass"]
     )
-    rows = [
-        [audit.step[i], audit.t[i], audit.cfl[i]]
-        + list(audit.mass[i])
-        + [audit.min_rho[i], audit.max_rho[i], audit.clipped_mass[i]]
-        for i in range(len(audit.step))
-    ]
-    _write_csv(outdir / "audit.csv", header, rows)
+    _write_csv(outdir / "audit.csv", header, _audit_lines(
+        audit.step, audit.t, audit.cfl, *audit.mass.T,
+        audit.min_rho, audit.max_rho, audit.clipped_mass,
+    ))
 
     if cfg.model.kind in _TWO_SPECIES:
         prev_t = prev_centroid = None
@@ -609,12 +614,10 @@ def _run_multilane(cfg, initial, outdir, snapdir):
 
     for idx, snap in enumerate(snapshots):
         _write_snapshot(snapdir / f"snap_{idx:06d}.csv", snap, cfg.grid)
-    _write_csv(
-        outdir / "audit.csv",
-        ["step", "t", "cfl", "mass_plus_total", "mass_minus_total",
-         "min_rho", "max_rho"],
-        audit_rows,
-    )
+    header = ["step", "t", "cfl", "mass_plus_total", "mass_minus_total",
+              "min_rho", "max_rho"]
+    columns = np.array(audit_rows, dtype=float).reshape(-1, len(header)).T
+    _write_csv(outdir / "audit.csv", header, _audit_lines(*columns))
 
 
 # --------------------------------------------------------------------------
@@ -691,9 +694,7 @@ def _cmd_dispersion(cfg: ScenarioConfig, outdir: Path, args) -> int:
         else:
             xi_max = 2.0
     xi_grid = np.linspace(0.0, xi_max, cfg.dispersion_n_points)
-    meta, rows = emit_dispersion_table(
-        cfg.model, cfg.rho_plus[0], cfg.rho_minus[0], cfg.scheme.delta_diff, xi_grid
-    )
+    meta, rows = emit_dispersion_table(speeds, cfg.scheme.delta_diff, xi_grid)
     with open(outdir / "dispersion.csv", "w", newline="\n") as f:
         for key, value in meta.items():
             f.write(f"# {key}={_fmt(value)}\n")

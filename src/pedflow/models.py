@@ -239,21 +239,21 @@ def _sim_h(params: SimFluxParams, rho_plus, rho_minus):
     inside one-sided branch is used (larger magnitude).
     """
     a = params.a
-    if np.any(np.minimum(rho_plus, rho_minus) < 0):
+    if (np.minimum(rho_plus, rho_minus) < 0).any():
         raise DomainError("densities must be >= 0")
     r = np.asarray(rho_plus + rho_minus, dtype=float)
-    h = 1.0 - r / (2.0 * a)
+    h = np.asarray(1.0 - r / (2.0 * a))  # an array also for 0-d input
     hp = np.full_like(r, -1.0 / (2.0 * a))
     mid = (r > a) & (r <= 1.0)
-    if np.any(mid):
-        rs = np.where(mid, r, 1.0)
+    if mid.any():
+        rs = r[mid]
         g = a / 2.0 - a * (a - rs) ** 2 / (2.0 * (1.0 - a) ** 2)
         gp = a * (a - rs) / (1.0 - a) ** 2
-        h = np.where(mid, g / rs, h)
-        hp = np.where(mid, (gp * rs - g) / rs**2, hp)
+        h[mid] = g / rs
+        hp[mid] = (gp * rs - g) / rs**2
     high = r > 1.0
-    h = np.where(high, 0.0, h)
-    hp = np.where(high, 0.0, hp)
+    h[high] = 0.0
+    hp[high] = 0.0
     return r, h, hp
 
 
@@ -273,7 +273,7 @@ def _species_primitives(rho, y):
     rho = np.asarray(rho, dtype=float)
     y = np.asarray(y, dtype=float)
     vac = rho < pr.VACUUM_FLOOR
-    if np.any(vac & (np.abs(y) > pr.VACUUM_FLOOR)):
+    if (vac & (np.abs(y) > pr.VACUUM_FLOOR)).any():
         raise VacuumError("zero density with non-zero momentum")
     w = np.where(vac, 0.0, y / np.where(vac, 1.0, rho))
     return rho, w, vac

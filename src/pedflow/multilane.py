@@ -56,7 +56,7 @@ def lane_change_rate(rates: LaneChangeRates, dpdt, rho_target, rho_star):
     """
     dpdt = np.asarray(dpdt, dtype=float)
     rt = np.asarray(rho_target, dtype=float)
-    if np.any(rt > rho_star * (1.0 + 1e-12)):
+    if (rt > rho_star * (1.0 + 1e-12)).any():
         raise DomainError("rho_target must be <= rho_star")
     if rates.ramp == "positive_part":
         ramp = np.maximum(dpdt, 0.0)
@@ -170,8 +170,8 @@ def _offsets_and_speeds(model: md.ModelSpec, U: np.ndarray):
 
 def _upwind_gradient(p: np.ndarray, u: np.ndarray, dx: float) -> np.ndarray:
     """Periodic one-sided gradient taken against the local flow direction."""
-    backward = (p - np.roll(p, 1, axis=-1)) / dx
-    forward = (np.roll(p, -1, axis=-1) - p) / dx
+    backward = (p - sv._shift(p, 1)) / dx
+    forward = (sv._shift(p, -1) - p) / dx
     return np.where(u >= 0.0, backward, forward)
 
 

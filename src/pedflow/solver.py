@@ -102,6 +102,12 @@ class SchemeParams:
             raise DomainError("cfl_guard must be > 0")
 
 
+def _shift(A, k):
+    """A rolled periodically by k = 1 or -1 cells along the last axis,
+    built from two slices: _shift(A, 1)[..., j] = A[..., j - 1]."""
+    return np.concatenate((A[..., -k:], A[..., :-k]), axis=-1)
+
+
 def _minmod(a, b):
     return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
 
@@ -119,15 +125,14 @@ def muscl_reconstruct(U: np.ndarray, grid: Grid1D, limiter: str = "minmod"):
     if U.shape[-1] < 4:
         raise DomainError("reconstruction needs at least 4 cells")
     if limiter == "minmod":
-        fwd = np.roll(U, -1, axis=-1) - U
-        bwd = U - np.roll(U, 1, axis=-1)
-        slope = _minmod(bwd, fwd)
+        fwd = _shift(U, -1) - U
+        slope = _minmod(_shift(fwd, 1), fwd)  # _shift(fwd, 1): backward difference
     elif limiter == "none":
         slope = np.zeros_like(U)
     else:
         raise DomainError("limiter must be 'minmod' or 'none'")
     U_L = U + 0.5 * slope
-    U_R = np.roll(U - 0.5 * slope, -1, axis=-1)
+    U_R = _shift(U - 0.5 * slope, -1)
     return U_L, U_R
 
 
@@ -138,7 +143,7 @@ def central_flux(model, U_L, U_R, a_local):
     (central_flux(U, U, a) = F(U)) and upwind for a linear scalar flux
     with a_local = |c|.
     """
-    if np.any(np.asarray(a_local) < 0):
+    if (np.asarray(a_local) < 0).any():
         raise DomainError("local speed must be >= 0")
     return 0.5 * (model.flux(U_L) + model.flux(U_R)) - 0.5 * a_local * (U_R - U_L)
 
@@ -161,20 +166,20 @@ def _advance(model, U, grid: Grid1D, params: SchemeParams):
     """
     dx, dt = grid.dx, params.dt
     spd = model.max_abs_speed(U)
-    a_iface = np.maximum(spd, np.roll(spd, -1, axis=-1))
+    a_iface = np.maximum(spd, _shift(spd, -1))
     cfl = float(np.max(a_iface) * dt / dx + 2.0 * params.delta_diff * dt / dx**2)
     if cfl > params.cfl_guard:
         raise StabilityError(cfl, params.cfl_guard)
 
     U_L, U_R = muscl_reconstruct(U, grid, params.limiter)
     F = central_flux(model, U_L, U_R, a_iface)
-    div = (F - np.roll(F, 1, axis=-1)) / dx
+    div = (F - _shift(F, 1)) / dx
     U_new = U - dt * div
     if params.delta_diff > 0.0:
-        lap = (np.roll(U, 1, axis=-1) - 2.0 * U + np.roll(U, -1, axis=-1)) / dx**2
+        lap = (_shift(U, 1) - 2.0 * U + _shift(U, -1)) / dx**2
         U_new += params.delta_diff * dt * lap
 
-    if not np.all(np.isfinite(U_new)):
+    if not np.isfinite(U_new).all():
         bad = np.argwhere(~np.isfinite(U_new))[0]
         lane = f" of lane {bad[1]}" if U_new.ndim == 3 else ""
         raise BlowUpError(
@@ -185,7 +190,7 @@ def _advance(model, U, grid: Grid1D, params: SchemeParams):
     rows = list(model.density_rows)
     dens = U_new[rows]
     neg = dens < 0.0
-    if np.any(neg):
+    if neg.any():
         clipped = float(-np.sum(dens[neg]) * dx)
         dens[neg] = 0.0
         U_new[rows] = dens

@@ -227,7 +227,9 @@ class TestDispersionTable:
     def test_stable_state_all_decaying(self):
         model = md.ModelSpec.sim_flux()
         xi = np.linspace(0, 3, 61)
-        meta, rows = cli.emit_dispersion_table(model, 0.35, 0.3, 0.4, xi)
+        meta, rows = cli.emit_dispersion_table(
+            an.diffusive_speeds(model, 0.35, 0.3), 0.4, xi
+        )
         assert meta["hyperbolic"] == 1
         for row in rows:
             assert row[2] <= 1e-14
@@ -235,9 +237,9 @@ class TestDispersionTable:
 
     def test_unstable_band_boundaries(self):
         model = md.ModelSpec.sim_flux()
-        meta, _ = cli.emit_dispersion_table(model, 0.5, 0.3, 0.4, [0.0])
-        ximax = meta["unstable_xi_max"]
         speeds = an.diffusive_speeds(model, 0.5, 0.3)
+        meta, _ = cli.emit_dispersion_table(speeds, 0.4, [0.0])
+        ximax = meta["unstable_xi_max"]
         inside = an.growth_rate(speeds, 0.4, 0.99 * ximax)
         outside = an.growth_rate(speeds, 0.4, 1.01 * ximax)
         assert inside > 0
@@ -246,7 +248,7 @@ class TestDispersionTable:
     def test_dominant_row_is_maximal(self):
         model = md.ModelSpec.sim_flux()
         meta, rows = cli.emit_dispersion_table(
-            model, 0.5, 0.3, 0.4, np.linspace(0, 1.4, 141)
+            an.diffusive_speeds(model, 0.5, 0.3), 0.4, np.linspace(0, 1.4, 141)
         )
         growth = np.array([max(r[2], r[4]) for r in rows])
         xi = np.array([r[0] for r in rows])
@@ -425,6 +427,21 @@ class TestMainExitCodes:
         assert lines[0].startswith("# delta=")
         header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         assert lines[header_idx] == "xi,re_s_plus,im_s_plus,re_s_minus,im_s_minus"
+
+    def test_dispersion_linearises_the_state_once(self, tmp_path, monkeypatch):
+        calls = []
+        speeds = an.diffusive_speeds
+
+        def counted(*args):
+            calls.append(args)
+            return speeds(*args)
+
+        monkeypatch.setattr(an, "diffusive_speeds", counted)
+        cfg_path = write_config(tmp_path, BASE_CONFIG)
+        assert cli.main(
+            ["dispersion", "--config", str(cfg_path), "--out", str(tmp_path / "d")]
+        ) == 0
+        assert len(calls) == 1
 
     def test_pressure_table_subcommand(self, tmp_path):
         text = """
