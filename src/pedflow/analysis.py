@@ -232,14 +232,15 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
 
 
 def _bisect_boundary(point_delta, p0, p1, tol=BOUNDARY_TOL):
-    """Locate the Delta = 0 crossing on the segment p0 -> p1."""
+    """Locate the Delta = 0 crossing on the segment p0 -> p1, one Python
+    float per coordinate (the float operations of an array bisection)."""
     f0 = point_delta(*p0)
-    a, b = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
-    while np.max(np.abs(b - a)) > tol:
-        mid = 0.5 * (a + b)
-        fm = point_delta(*mid)
+    (ax, ay), (bx, by) = map(float, p0), map(float, p1)
+    while max(abs(bx - ax), abs(by - ay)) > tol:
+        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+        fm = point_delta(mx, my)
         if (fm >= 0) == (f0 >= 0):
-            a = mid
+            ax, ay = mx, my
         else:
-            b = mid
-    return 0.5 * (a + b)
+            bx, by = mx, my
+    return 0.5 * (ax + bx), 0.5 * (ay + by)

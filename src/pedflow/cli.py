@@ -268,6 +268,14 @@ def build_config(raw: dict) -> ScenarioConfig:
     stiffness = values.get("rates.lambda0", 0.0) * values["scheme.dt"]
     if stiffness > 1.0 + 1e-12:
         raise ConfigError(f"rates.lambda0 * scheme.dt = {stiffness:.3g} exceeds 1")
+    # the scheme divides by dx**2, a normal positive float, and needs a
+    # finite diffusion number 2 delta dt / dx**2 (dx <= 0 is left to Grid1D)
+    dx2 = values["grid.dx"] * values["grid.dx"]
+    if values["grid.dx"] > 0 and not (
+            sys.float_info.min <= dx2 <= sys.float_info.max
+            and np.isfinite(2.0 * values["scheme.delta"] * values["scheme.dt"] / dx2)):
+        raise ConfigError("grid.dx**2 must be a normal float and "
+                          "2 * scheme.delta * scheme.dt / grid.dx**2 finite")
     rho_max = values.get("table.rho_max")
     if rho_max is not None and (
             rho_max >= values["pressure.rho_star"] * (1.0 - pr.CONGESTION_REL_TOL)):

@@ -30,6 +30,10 @@ import numpy as np
 from . import pressure as pr
 from .errors import DomainError, VacuumError
 
+# Largest |w| of a cell below pr.VACUUM_FLOOR: a larger momentum there
+# than VACUUM_MAX_W * pr.VACUUM_FLOOR is a VacuumError.
+VACUUM_MAX_W = 1e3
+
 
 class ModelKind(str, Enum):
     ONE_WAY_AR = "one_way_ar"
@@ -175,8 +179,8 @@ class ModelSpec:
         rho_p, w_p, vac_p = _species_primitives(U[0], U[1])
         rho_m, w_m, vac_m = _species_primitives(U[2], U[3])
         p_plus, p_minus = two_way_pressures(self, rho_p, rho_m)
-        u_p = np.where(vac_p, 0.0, w_p - p_plus)
-        u_m = np.where(vac_m, 0.0, -w_m + p_minus)
+        u_p = pr.zero_at(vac_p, w_p - p_plus)
+        u_m = pr.zero_at(vac_m, -w_m + p_minus)
         return np.stack([rho_p * u_p, U[1] * u_p, rho_m * u_m, U[3] * u_m])
 
     def max_abs_speed(self, U: np.ndarray) -> np.ndarray:
@@ -202,8 +206,8 @@ class ModelSpec:
             return np.maximum(np.abs(u), np.abs(u - rho * dp))
         # two-way CAR / AR
         if self.kind is ModelKind.TWO_WAY_AR:
-            rho_p, w_p, u_p = _species_primitives(U[0], U[1])
-            rho_m, w_m, u_m = _species_primitives(U[2], U[3])
+            rho_p, w_p, _ = _species_primitives(U[0], U[1])
+            rho_m, w_m, _ = _species_primitives(U[2], U[3])
             spd = _two_way_char_speeds(self, rho_p, rho_m, w_p, w_m)
         else:
             rho_p, rho_m = U[0], U[1]
@@ -222,8 +226,6 @@ class ModelSpec:
 
 def _pair_max_modulus(trace, disc):
     """max |lambda| for the root pair (trace +- sqrt(disc)) / 2."""
-    trace = np.asarray(trace, dtype=float)
-    disc = np.asarray(disc, dtype=float)
     sq = np.sqrt(np.abs(disc))
     real_case = 0.5 * np.maximum(np.abs(trace + sq), np.abs(trace - sq))
     complex_case = 0.5 * np.sqrt(trace * trace + np.abs(disc))
@@ -239,7 +241,8 @@ def _sim_h(params: SimFluxParams, rho_plus, rho_minus):
     inside one-sided branch is used (larger magnitude).
     """
     a = params.a
-    if (np.minimum(rho_plus, rho_minus) < 0).any():
+    low = np.minimum(rho_plus, rho_minus)  # the smaller species of each cell
+    if np.fmin.reduce(low, axis=None, initial=np.inf) < 0:
         raise DomainError("densities must be >= 0")
     r = np.asarray(rho_plus + rho_minus, dtype=float)
     h = np.asarray(1.0 - r / (2.0 * a))  # an array also for 0-d input
@@ -265,15 +268,16 @@ def two_way_pressures(model: ModelSpec, rho_plus, rho_minus):
 
 
 def _species_primitives(rho, y):
-    """Recover (rho, w, vacuum mask) for one species; vacuum cells get w = 0.
-
-    The caller applies the pressure closure.  Vacuum cells with leftover
-    momentum are an error.
+    """Recover (rho, w, pr.vacuum_mask(rho)) for one species; vacuum cells
+    get w = 0.  The caller applies the pressure closure.  A vacuum cell
+    with more momentum than VACUUM_MAX_W * pr.VACUUM_FLOOR is an error.
     """
     rho = np.asarray(rho, dtype=float)
     y = np.asarray(y, dtype=float)
-    vac = rho < pr.VACUUM_FLOOR
-    if (vac & (np.abs(y) > pr.VACUUM_FLOOR)).any():
+    vac = pr.vacuum_mask(rho)
+    if vac is None:
+        return rho, y / rho, None
+    if (vac & (np.abs(y) > VACUUM_MAX_W * pr.VACUUM_FLOOR)).any():
         raise VacuumError("zero density with non-zero momentum")
     w = np.where(vac, 0.0, y / np.where(vac, 1.0, rho))
     return rho, w, vac
@@ -286,7 +290,7 @@ def ar_primitives(model: ModelSpec, U: np.ndarray, partials=False):
         raise DomainError("ar_primitives requires a one_way_ar model")
     rho, w, vac = _species_primitives(U[0], U[1])
     parts = pr.one_way_offsets(model.pressure, rho, partials)
-    u = np.where(vac, 0.0, w - (parts[0] + parts[1]))
+    u = pr.zero_at(vac, w - (parts[0] + parts[1]))
     if not partials:
         return rho, w, u
     return rho, w, u, parts[2] + parts[3]

@@ -56,7 +56,7 @@ def lane_change_rate(rates: LaneChangeRates, dpdt, rho_target, rho_star):
     """
     dpdt = np.asarray(dpdt, dtype=float)
     rt = np.asarray(rho_target, dtype=float)
-    if (rt > rho_star * (1.0 + 1e-12)).any():
+    if np.fmax.reduce(rt, axis=None, initial=-np.inf) > rho_star * (1.0 + 1e-12):
         raise DomainError("rho_target must be <= rho_star")
     if rates.ramp == "positive_part":
         ramp = np.maximum(dpdt, 0.0)

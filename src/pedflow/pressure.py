@@ -105,16 +105,30 @@ class CrowdingWeight:
         return self.beta * (1.0 + r / rho_star) ** (self.beta - 1.0) / rho_star
 
 
+# Each guard is one NaN-ignoring reduction: fmin/fmax skip a NaN, so a bad
+# entry beside a NaN still raises (.min()/.max() would return the NaN).
 def _check_nonnegative(r, name="rho"):
-    if (r < 0).any():
+    if np.fmin.reduce(r, axis=None, initial=np.inf) < 0:
         raise DomainError(f"{name} must be >= 0")
 
 
 def _check_admissible(total, rho_star):
-    if (total >= rho_star * (1.0 - CONGESTION_REL_TOL)).any():
-        raise CongestionOverflowError(
-            f"density reached the jam density {rho_star}"
-        )
+    jam = rho_star * (1.0 - CONGESTION_REL_TOL)
+    if np.fmax.reduce(total, axis=None, initial=-np.inf) >= jam:
+        raise CongestionOverflowError(f"density reached the jam density {rho_star}")
+
+
+def vacuum_mask(rho):
+    """Mask of the entries below VACUUM_FLOOR, or None when there is none;
+    the mask is only built when one reduction finds a vacuum entry."""
+    if np.fmin.reduce(rho, axis=None, initial=np.inf) < VACUUM_FLOOR:
+        return rho < VACUUM_FLOOR
+    return None
+
+
+def zero_at(mask, x):
+    """x with the entries under mask set to 0; x itself when mask is None."""
+    return x if mask is None else np.where(mask, 0.0, x)
 
 
 def one_way_offsets(params: PressureParams, rho, partials=False):
@@ -169,8 +183,9 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
     p(rho-, rho+)) and, with partials=True, also the pair (d/d rho_own,
     d/d rho_other) of each; with eps = 0 these may share one array.
     The correction and its partials are 0 where the total density is
-    below VACUUM_FLOOR.  Raises DomainError on a negative density and
-    CongestionOverflowError when the total density reaches rho_star.
+    below VACUUM_FLOOR (masked only if such a total exists).  Raises
+    DomainError on a negative density and CongestionOverflowError when
+    the total density reaches rho_star.
     """
     plus = np.asarray(rho_plus, dtype=float)
     minus = np.asarray(rho_minus, dtype=float)
@@ -182,9 +197,9 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
     P = params.M * r**params.m
     dP = params.M * params.m * r ** (params.m - 1.0) if partials else None
     if params.eps > 0:
-        pos = total >= VACUUM_FLOOR
-        # fill masked entries with a safely interior density
-        tot = np.where(pos, total, 0.5 * params.rho_star)
+        vac = vacuum_mask(total)
+        # fill vacuum entries with a safely interior density
+        tot = r if vac is None else np.where(vac, 0.5 * params.rho_star, total)
         z = 1.0 / tot - 1.0 / params.rho_star
         zg = np.asarray(z) ** params.gamma
         if partials:
@@ -203,16 +218,16 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
             pairs.append((dP, dP))
             continue
         qv = np.asarray(q.value(own, params.rho_star))
-        corr = np.where(pos, params.eps / (qv * zg), 0.0)
+        corr = zero_at(vac, params.eps / (qv * zg))
         offsets.append(P + corr)
         if partials:
             if zg_partials is not zg:
-                corr = np.where(pos, params.eps / (qv * zg_partials), 0.0)
+                corr = zero_at(vac, params.eps / (qv * zg_partials))
             dq = np.asarray(q.derivative(own, params.rho_star))
             # d/d(total) of eps/(q z^gamma) at fixed q, plus the q(rho_own) term
-            dtotal = np.where(pos, corr * params.gamma / z_tot2, 0.0)
+            dtotal = zero_at(vac, corr * params.gamma / z_tot2)
             d_other = dP + dtotal
-            pairs.append((d_other - np.where(pos, corr * dq / qv, 0.0), d_other))
+            pairs.append((d_other - zero_at(vac, corr * dq / qv), d_other))
             del dq, dtotal, d_other
         del qv, corr
     if not partials:

@@ -143,7 +143,7 @@ def central_flux(model, U_L, U_R, a_local):
     (central_flux(U, U, a) = F(U)) and upwind for a linear scalar flux
     with a_local = |c|.
     """
-    if (np.asarray(a_local) < 0).any():
+    if np.fmin.reduce(a_local, axis=None, initial=np.inf) < 0:
         raise DomainError("local speed must be >= 0")
     return 0.5 * (model.flux(U_L) + model.flux(U_R)) - 0.5 * a_local * (U_R - U_L)
 
@@ -277,16 +277,11 @@ def run(
     if not result.snapshots or result.snapshots[-1].time < final.time - 1e-9 * params.dt:
         result.snapshots.append(final.copy())
     result.final = final
-    mass_arr = (
-        np.asarray(rec_mass, dtype=float)
-        if rec_mass
-        else np.zeros((0, U.shape[0]))
-    )
     result.audit = AuditTrail(
         step=np.asarray(rec_step, dtype=int),
         t=np.asarray(rec_t, dtype=float),
         cfl=np.asarray(rec_cfl, dtype=float),
-        mass=mass_arr,
+        mass=np.asarray(rec_mass, dtype=float).reshape(-1, U.shape[0]),
         min_rho=np.asarray(rec_min, dtype=float),
         max_rho=np.asarray(rec_max, dtype=float),
         clipped_mass=np.asarray(rec_clip, dtype=float),

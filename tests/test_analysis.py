@@ -349,3 +349,45 @@ class TestHyperbolicityMap:
     def test_car_map_runs(self):
         hmap = an.hyperbolicity_map(car_model(eps=1e-3), 40)
         assert hmap.hyperbolic.shape == (40, 40)
+
+
+# The bisection on 2-element arrays that the float bisection replaced, kept
+# as the reference: the same delta_field calls in the same order, and the
+# same boundary points bit for bit.
+
+
+def reference_bisect_boundary(point_delta, p0, p1, tol=an.BOUNDARY_TOL):
+    f0 = point_delta(*p0)
+    a, b = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    while np.max(np.abs(b - a)) > tol:
+        mid = 0.5 * (a + b)
+        fm = point_delta(*mid)
+        if (fm >= 0) == (f0 >= 0):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("model", [car_model(eps=1e-3), SIM],
+                         ids=["two_way_car", "sim_flux"])
+def test_map_bisection_matches_the_array_reference(model, monkeypatch):
+    calls = []
+    delta_field = an.delta_field
+
+    def recorded(model, rho_plus, rho_minus):
+        calls.append((float(rho_plus), float(rho_minus)) if np.ndim(rho_plus) == 0
+                     else np.shape(rho_plus))
+        return delta_field(model, rho_plus, rho_minus)
+
+    monkeypatch.setattr(an, "delta_field", recorded)
+    got = an.hyperbolicity_map(model, 40)
+    got_calls, calls[:] = calls[:], []
+    monkeypatch.setattr(an, "_bisect_boundary", reference_bisect_boundary)
+    want = an.hyperbolicity_map(model, 40)
+    assert len(got.boundary_points) > 0
+    assert got_calls == calls
+    np.testing.assert_array_equal(
+        got.boundary_points.view(np.int64), want.boundary_points.view(np.int64)
+    )
+    np.testing.assert_array_equal(got.hyperbolic, want.hyperbolic)

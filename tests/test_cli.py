@@ -631,6 +631,24 @@ noise.seed = 2
             cli.load_config(cfg_path)
         assert simulate_exit_code(cfg_path, tmp_path) == 2
 
+    @pytest.mark.parametrize("keys", [
+        {"grid.dx": 1e-300},  # dx**2 underflows to 0
+        {"grid.dx": 1e-160},  # dx**2 is subnormal
+        {"grid.dx": 1e308},  # dx**2 overflows
+        {"grid.dx": 1e-150, "scheme.delta": 1e300},  # the diffusion number overflows
+    ])
+    def test_dx_squared_is_checked_at_load(self, tmp_path, capsys, keys):
+        cfg_path = base_config(tmp_path, keys)
+        with pytest.raises(ConfigError, match=re.escape("grid.dx**2 must be a normal")):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path) == 2
+        assert "config error: grid.dx**2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_dx_with_a_normal_square_loads(self, tmp_path):
+        for dx in (1e-150, 1e150):
+            assert cli.load_config(base_config(tmp_path, {"grid.dx": dx})).grid.dx == dx
+
     def test_key_the_model_kind_does_not_read_is_a_config_error(self, tmp_path):
         for cfg_path, message in (
             (base_config(tmp_path, {"pressure.M": -5}),

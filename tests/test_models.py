@@ -104,8 +104,9 @@ class TestSimFlux:
             sim_plus_flux(-0.4, 0.3)
 
     def test_negative_species_raises(self):
-        # rejected even where the total density is positive
-        for U in ([[-0.1], [0.3]], [[0.3], [-0.1]]):
+        # rejected even where the total density is positive, and in a cell
+        # beside a NaN, which .min() would return
+        for U in ([[-0.1], [0.3]], [[0.3], [-0.1]], [[np.nan, -0.1], [0.3, 0.3]]):
             with pytest.raises(DomainError):
                 SIM.flux(U)
             with pytest.raises(DomainError):
@@ -218,6 +219,16 @@ class TestArConservedFlux:
         flux = model.flux(U)
         assert flux[0, 0] == 0.0
         assert flux[1, 0] == 0.0
+
+    @pytest.mark.parametrize("kind", ["one_way_ar", "two_way_ar"])
+    def test_vacuum_cell_beside_a_nan_is_masked(self, kind):
+        model = getattr(md.ModelSpec, kind)(pressure_params())
+        rows = [[0.0, np.nan, 0.3], [0.0, np.nan, 0.33]]
+        U = np.array(rows * (model.n_conserved // 2))
+        flux = model.flux(U)
+        assert np.all(flux[:, 0] == 0.0)
+        assert np.all(np.isnan(flux[:, 1]))
+        assert np.all(np.isfinite(flux[:, 2]))
 
 
 class TestCharacteristicSpeed:
@@ -332,16 +343,30 @@ def reference_two_way_car_flux(model, rho_plus, rho_minus):
     return (float(f_p), float(f_m)) if scalar else (f_p, f_m)
 
 
+def reference_species_primitives(rho, y):
+    """(rho, w, vacuum mask) with the mask built on every call; a vacuum
+    cell may carry momentum up to VACUUM_MAX_W * VACUUM_FLOOR."""
+    rho = np.asarray(rho, dtype=float)
+    y = np.asarray(y, dtype=float)
+    vac = rho < pr.VACUUM_FLOOR
+    if (vac & (np.abs(y) > md.VACUUM_MAX_W * pr.VACUUM_FLOOR)).any():
+        raise VacuumError("zero density with non-zero momentum")
+    w = np.where(vac, 0.0, y / np.where(vac, 1.0, rho))
+    return rho, w, vac
+
+
 def reference_ar_conserved_flux(model, U):
     """(rho u, rho w u) per species of the dynamic desired-speed models."""
     U = np.asarray(U, dtype=float)
     if model.kind is md.ModelKind.ONE_WAY_AR:
-        rho, w, u = md.ar_primitives(model, U)
+        rho, w, vac = reference_species_primitives(U[0], U[1])
+        P, S = pr.one_way_offsets(model.pressure, rho)
+        u = np.where(vac, 0.0, w - (P + S))
         return np.stack([rho * u, U[1] * u])
     if model.kind is not md.ModelKind.TWO_WAY_AR:
         raise DomainError("ar_conserved_flux requires a dynamic desired-speed model")
-    rho_p, w_p, vac_p = md._species_primitives(U[0], U[1])
-    rho_m, w_m, vac_m = md._species_primitives(U[2], U[3])
+    rho_p, w_p, vac_p = reference_species_primitives(U[0], U[1])
+    rho_m, w_m, vac_m = reference_species_primitives(U[2], U[3])
     p_plus, p_minus = md.two_way_pressures(model, rho_p, rho_m)
     u_p = np.where(vac_p, 0.0, w_p - np.asarray(p_plus))
     u_m = np.where(vac_m, 0.0, -w_m + np.asarray(p_minus))
@@ -401,10 +426,16 @@ def flux_models(draw):
 
 @st.composite
 def admissible_states(draw, model):
-    """A (C, N) or (C, K, N) state: densities >= 0 with a total below
-    rho_star, and momenta rho * w with w in [0, 2]."""
-    cells = draw(st.sampled_from([(1,), (7,), (2, 9), (3, 5)]))
-    loads = st.sampled_from([0.0]) | st.floats(0.0, 0.999)
+    """A (C,), (C, N) or (C, K, N) state: densities >= 0 with a total below
+    rho_star, and momenta rho * w with w in [0, 2].  Half of the draws have
+    no total below VACUUM_FLOOR; the other half draw totals of 0 and below
+    the floor among live cells, so both branches of the vacuum mask are
+    taken."""
+    cells = draw(st.sampled_from([(), (1,), (7,), (2, 9), (3, 5)]))
+    loads = st.floats(2 * pr.VACUUM_FLOOR, 0.999)
+    if draw(st.booleans()):
+        loads = (st.sampled_from([0.0]) | st.floats(0.0, 0.999)
+                 | st.floats(0.0, 0.5 * pr.VACUUM_FLOOR, exclude_min=True))
     fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
     speeds = st.sampled_from([1.0]) | st.floats(0.0, 2.0)
     load = draw(hnp.arrays(np.float64, cells, elements=loads))
@@ -434,11 +465,28 @@ def assert_bitwise_equal(got, want):
 @given(model=flux_models(), data=st.data())
 def test_flux_matches_the_module_level_reference(model, data):
     U = data.draw(admissible_states(model))
-    try:
-        want = reference_flux(model, U)
-    except VacuumError:
-        # a density below the vacuum floor whose momentum rho * w is not
-        with pytest.raises(VacuumError):
-            model.flux(U)
-        return
-    assert_bitwise_equal(model.flux(U), want)
+    # w <= 2 <= VACUUM_MAX_W, so no admissible state is a VacuumError, also
+    # below the vacuum floor
+    assert_bitwise_equal(model.flux(U), reference_flux(model, U))
+
+
+@pytest.mark.parametrize("kind", ["one_way_ar", "two_way_ar"])
+@pytest.mark.parametrize("rho, y, raises", [
+    (7.5e-13, 1.5e-12, False),  # w = 2 below the floor
+    (0.0, 1e-17, False),  # round-off momentum at vacuum
+    (5e-13, 0.99 * md.VACUUM_MAX_W * pr.VACUUM_FLOOR, False),
+    (5e-13, 1.01 * md.VACUUM_MAX_W * pr.VACUUM_FLOOR, True),
+    (0.0, 0.5, True),
+])
+def test_vacuum_error_follows_the_momentum_bound(kind, rho, y, raises):
+    # the first cell of the plus species is the one below the floor
+    model = getattr(md.ModelSpec, kind)(pressure_params())
+    rows = [[rho, 0.3], [y, 0.3]]
+    U = np.array(rows + [[0.2, 0.2], [0.2, 0.2]] if kind == "two_way_ar" else rows)
+    if raises:
+        for call in (model.flux, model.max_abs_speed, lambda U: reference_flux(model, U)):
+            with pytest.raises(VacuumError, match="zero density with non-zero momentum"):
+                call(U)
+    else:
+        assert_bitwise_equal(model.flux(U), reference_flux(model, U))
+        assert np.all(np.isfinite(model.max_abs_speed(U)))

@@ -59,6 +59,9 @@ class TestLaneChangeRate:
         rates = ml.LaneChangeRates(lambda0=1.0)
         with pytest.raises(DomainError):
             ml.lane_change_rate(rates, 1.0, 1.5, 1.0)
+        # also beside a NaN target density, which .max() would return
+        with pytest.raises(DomainError, match="rho_target must be <= rho_star"):
+            ml.lane_change_rate(rates, 1.0, np.array([np.nan, 1.5]), 1.0)
 
 
 class TestSources:

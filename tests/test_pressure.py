@@ -338,9 +338,15 @@ pressure_params = st.builds(
 
 @st.composite
 def density_pairs(draw, rho_star):
-    """(rho_plus, rho_minus) as floats or arrays, with total below rho_star."""
+    """(rho_plus, rho_minus) as floats or arrays, with total below rho_star.
+    Half of the draws have no total below VACUUM_FLOOR; the other half draw
+    totals of 0 and below the floor among live ones, so both branches of
+    the vacuum mask are taken."""
     fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
-    loads = st.sampled_from([0.0]) | st.floats(0.0, 0.999)
+    loads = st.floats(2 * pr.VACUUM_FLOOR, 0.999)
+    if draw(st.booleans()):
+        loads = (st.sampled_from([0.0]) | st.floats(0.0, 0.999)
+                 | st.floats(0.0, 0.5 * pr.VACUUM_FLOOR, exclude_min=True))
     if draw(st.booleans()):
         load, frac = draw(loads), draw(fractions)
     else:
@@ -519,3 +525,39 @@ class TestTwoWayOffsetsValidation:
         tiny = 2 * np.asarray(rho) < pr.VACUUM_FLOOR
         background = params.M * (2 * np.asarray(rho)) ** params.m
         assert np.all(np.asarray(p_plus)[tiny] == background[tiny])
+
+
+# Each guard is one NaN-ignoring reduction: a bad entry beside a NaN still
+# raises, and a vacuum cell beside a NaN is still masked.
+
+
+class TestGuardsBesideNan:
+    def test_negative_density(self):
+        with pytest.raises(DomainError, match="rho must be >= 0"):
+            pr.one_way_offsets(make_params(), np.array([np.nan, -0.1, 0.2]))
+        with pytest.raises(DomainError, match="rho_minus must be >= 0"):
+            pr.two_way_offsets(make_params(), pr.CrowdingWeight(), pr.CrowdingWeight(),
+                               np.array([0.1, 0.1]), np.array([-0.1, np.nan]))
+
+    @pytest.mark.parametrize("partials", [False, True])
+    def test_jam_density(self, partials):
+        with pytest.raises(CongestionOverflowError, match="reached the jam density"):
+            pr.two_way_offsets(make_params(), pr.CrowdingWeight(), pr.CrowdingWeight(),
+                               np.array([np.nan, 0.6]), np.array([0.1, 0.4]),
+                               partials=partials)
+        with pytest.raises(CongestionOverflowError, match="reached the jam density"):
+            pr.one_way_offsets(make_params(), np.array([1.0, np.nan]), partials)
+
+    def test_vacuum_cell_is_masked(self):
+        params = make_params(eps=1e-3, gamma=2.0)
+        q = pr.CrowdingWeight()
+        rho = np.array([0.0, np.nan, 1e-300, 0.2])
+        assert pr.vacuum_mask(rho).tolist() == [True, False, True, False]
+        p_plus, p_minus, (d_pp, d_pm), (d_mm, d_mp) = pr.two_way_offsets(
+            params, q, q, rho, rho, partials=True
+        )
+        for part in (p_plus, p_minus, d_pp, d_pm, d_mm, d_mp):
+            assert np.isnan(part[1])
+            assert np.all(np.isfinite(part[[0, 2, 3]]))
+        assert p_plus[0] == 0.0 and p_plus[2] == params.M * (2e-300) ** params.m
+        assert p_plus[3] > params.M * 0.4 ** params.m

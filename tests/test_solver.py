@@ -168,6 +168,10 @@ class TestCentralFlux:
     def test_negative_speed_rejected(self):
         with pytest.raises(DomainError):
             sv.central_flux(SIM, noisy_state(4), noisy_state(4), -1.0)
+        # also beside a NaN speed, which .min() would return
+        with pytest.raises(DomainError, match="local speed must be >= 0"):
+            sv.central_flux(SIM, noisy_state(4), noisy_state(4),
+                            np.array([np.nan, -1.0, 0.5, 0.5]))
 
 
 class TestStep:
@@ -400,6 +404,24 @@ def test_a_cell_at_density_1e_200_steps_as_vacuum(kind):
     assert len(res.audit.step) == 20
     assert np.all(np.isfinite(res.final.values))
     assert np.all(np.isfinite(res.audit.cfl))
+
+
+def test_a_two_way_ar_cell_below_the_floor_with_w_2_is_admissible():
+    # rho+ = 7.5e-13 with rho+ w+ = 1.5e-12 is a vacuum cell at w = 2; its
+    # momentum exceeded VACUUM_FLOOR, which made flux, speed and run stop
+    # with a VacuumError
+    model = ALL_KINDS[md.ModelKind.TWO_WAY_AR]
+    U0 = np.tile(np.array([[0.3], [0.3], [0.2], [0.2]]), 8)
+    U0[:2, 3:5] = [[7.5e-13], [1.5e-12]]
+    flux = model.flux(U0[:, 3:4])
+    np.testing.assert_array_equal(flux[:2], 0.0)
+    assert np.all(np.isfinite(flux))
+    assert np.isfinite(model.max_abs_speed(U0[:, 3:4])[0])
+    grid = sv.Grid1D(n_cells=8, dx=1.0)
+    res = sv.run(model, sv.StateField(U0), grid, sv.SchemeParams(dt=0.05), t_end=0.2)
+    assert len(res.audit.step) == 4
+    assert np.all(np.isfinite(res.final.values))
+    np.testing.assert_allclose(res.audit.mass[-1], U0.sum(axis=1), rtol=1e-12)
 
 
 # Reference step with np.roll shifts and an np.where sim_flux profile.  The
