@@ -78,7 +78,8 @@ def _flux_partials(model, rho_plus, rho_minus):
 
 
 def diffusive_speeds(model, rho_plus, rho_minus) -> DiffusiveSpeeds:
-    """Analytic flux partials of a sim_flux or two_way_car model at one state."""
+    """Analytic flux partials of a sim_flux or two_way_car model at one
+    admissible state (densities >= 0, a two_way_car total below rho_star)."""
     partials = _flux_partials(model, rho_plus, rho_minus)
     return DiffusiveSpeeds(*(float(c) for c in partials))
 

@@ -45,6 +45,7 @@ _TWO_WAY = _TWO_SPECIES & _PRESSURE
 _ANALYSED = frozenset({md.ModelKind.SIM_FLUX, md.ModelKind.TWO_WAY_CAR})
 
 REQUIRED = object()  # default of a key that must be given
+MAX_STEPS = 10**7  # run.t_end / scheme.dt; the bundled runs take <= 50,000
 
 
 def _float(text: str) -> float:
@@ -276,11 +277,6 @@ def build_config(raw: dict) -> ScenarioConfig:
             and np.isfinite(2.0 * values["scheme.delta"] * values["scheme.dt"] / dx2)):
         raise ConfigError("grid.dx**2 must be a normal float and "
                           "2 * scheme.delta * scheme.dt / grid.dx**2 finite")
-    rho_max = values.get("table.rho_max")
-    if rho_max is not None and (
-            rho_max >= values["pressure.rho_star"] * (1.0 - pr.CONGESTION_REL_TOL)):
-        raise ConfigError("table.rho_max must be < pressure.rho_star * "
-                          f"(1 - {pr.CONGESTION_REL_TOL:g})")
     parts = {name: {} for name in ("model", "check", "fields", *_SECTIONS)}
     for row in CONFIG_KEYS:
         value = values.get(row.key)
@@ -300,7 +296,22 @@ def build_config(raw: dict) -> ScenarioConfig:
         model = getattr(md.ModelSpec, kind.value)(**model_args)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    return ScenarioConfig(model=model, checks=parts["check"], **built, **parts["fields"])
+    if values["run.t_end"] / values["scheme.dt"] > MAX_STEPS:
+        raise ConfigError(f"run.t_end / scheme.dt must be <= {MAX_STEPS:.0e}")
+    cfg = ScenarioConfig(model=model, checks=parts["check"], **built, **parts["fields"])
+    # each lane's initial base must be an admissible state, and the pressure
+    # table must end below the jam density
+    bases = [cfg.rho_plus, cfg.rho_minus] if kind in _TWO_SPECIES else [[cfg.rho]]
+    if min(map(min, bases)) < 0:
+        raise ConfigError("initial densities must be >= 0")
+    peaks = {"initial total density of each lane": max(map(sum, zip(*bases))),
+             "table.rho_max": cfg.table_rho_max or 0.0}
+    for name, peak in peaks.items():
+        if kind in _PRESSURE and peak >= model.pressure.rho_star * (
+                1.0 - pr.CONGESTION_REL_TOL):
+            raise ConfigError(f"{name} must be < pressure.rho_star * "
+                              f"(1 - {pr.CONGESTION_REL_TOL:g})")
+    return cfg
 
 
 def load_config(path) -> ScenarioConfig:
@@ -594,11 +605,12 @@ def _write_single_lane_artifacts(cfg, result, run_result, outdir, snapdir):
 def _run_multilane(cfg, initial, outdir, snapdir):
     stack = ml.LaneStack(model=cfg.model, values=initial, rates=cfg.rates)
     mass_budget = sv.CLIP_BUDGET_REL * float(np.sum(stack.direction_mass(cfg.grid)))
-    n_steps = int(np.ceil(cfg.t_end / cfg.scheme.dt - 1e-9)) if cfg.t_end > 0 else 0
+    n_steps = sv.step_count(cfg.t_end, cfg.scheme.dt)
     snapshots = [sv.StateField(stack.values.copy(), stack.time)]
     audit_rows = []
     next_snap = cfg.snapshot_every
     with _stepping():
+        sv.check_admissible(cfg.model, stack.values)
         for k in range(1, n_steps + 1):
             cfl = sv.measured_cfl(cfg.model, stack.values, cfg.grid, cfg.scheme)
             stack = ml.coupled_step(stack, cfg.grid, cfg.scheme)

@@ -152,12 +152,8 @@ class ModelSpec:
         return _DENSITY_ROWS[self.kind]
 
     def flux(self, U: np.ndarray) -> np.ndarray:
-        """Physical flux of the conserved state, row for row."""
+        """Physical flux of an admissible conserved state, row for row."""
         U = np.asarray(U, dtype=float)
-        if U.shape[0] != self.n_conserved:
-            raise DomainError(
-                f"state has {U.shape[0]} rows, expected {self.n_conserved}"
-            )
         if self.kind is ModelKind.SIM_FLUX:
             rho_p, rho_m = U[0], U[1]
             _, h, _ = _sim_h(self.flux_shape, rho_p, rho_m)
@@ -184,7 +180,7 @@ class ModelSpec:
         return np.stack([rho_p * u_p, U[1] * u_p, rho_m * u_m, U[3] * u_m])
 
     def max_abs_speed(self, U: np.ndarray) -> np.ndarray:
-        """Largest absolute characteristic speed per cell.
+        """Largest absolute characteristic speed per cell of an admissible U.
 
         Where the two-way discriminant is negative the eigenvalues are a
         complex pair; the modulus is used, which keeps the value finite
@@ -233,17 +229,13 @@ def _pair_max_modulus(trace, disc):
 
 
 def _sim_h(params: SimFluxParams, rho_plus, rho_minus):
-    """Total density rho of the two species, h = g(rho)/rho and h'.
+    """Total density rho of two non-negative species, h = g(rho)/rho and h'.
 
-    A negative species density raises DomainError.  The 0/0 at vacuum is
-    removed: on [0, a] the ratio is exactly the polynomial 1 - rho/(2a),
-    so the vacuum limit h(0) = 1 needs no special casing.  At rho = 1 the
-    inside one-sided branch is used (larger magnitude).
+    The 0/0 at vacuum is removed: on [0, a] the ratio is exactly the
+    polynomial 1 - rho/(2a), so the vacuum limit h(0) = 1 needs no special
+    casing.  At rho = 1 the inside one-sided branch is used (larger magnitude).
     """
     a = params.a
-    low = np.minimum(rho_plus, rho_minus)  # the smaller species of each cell
-    if np.fmin.reduce(low, axis=None, initial=np.inf) < 0:
-        raise DomainError("densities must be >= 0")
     r = np.asarray(rho_plus + rho_minus, dtype=float)
     h = np.asarray(1.0 - r / (2.0 * a))  # an array also for 0-d input
     hp = np.full_like(r, -1.0 / (2.0 * a))
@@ -284,10 +276,8 @@ def _species_primitives(rho, y):
 
 
 def ar_primitives(model: ModelSpec, U: np.ndarray, partials=False):
-    """(rho, w, u) of the one-way dynamic-desired-speed model; with
-    partials=True also the offset derivative dp/drho."""
-    if model.kind is not ModelKind.ONE_WAY_AR:
-        raise DomainError("ar_primitives requires a one_way_ar model")
+    """(rho, w, u) of a one_way_ar model; with partials=True also the
+    offset derivative dp/drho."""
     rho, w, vac = _species_primitives(U[0], U[1])
     parts = pr.one_way_offsets(model.pressure, rho, partials)
     u = pr.zero_at(vac, w - (parts[0] + parts[1]))

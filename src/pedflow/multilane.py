@@ -52,17 +52,13 @@ def lane_change_rate(rates: LaneChangeRates, dpdt, rho_target, rho_star):
     """Transition rate lambda0 * ramp(dpdt) * cutoff(rho_target).
 
     Zero whenever the offset is not increasing along the walker's path
-    (positive-part ramp) and exactly zero at rho_target = rho_star.
+    (positive-part ramp) and exactly zero at the admissible bound rho_star.
     """
-    dpdt = np.asarray(dpdt, dtype=float)
-    rt = np.asarray(rho_target, dtype=float)
-    if np.fmax.reduce(rt, axis=None, initial=-np.inf) > rho_star * (1.0 + 1e-12):
-        raise DomainError("rho_target must be <= rho_star")
     if rates.ramp == "positive_part":
         ramp = np.maximum(dpdt, 0.0)
     else:
         ramp = 1.0 / (1.0 + np.exp(-dpdt))
-    cut = np.maximum(1.0 - rt / rho_star, 0.0)
+    cut = np.maximum(1.0 - rho_target / rho_star, 0.0)
     if rates.cutoff == "quadratic":
         cut = cut * cut
     return rates.lambda0 * ramp * cut
@@ -188,7 +184,8 @@ def coupled_step(stack: LaneStack, grid: sv.Grid1D, params: sv.SchemeParams) -> 
 
     Raises SourceStiffnessError when lambda0*dt exceeds 1, or when the
     fraction dt*(rate_up + rate_down) of a cell's walkers that would leave
-    it exceeds 1, which would make its density negative.
+    it exceeds 1, which would make its density negative.  Takes an
+    admissible stack and checks the state after the exchange.
     """
     dt = params.dt
     if dt * stack.rates.lambda0 > 1.0 + 1e-12:
@@ -228,6 +225,7 @@ def coupled_step(stack: LaneStack, grid: sv.Grid1D, params: sv.SchemeParams) -> 
     if model.kind is md.ModelKind.TWO_WAY_AR:
         R = momentum_sources(rho, w, rates_up, rates_down)
         U[[1, 3]] += dt * R.swapaxes(0, 1)
+    sv.check_admissible(model, U)
     return LaneStack(
         model=model,
         values=U,

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CongestionOverflowError, DomainError
+from .errors import DomainError
 
 # Densities within this relative distance of rho_star are treated as
 # having left the admissible region (model breakdown, not stiffness).
@@ -105,19 +105,6 @@ class CrowdingWeight:
         return self.beta * (1.0 + r / rho_star) ** (self.beta - 1.0) / rho_star
 
 
-# Each guard is one NaN-ignoring reduction: fmin/fmax skip a NaN, so a bad
-# entry beside a NaN still raises (.min()/.max() would return the NaN).
-def _check_nonnegative(r, name="rho"):
-    if np.fmin.reduce(r, axis=None, initial=np.inf) < 0:
-        raise DomainError(f"{name} must be >= 0")
-
-
-def _check_admissible(total, rho_star):
-    jam = rho_star * (1.0 - CONGESTION_REL_TOL)
-    if np.fmax.reduce(total, axis=None, initial=-np.inf) >= jam:
-        raise CongestionOverflowError(f"density reached the jam density {rho_star}")
-
-
 def vacuum_mask(rho):
     """Mask of the entries below VACUUM_FLOOR, or None when there is none;
     the mask is only built when one reduction finds a vacuum entry."""
@@ -140,12 +127,9 @@ def one_way_offsets(params: PressureParams, rho, partials=False):
     dS = eps * gamma / ((1/rho - 1/rho_star)**(gamma+1) * rho**2).  S is
     strictly increasing from VACUUM_FLOOR on and divergent at rho_star;
     below VACUUM_FLOOR, S and dS are 0, their limit at vacuum (gamma > 1).
-    Raises DomainError on a negative density and CongestionOverflowError
-    when the density reaches rho_star.
+    rho must be admissible: 0 <= rho < rho_star.
     """
     r = np.asarray(rho, dtype=float)
-    _check_nonnegative(r)
-    _check_admissible(r, params.rho_star)
     P = params.M * r**params.m
     S = np.zeros_like(r)
     dS = np.zeros_like(r) if partials else None
@@ -163,11 +147,9 @@ def one_way_offsets(params: PressureParams, rho, partials=False):
 
 
 def crossover_width(params: PressureParams, rho):
-    """Width rho * rho_star * eps**(1/gamma) of the band below rho_star
-    where the singular correction becomes order one."""
+    """Width rho * rho_star * eps**(1/gamma), for 0 < rho <= rho_star, of
+    the band below rho_star where the singular correction becomes order one."""
     r = np.asarray(rho, dtype=float)
-    if np.any(r <= 0) or np.any(r > params.rho_star):
-        raise DomainError("crossover_width requires 0 < rho <= rho_star")
     if params.eps == 0:
         return np.zeros_like(r)
     return r * params.rho_star * params.eps ** (1.0 / params.gamma)
@@ -183,16 +165,12 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
     p(rho-, rho+)) and, with partials=True, also the pair (d/d rho_own,
     d/d rho_other) of each; with eps = 0 these may share one array.
     The correction and its partials are 0 where the total density is
-    below VACUUM_FLOOR (masked only if such a total exists).  Raises
-    DomainError on a negative density and CongestionOverflowError when
-    the total density reaches rho_star.
+    below VACUUM_FLOOR (masked only if such a total exists).  The
+    densities must be admissible: >= 0, with a total below rho_star.
     """
     plus = np.asarray(rho_plus, dtype=float)
     minus = np.asarray(rho_minus, dtype=float)
-    _check_nonnegative(plus, "rho_plus")
-    _check_nonnegative(minus, "rho_minus")
     total = plus + minus
-    _check_admissible(total, params.rho_star)
     r = np.asarray(total)
     P = params.M * r**params.m
     dP = params.M * params.m * r ** (params.m - 1.0) if partials else None
@@ -237,8 +215,7 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
 
 def two_way_pressure(params: PressureParams, q: CrowdingWeight, rho_own, rho_other):
     """Offset seen by one direction in counter-flow: the plus offset of
-    two_way_offsets with rho_own as the plus density.  Raises
-    CongestionOverflowError when the total density reaches rho_star."""
+    two_way_offsets with rho_own as the plus density."""
     return two_way_offsets(params, q, q, rho_own, rho_other)[0]
 
 

@@ -24,9 +24,11 @@ import numpy as np
 from .errors import (
     BlowUpError,
     ClipBudgetError,
+    CongestionOverflowError,
     DomainError,
     StabilityError,
 )
+from .pressure import CONGESTION_REL_TOL
 
 #: Fraction of the initial mass that negative-density clipping may
 #: consume over a whole run before the run is declared invalid.
@@ -70,10 +72,6 @@ class StateField:
     def n_components(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_cells(self) -> int:
-        return self.values.shape[-1]
-
     def copy(self) -> "StateField":
         return StateField(self.values.copy(), self.time)
 
@@ -102,6 +100,29 @@ class SchemeParams:
             raise DomainError("cfl_guard must be > 0")
 
 
+def check_admissible(model, U):
+    """Raise DomainError on a negative density in U or, for the pressure
+    kinds, CongestionOverflowError on a total at the jam density (within
+    CONGESTION_REL_TOL of rho_star).  The reductions skip NaN, so a bad
+    entry beside a NaN still raises.  Kernels only see states checked here."""
+    first, *rest = model.density_rows
+    # the density rows are evenly spaced, so one strided view holds them
+    dens = U[first::rest[0] - first] if rest else U[first]
+    if np.fmin.reduce(dens, axis=None, initial=np.inf) < 0:
+        raise DomainError("densities must be >= 0")
+    if model.pressure is not None:
+        rho_star = model.pressure.rho_star
+        total = dens.sum(axis=0) if rest else dens
+        if np.fmax.reduce(total, axis=None, initial=-np.inf) >= (
+                rho_star * (1.0 - CONGESTION_REL_TOL)):
+            raise CongestionOverflowError(f"density reached the jam density {rho_star}")
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Steps of size dt to t_end >= 0 (none for an overshoot below 1e-9 dt)."""
+    return int(np.ceil(t_end / dt - 1e-9)) if t_end > 0 else 0
+
+
 def _shift(A, k):
     """A rolled periodically by k = 1 or -1 cells along the last axis,
     built from two slices: _shift(A, 1)[..., j] = A[..., j - 1]."""
@@ -112,7 +133,7 @@ def _minmod(a, b):
     return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
 
 
-def muscl_reconstruct(U: np.ndarray, grid: Grid1D, limiter: str = "minmod"):
+def muscl_reconstruct(U: np.ndarray, limiter: str = "minmod"):
     """Left/right interface states of the state array U from limited
     linear slopes.
 
@@ -122,15 +143,11 @@ def muscl_reconstruct(U: np.ndarray, grid: Grid1D, limiter: str = "minmod"):
     carried along.  With limiter='none' the slopes are zero and the scheme
     is first order.
     """
-    if U.shape[-1] < 4:
-        raise DomainError("reconstruction needs at least 4 cells")
     if limiter == "minmod":
         fwd = _shift(U, -1) - U
         slope = _minmod(_shift(fwd, 1), fwd)  # _shift(fwd, 1): backward difference
-    elif limiter == "none":
-        slope = np.zeros_like(U)
     else:
-        raise DomainError("limiter must be 'minmod' or 'none'")
+        slope = np.zeros_like(U)
     U_L = U + 0.5 * slope
     U_R = _shift(U - 0.5 * slope, -1)
     return U_L, U_R
@@ -141,10 +158,8 @@ def central_flux(model, U_L, U_R, a_local):
 
     (F(U_L) + F(U_R))/2 - a_local (U_R - U_L)/2; consistent
     (central_flux(U, U, a) = F(U)) and upwind for a linear scalar flux
-    with a_local = |c|.
+    with a_local = |c|.  U_L and U_R are admissible states and a_local >= 0.
     """
-    if np.fmin.reduce(a_local, axis=None, initial=np.inf) < 0:
-        raise DomainError("local speed must be >= 0")
     return 0.5 * (model.flux(U_L) + model.flux(U_R)) - 0.5 * a_local * (U_R - U_L)
 
 
@@ -160,9 +175,9 @@ def measured_cfl(model, U: np.ndarray, grid: Grid1D, params: SchemeParams) -> fl
 def _advance(model, U, grid: Grid1D, params: SchemeParams):
     """One forward-Euler update.  Returns (U_new, cfl, clipped_mass).
 
-    U is (C, N) for one lane or (C, K, N) for K lanes advanced together;
-    cfl is the largest stability number and clipped_mass the total over
-    all lanes.
+    U is an admissible (C, N) state of one lane or (C, K, N) of K lanes
+    advanced together; cfl is the largest stability number and
+    clipped_mass the total over all lanes.  Checks U_L, U_R and U_new.
     """
     dx, dt = grid.dx, params.dt
     spd = model.max_abs_speed(U)
@@ -171,7 +186,9 @@ def _advance(model, U, grid: Grid1D, params: SchemeParams):
     if cfl > params.cfl_guard:
         raise StabilityError(cfl, params.cfl_guard)
 
-    U_L, U_R = muscl_reconstruct(U, grid, params.limiter)
+    U_L, U_R = muscl_reconstruct(U, params.limiter)
+    check_admissible(model, U_L)
+    check_admissible(model, U_R)
     F = central_flux(model, U_L, U_R, a_iface)
     div = (F - _shift(F, 1)) / dx
     U_new = U - dt * div
@@ -194,6 +211,7 @@ def _advance(model, U, grid: Grid1D, params: SchemeParams):
         clipped = float(-np.sum(dens[neg]) * dx)
         dens[neg] = 0.0
         U_new[rows] = dens
+    check_admissible(model, U_new)
     return U_new, cfl, clipped
 
 
@@ -238,16 +256,19 @@ def run(
     if t_end < 0:
         raise DomainError("t_end must be >= 0")
     U = initial.values.copy()
+    if U.ndim > 3 or (U.shape[0], U.shape[-1]) != (model.n_conserved, grid.n_cells):
+        raise DomainError(f"state must be ({model.n_conserved}, [lanes,] "
+                          f"{grid.n_cells}), got {U.shape}")
+    check_admissible(model, U)
     t0 = initial.time
     dx = grid.dx
     rows = list(model.density_rows)
 
     result = RunResult()
-    initial_mass = U.sum(axis=1) * dx
     result.snapshots.append(StateField(U.copy(), t0))
-    mass_budget = CLIP_BUDGET_REL * float(np.sum(initial_mass[rows]))
+    mass_budget = CLIP_BUDGET_REL * float(np.sum(U[rows].sum(axis=1) * dx))
 
-    n_steps = int(np.ceil(t_end / params.dt - 1e-9)) if t_end > 0 else 0
+    n_steps = step_count(t_end, params.dt)
     rec_step, rec_t, rec_cfl = [], [], []
     rec_mass, rec_min, rec_max, rec_clip = [], [], [], []
     clipped_total = 0.0
@@ -264,7 +285,7 @@ def run(
         rec_step.append(k)
         rec_t.append(t)
         rec_cfl.append(cfl)
-        rec_mass.append(U.sum(axis=1) * dx)
+        rec_mass.append(U.reshape(len(U), -1).sum(axis=1) * dx)  # over lanes and cells
         dens = U[rows]
         rec_min.append(float(dens.min()))
         rec_max.append(float(dens.max()))

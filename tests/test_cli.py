@@ -731,6 +731,54 @@ noise.seed = 2
         ) == 2
 
 
+    # Before the initial bases were checked at load, the two_way_ar base
+    # total of 1.2 stopped while stepping (exit 3), the two_way_car and the
+    # negative sim_flux bases failed in the stability summary after creating
+    # --out (exit 2), and one_way_car with no steps and the negative
+    # two_way_ar base (clipped to 0) exited 0.
+    @pytest.mark.parametrize("kind, keys, message", [
+        (md.ModelKind.TWO_WAY_AR, {"initial.rho_plus": "0.7", "initial.rho_minus": "0.5",
+                                   "run.t_end": "1.0"}, "initial total density"),
+        (md.ModelKind.TWO_WAY_CAR, {"initial.rho_plus": "0.7", "initial.rho_minus": "0.5",
+                                    "run.t_end": "1.0"}, "initial total density"),
+        (md.ModelKind.ONE_WAY_CAR, {"initial.rho": "1.2", "run.t_end": "0"},
+         "initial total density"),
+        (md.ModelKind.TWO_WAY_AR, {"initial.rho_plus": "-0.1", "run.t_end": "1.0"},
+         "initial densities must be >= 0"),
+        (md.ModelKind.SIM_FLUX, {"initial.rho_plus": "-0.1", "run.t_end": "1.0"},
+         "initial densities must be >= 0"),
+        (md.ModelKind.TWO_WAY_CAR, {"initial.rho_plus": "0.3, 0.6",
+                                    "initial.rho_minus": "0.4", "lanes.count": "2"},
+         "initial total density"),
+        (md.ModelKind.ONE_WAY_AR, {"initial.rho": "-0.2"}, "initial densities must be"),
+    ], ids=["two_way_ar", "two_way_car", "one_way_car_no_steps", "negative_base",
+            "negative_sim_flux_base", "second_lane", "one_way_ar_negative"])
+    def test_inadmissible_initial_base_is_rejected_before_any_output(
+            self, tmp_path, capsys, kind, keys, message):
+        cfg_path = kind_config(tmp_path, kind, keys)
+        with pytest.raises(ConfigError, match=message):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_base_just_below_the_jam_density_loads(self, tmp_path):
+        cfg = cli.load_config(kind_config(tmp_path, md.ModelKind.ONE_WAY_CAR,
+                                          {"initial.rho": "0.999999"}))
+        assert cfg.rho == 0.999999
+
+    def test_step_count_above_the_ceiling_is_rejected_before_any_output(self, tmp_path):
+        # 1e12 steps never finished and wrote nothing
+        cfg_path = base_config(tmp_path, {"scheme.dt": 1e-12, "run.t_end": 1.0})
+        with pytest.raises(ConfigError, match="run.t_end / scheme.dt must be <= 1e"):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path) == 2
+        assert not (tmp_path / "o").exists()
+        at_ceiling = cli.MAX_STEPS * 0.2
+        cfg = cli.load_config(base_config(tmp_path, {"run.t_end": at_ceiling}))
+        assert sv.step_count(cfg.t_end, cfg.scheme.dt) == cli.MAX_STEPS
+
+
 ROOT = TWO_LANE_CFG.parent.parent
 
 # A valid value of every key of cli.CONFIG_KEYS; model.kind is set per test.

@@ -4,12 +4,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pedflow import models as md
 from pedflow import pressure as pr
+from pedflow import solver as sv
 from pedflow.errors import CongestionOverflowError, DomainError
 
 
 def make_params(M=1.0, m=2.0, eps=1e-3, gamma=2.0, rho_star=1.0):
     return pr.PressureParams(M=M, m=m, eps=eps, gamma=gamma, rho_star=rho_star)
+
+
+# The laws take admissible densities; solver.check_admissible, which the
+# time stepping applies to every state it makes, rejects the others.  These
+# helpers put densities into the states of the one- and two-way models,
+# with constant (car) or dynamic (AR, momentum rows rho * 1.2) desired
+# speed.
+
+
+def one_way_state(rho, dynamic):
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    model = (md.ModelSpec.one_way_ar(make_params()) if dynamic
+             else md.ModelSpec.one_way_car(V=1.0, pressure=make_params()))
+    return model, np.stack([rho, 1.2 * rho] if dynamic else [rho])
+
+
+def two_way_state(rho_plus, rho_minus, dynamic):
+    plus, minus = np.broadcast_arrays(np.atleast_1d(rho_plus).astype(float),
+                                      np.atleast_1d(rho_minus).astype(float))
+    if dynamic:
+        return (md.ModelSpec.two_way_ar(make_params()),
+                np.stack([plus, 1.2 * plus, minus, 1.2 * minus]))
+    return (md.ModelSpec.two_way_car(V=1.0, pressure=make_params()),
+            np.stack([plus, minus]))
 
 
 ALL_WEIGHTS = [
@@ -39,7 +65,7 @@ class TestBackground:
 
     def test_negative_density_raises(self):
         with pytest.raises(DomainError):
-            pr.one_way_offsets(make_params(), -0.1)
+            sv.check_admissible(*one_way_state(-0.1, dynamic=False))
 
     def test_monotone(self):
         params = make_params(M=2.0, m=1.5)
@@ -71,15 +97,16 @@ class TestSingularCorrection:
         assert singular(params, 0.99) == pytest.approx(9.801, rel=1e-10)
 
     def test_jam_density_raises(self):
-        params = make_params()
         with pytest.raises(CongestionOverflowError):
-            pr.one_way_offsets(params, 1.0)
+            sv.check_admissible(*one_way_state(1.0, dynamic=False))
+        # within CONGESTION_REL_TOL of rho_star counts as the jam density
         with pytest.raises(CongestionOverflowError):
-            pr.one_way_offsets(params, 1.0 - 1e-14, partials=True)
+            sv.check_admissible(*one_way_state(1.0 - 1e-14, dynamic=True))
+        sv.check_admissible(*one_way_state(1.0 - 1e-11, dynamic=True))
 
     def test_negative_raises(self):
         with pytest.raises(DomainError):
-            pr.one_way_offsets(make_params(), -0.5, partials=True)
+            sv.check_admissible(*one_way_state(-0.5, dynamic=True))
 
     def test_strictly_increasing(self):
         params = make_params(eps=1e-2, gamma=3.0)
@@ -166,9 +193,8 @@ class TestTwoWayPressure:
         )
 
     def test_overflow(self):
-        params = make_params()
         with pytest.raises(CongestionOverflowError):
-            pr.two_way_pressure(params, pr.CrowdingWeight(), 0.6, 0.4)
+            sv.check_admissible(*two_way_state(0.6, 0.4, dynamic=False))
 
     def test_monotone_in_own_density(self):
         params = make_params(eps=1e-3)
@@ -268,10 +294,7 @@ class TestParamsValidation:
 def reference_two_way_pressure(params, q, rho_own, rho_other):
     own = np.asarray(rho_own, dtype=float)
     oth = np.asarray(rho_other, dtype=float)
-    pr._check_nonnegative(own, "rho_own")
-    pr._check_nonnegative(oth, "rho_other")
     total = own + oth
-    pr._check_admissible(total, params.rho_star)
     r = np.asarray(total, dtype=float)
     out = np.asarray(params.M * r**params.m, dtype=float).copy()
     if params.eps > 0:
@@ -286,10 +309,7 @@ def reference_two_way_pressure(params, q, rho_own, rho_other):
 def reference_pressure_partials(params, q, rho_own, rho_other):
     own = np.asarray(rho_own, dtype=float)
     oth = np.asarray(rho_other, dtype=float)
-    pr._check_nonnegative(own, "rho_own")
-    pr._check_nonnegative(oth, "rho_other")
     total = own + oth
-    pr._check_admissible(total, params.rho_star)
     r = np.asarray(total, dtype=float)
     dP = np.asarray(params.M * params.m * r ** (params.m - 1.0), dtype=float)
     d1 = dP.copy()
@@ -338,8 +358,8 @@ pressure_params = st.builds(
 
 @st.composite
 def density_pairs(draw, rho_star):
-    """(rho_plus, rho_minus) as floats or arrays, with total below rho_star.
-    Half of the draws have no total below VACUUM_FLOOR; the other half draw
+    """(rho_plus, rho_minus) as floats or arrays, an admissible state: both
+    >= 0, with a total below rho_star.  Half of the draws have no total below VACUUM_FLOOR; the other half draw
     totals of 0 and below the floor among live ones, so both branches of
     the vacuum mask are taken."""
     fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -409,20 +429,16 @@ def _reference_output(a, scalar):
 
 def reference_background_pressure(params, rho):
     r, scalar = _reference_input(rho)
-    pr._check_nonnegative(r)
     return _reference_output(params.M * r**params.m, scalar)
 
 
 def reference_background_pressure_derivative(params, rho):
     r, scalar = _reference_input(rho)
-    pr._check_nonnegative(r)
     return _reference_output(params.M * params.m * r ** (params.m - 1.0), scalar)
 
 
 def reference_singular_correction_1w(params, rho):
     r, scalar = _reference_input(rho)
-    pr._check_nonnegative(r)
-    pr._check_admissible(r, params.rho_star)
     out = np.zeros_like(r)
     pos = r > 0
     if params.eps > 0 and np.any(pos):
@@ -433,8 +449,6 @@ def reference_singular_correction_1w(params, rho):
 
 def reference_singular_correction_derivative_1w(params, rho):
     r, scalar = _reference_input(rho)
-    pr._check_nonnegative(r)
-    pr._check_admissible(r, params.rho_star)
     out = np.zeros_like(r)
     pos = r > 0
     if params.eps > 0 and np.any(pos):
@@ -461,8 +475,8 @@ def reference_pressure_1w_derivative(params, rho):
 
 @st.composite
 def one_way_densities(draw, rho_star):
-    """A float or an array of densities in {0} and [VACUUM_FLOOR, rho_star);
-    below the floor one_way_offsets sets the correction to 0 on purpose."""
+    """A float or an array of admissible densities in {0} and
+    [VACUUM_FLOOR, 0.999 rho_star]; below the floor one_way_offsets sets the correction to 0 on purpose."""
     densities = st.sampled_from([0.0]) | st.floats(pr.VACUUM_FLOOR, rho_star * 0.999)
     if draw(st.booleans()):
         return draw(densities)
@@ -488,28 +502,24 @@ def test_one_way_offsets_match_the_six_function_reference(params, data):
 
 
 class TestTwoWayOffsetsValidation:
-    @pytest.mark.parametrize("partials", [False, True])
+    # dynamic picks the two_way_ar state layout, whose densities are rows
+    # 0 and 2, over the two_way_car one (rows 0 and 1)
+    @pytest.mark.parametrize("dynamic", [False, True])
     @pytest.mark.parametrize(
         "rho_plus,rho_minus",
         [(-0.1, 0.2), (0.2, -1e-300), (np.array([0.1, -0.2]), np.array([0.1, 0.1]))],
     )
-    def test_negative_density_raises(self, rho_plus, rho_minus, partials):
+    def test_negative_density_raises(self, rho_plus, rho_minus, dynamic):
         with pytest.raises(DomainError, match="must be >= 0"):
-            pr.two_way_offsets(
-                make_params(), pr.CrowdingWeight(), pr.CrowdingWeight(),
-                rho_plus, rho_minus, partials=partials,
-            )
+            sv.check_admissible(*two_way_state(rho_plus, rho_minus, dynamic))
 
-    @pytest.mark.parametrize("partials", [False, True])
+    @pytest.mark.parametrize("dynamic", [False, True])
     @pytest.mark.parametrize(
         "rho_plus,rho_minus", [(0.6, 0.4), (1.0, 0.0), (np.array([0.1, 0.7]), 0.3)]
     )
-    def test_jam_density_raises(self, rho_plus, rho_minus, partials):
+    def test_jam_density_raises(self, rho_plus, rho_minus, dynamic):
         with pytest.raises(CongestionOverflowError, match="reached the jam density"):
-            pr.two_way_offsets(
-                make_params(), pr.CrowdingWeight(), pr.CrowdingWeight(),
-                rho_plus, rho_minus, partials=partials,
-            )
+            sv.check_admissible(*two_way_state(rho_plus, rho_minus, dynamic))
 
     @pytest.mark.parametrize("rho", [1e-200, 5e-324, np.array([0.0, 1e-300, 0.2])])
     def test_finite_below_the_vacuum_floor(self, rho):
@@ -527,26 +537,23 @@ class TestTwoWayOffsetsValidation:
         assert np.all(np.asarray(p_plus)[tiny] == background[tiny])
 
 
-# Each guard is one NaN-ignoring reduction: a bad entry beside a NaN still
-# raises, and a vacuum cell beside a NaN is still masked.
+# The admissibility check makes NaN-ignoring reductions: a bad entry beside
+# a NaN still raises.  The vacuum mask of the laws also skips a NaN.
 
 
 class TestGuardsBesideNan:
     def test_negative_density(self):
-        with pytest.raises(DomainError, match="rho must be >= 0"):
-            pr.one_way_offsets(make_params(), np.array([np.nan, -0.1, 0.2]))
-        with pytest.raises(DomainError, match="rho_minus must be >= 0"):
-            pr.two_way_offsets(make_params(), pr.CrowdingWeight(), pr.CrowdingWeight(),
-                               np.array([0.1, 0.1]), np.array([-0.1, np.nan]))
+        with pytest.raises(DomainError, match="densities must be >= 0"):
+            sv.check_admissible(*one_way_state([np.nan, -0.1, 0.2], dynamic=False))
+        with pytest.raises(DomainError, match="densities must be >= 0"):
+            sv.check_admissible(*two_way_state([0.1, 0.1], [-0.1, np.nan], dynamic=True))
 
-    @pytest.mark.parametrize("partials", [False, True])
-    def test_jam_density(self, partials):
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_jam_density(self, dynamic):
         with pytest.raises(CongestionOverflowError, match="reached the jam density"):
-            pr.two_way_offsets(make_params(), pr.CrowdingWeight(), pr.CrowdingWeight(),
-                               np.array([np.nan, 0.6]), np.array([0.1, 0.4]),
-                               partials=partials)
+            sv.check_admissible(*two_way_state([np.nan, 0.6], [0.1, 0.4], dynamic))
         with pytest.raises(CongestionOverflowError, match="reached the jam density"):
-            pr.one_way_offsets(make_params(), np.array([1.0, np.nan]), partials)
+            sv.check_admissible(*one_way_state([1.0, np.nan], dynamic))
 
     def test_vacuum_cell_is_masked(self):
         params = make_params(eps=1e-3, gamma=2.0)
