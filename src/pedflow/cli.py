@@ -384,7 +384,7 @@ def cluster_metrics(model, field: sv.StateField, grid: sv.Grid1D,
     Centroids are density-weighted circular means of the cell centers in
     each run; main_centroid belongs to the most massive cluster.
     """
-    total = field.values[list(model.density_rows)].sum(axis=0)
+    total = sv.density_view(model, field.values).sum(axis=0)
     mask = total >= threshold
     if not mask.any():
         return ClusterMetrics(0, np.empty(0), 0.0)
@@ -425,14 +425,23 @@ def cluster_drift(prev_centroid: float, centroid: float, length: float,
 # analysis tables
 
 
+def _stability_summary(speeds: an.DiffusiveSpeeds, delta_diff):
+    """The stability summary of a state, or None: a state that is not
+    hyperbolic has one only with a positive diffusivity."""
+    if delta_diff > 0 or an.diffusive_discriminant(speeds) >= 0:
+        return an.instability_summary(speeds, delta_diff)
+    return None
+
+
 def emit_dispersion_table(speeds: an.DiffusiveSpeeds, delta_diff, xi_grid):
     """Mode frequencies s = xi * lam(xi) over a wave-number grid, for the
     linearisation speeds of one state.
 
     Returns (meta, rows): meta carries the stability summary of the
-    state, rows are (xi, Re s+, Im s+, Re s-, Im s-).
+    state (empty without one), rows are (xi, Re s+, Im s+, Re s-, Im s-).
     """
-    meta = dict(_summary_rows(an.instability_summary(speeds, delta_diff)))
+    report = _stability_summary(speeds, delta_diff)
+    meta = dict(_summary_rows(report)) if report is not None else {}
     xi = np.asarray(xi_grid, dtype=float)
     s_plus, s_minus = (xi * lam for lam in an.dispersion(speeds, delta_diff, xi))
     columns = (xi, s_plus.real, s_plus.imag, s_minus.real, s_minus.imag)
@@ -548,8 +557,7 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
 
     if cfg.model.kind in _ANALYSED:
         speeds = an.diffusive_speeds(cfg.model, cfg.rho_plus[0], cfg.rho_minus[0])
-        if cfg.scheme.delta_diff > 0 or an.diffusive_discriminant(speeds) >= 0:
-            result.stability = an.instability_summary(speeds, cfg.scheme.delta_diff)
+        result.stability = _stability_summary(speeds, cfg.scheme.delta_diff)
 
     field = build_initial(cfg)
     if cfg.n_lanes == 1:
@@ -656,13 +664,9 @@ def evaluate_checks(result: ScenarioResult) -> list:
     for key, value in cfg.checks.items():
         name = key[len("check."):]
         if name == "final_supnorm_lt":
-            values = result.run.final.values
-            rows = list(cfg.model.density_rows)
-            uniform = [cfg.rho_plus[0], cfg.rho_minus[0]] if len(rows) == 2 else [cfg.rho]
-            dev = max(
-                float(np.max(np.abs(values[r] - uniform[j])))
-                for j, r in enumerate(rows)
-            )
+            dens = sv.density_view(cfg.model, result.run.final.values)
+            uniform = [cfg.rho_plus[0], cfg.rho_minus[0]] if len(dens) == 2 else [cfg.rho]
+            dev = max(float(np.max(np.abs(d - u))) for d, u in zip(dens, uniform))
             if not dev < value:
                 failures.append(f"{key}: deviation {dev:.3e} not < {value:.3e}")
         elif name == "cluster_count_min" and final.count < value:

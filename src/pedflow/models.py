@@ -155,9 +155,9 @@ class ModelSpec:
         """Physical flux of an admissible conserved state, row for row."""
         U = np.asarray(U, dtype=float)
         if self.kind is ModelKind.SIM_FLUX:
-            rho_p, rho_m = U[0], U[1]
-            _, h, _ = _sim_h(self.flux_shape, rho_p, rho_m)
-            return np.stack([rho_p * h, -rho_m * h])
+            F = U * _sim_h(self.flux_shape, U[0], U[1])[1]
+            F[1] *= -1.0  # (rho+ h, -rho- h): (-a) * b == -(a * b) exactly
+            return F
         if self.kind is ModelKind.ONE_WAY_CAR:
             rho = U[0]
             P, S = pr.one_way_offsets(self.pressure, rho)
@@ -223,7 +223,8 @@ class ModelSpec:
 def _pair_max_modulus(trace, disc):
     """max |lambda| for the root pair (trace +- sqrt(disc)) / 2."""
     sq = np.sqrt(np.abs(disc))
-    real_case = 0.5 * np.maximum(np.abs(trace + sq), np.abs(trace - sq))
+    # sq >= 0, so fl(|trace| + sq) = max(|fl(trace + sq)|, |fl(trace - sq)|)
+    real_case = 0.5 * (np.abs(trace) + sq)
     complex_case = 0.5 * np.sqrt(trace * trace + np.abs(disc))
     return np.where(disc >= 0.0, real_case, complex_case)
 
@@ -238,12 +239,13 @@ def _sim_h(params: SimFluxParams, rho_plus, rho_minus):
     a = params.a
     r = np.asarray(rho_plus + rho_minus, dtype=float)
     h = np.asarray(1.0 - r / (2.0 * a))  # an array also for 0-d input
-    hp = np.full_like(r, -1.0 / (2.0 * a))
+    hp = np.full(r.shape, -1.0 / (2.0 * a))
     mid = (r > a) & (r <= 1.0)
-    if mid.any():
+    if mid.any():  # most states of a stable run have no cell in (a, 1]
         rs = r[mid]
-        g = a / 2.0 - a * (a - rs) ** 2 / (2.0 * (1.0 - a) ** 2)
-        gp = a * (a - rs) / (1.0 - a) ** 2
+        d = a - rs
+        g = a / 2.0 - a * d**2 / (2.0 * (1.0 - a) ** 2)
+        gp = a * d / (1.0 - a) ** 2
         h[mid] = g / rs
         hp[mid] = (gp * rs - g) / rs**2
     high = r > 1.0

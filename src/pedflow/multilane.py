@@ -136,8 +136,8 @@ class LaneStack:
         C-contiguous, so that sums over it round in the same order for
         every stack layout.
         """
-        rows = list(self.model.density_rows)
-        return np.ascontiguousarray(self.values[rows].swapaxes(0, 1))
+        dens = sv.density_view(self.model, self.values)
+        return np.ascontiguousarray(dens.swapaxes(0, 1))
 
     def direction_mass(self, grid: sv.Grid1D) -> np.ndarray:
         """Total mass per walking direction, summed over lanes."""
@@ -147,12 +147,11 @@ class LaneStack:
 def _offsets_and_speeds(model: md.ModelSpec, U: np.ndarray):
     """Densities, offsets, actual and desired speeds of stacked lanes.
 
-    U is the (C, K, n) state; every result is (K, 2, n).  The desired
-    speed w is V for constant-desired-speed lanes.
+    U is the (C, K, n) state; every result is (K, 2, n), rho a view of
+    U.  The desired speed w is V for constant-desired-speed lanes.
     """
-    i_plus, i_minus = model.density_rows
-    rho = U[[i_plus, i_minus]].swapaxes(0, 1)
-    p_plus, p_minus = md.two_way_pressures(model, U[i_plus], U[i_minus])
+    rho = sv.density_view(model, U).swapaxes(0, 1)
+    p_plus, p_minus = md.two_way_pressures(model, rho[:, 0], rho[:, 1])
     p = np.stack([p_plus, p_minus], axis=1)
     if model.kind is md.ModelKind.TWO_WAY_CAR:
         w = np.full_like(p, model.V)
@@ -220,11 +219,11 @@ def coupled_step(stack: LaneStack, grid: sv.Grid1D, params: sv.SchemeParams) -> 
             f"cell {cell} at t = {t:.6g}"
         )
 
+    # rho is a view of U: take both sources before either update
     S = density_sources(rho, rates_up, rates_down)
-    U[list(model.density_rows)] += dt * S.swapaxes(0, 1)
     if model.kind is md.ModelKind.TWO_WAY_AR:
-        R = momentum_sources(rho, w, rates_up, rates_down)
-        U[[1, 3]] += dt * R.swapaxes(0, 1)
+        U[1::2] += dt * momentum_sources(rho, w, rates_up, rates_down).swapaxes(0, 1)
+    sv.density_view(model, U)[...] += dt * S.swapaxes(0, 1)
     sv.check_admissible(model, U)
     return LaneStack(
         model=model,

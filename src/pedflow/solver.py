@@ -100,20 +100,23 @@ class SchemeParams:
             raise DomainError("cfl_guard must be > 0")
 
 
+def density_view(model, U):
+    """U's density rows (evenly spaced) as one strided view; writes reach U."""
+    rows = model.density_rows
+    return U[rows[0]:rows[-1] + 1:rows[-1] - rows[0] or 1]
+
+
 def check_admissible(model, U):
     """Raise DomainError on a negative density in U or, for the pressure
     kinds, CongestionOverflowError on a total at the jam density (within
     CONGESTION_REL_TOL of rho_star).  The reductions skip NaN, so a bad
     entry beside a NaN still raises.  Kernels only see states checked here."""
-    first, *rest = model.density_rows
-    # the density rows are evenly spaced, so one strided view holds them
-    dens = U[first::rest[0] - first] if rest else U[first]
+    dens = density_view(model, U)
     if np.fmin.reduce(dens, axis=None, initial=np.inf) < 0:
         raise DomainError("densities must be >= 0")
     if model.pressure is not None:
         rho_star = model.pressure.rho_star
-        total = dens.sum(axis=0) if rest else dens
-        if np.fmax.reduce(total, axis=None, initial=-np.inf) >= (
+        if np.fmax.reduce(dens.sum(axis=0), axis=None, initial=-np.inf) >= (
                 rho_star * (1.0 - CONGESTION_REL_TOL)):
             raise CongestionOverflowError(f"density reached the jam density {rho_star}")
 
@@ -130,7 +133,8 @@ def _shift(A, k):
 
 
 def _minmod(a, b):
-    return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+    # where a * b > 0 both have one sign, so sign(a) * min(|a|, |b|) is a or b
+    return np.where(a * b > 0.0, np.where(np.abs(a) <= np.abs(b), a, b), 0.0)
 
 
 def muscl_reconstruct(U: np.ndarray, limiter: str = "minmod"):
@@ -144,13 +148,11 @@ def muscl_reconstruct(U: np.ndarray, limiter: str = "minmod"):
     is first order.
     """
     if limiter == "minmod":
-        fwd = _shift(U, -1) - U
-        slope = _minmod(_shift(fwd, 1), fwd)  # _shift(fwd, 1): backward difference
+        fwd = _shift(U, -1) - U  # _shift(fwd, 1) is the backward difference
+        half = 0.5 * _minmod(_shift(fwd, 1), fwd)
     else:
-        slope = np.zeros_like(U)
-    U_L = U + 0.5 * slope
-    U_R = _shift(U - 0.5 * slope, -1)
-    return U_L, U_R
+        half = np.zeros_like(U)
+    return U + half, _shift(U - half, -1)
 
 
 def central_flux(model, U_L, U_R, a_local):
@@ -204,13 +206,11 @@ def _advance(model, U, grid: Grid1D, params: SchemeParams):
         )
 
     clipped = 0.0
-    rows = list(model.density_rows)
-    dens = U_new[rows]
+    dens = density_view(model, U_new)
     neg = dens < 0.0
     if neg.any():
         clipped = float(-np.sum(dens[neg]) * dx)
         dens[neg] = 0.0
-        U_new[rows] = dens
     check_admissible(model, U_new)
     return U_new, cfl, clipped
 
@@ -262,15 +262,16 @@ def run(
     check_admissible(model, U)
     t0 = initial.time
     dx = grid.dx
-    rows = list(model.density_rows)
 
     result = RunResult()
     result.snapshots.append(StateField(U.copy(), t0))
-    mass_budget = CLIP_BUDGET_REL * float(np.sum(U[rows].sum(axis=1) * dx))
+    dens = density_view(model, U)
+    mass_budget = CLIP_BUDGET_REL * float(np.sum(dens.sum(axis=1) * dx))
 
     n_steps = step_count(t_end, params.dt)
-    rec_step, rec_t, rec_cfl = [], [], []
-    rec_mass, rec_min, rec_max, rec_clip = [], [], [], []
+    # row k - 1 holds step k; step, t and the factor dx of the mass come at the end
+    rec_cfl, rec_min, rec_max, rec_clip = np.empty((4, n_steps))
+    rec_mass = np.empty((n_steps, len(U)))
     clipped_total = 0.0
     next_snap = snapshot_every if snapshot_every else None
 
@@ -282,14 +283,12 @@ def run(
             raise ClipBudgetError(
                 f"clipped mass {clipped_total:.3e} exceeds budget {mass_budget:.3e}"
             )
-        rec_step.append(k)
-        rec_t.append(t)
-        rec_cfl.append(cfl)
-        rec_mass.append(U.reshape(len(U), -1).sum(axis=1) * dx)  # over lanes and cells
-        dens = U[rows]
-        rec_min.append(float(dens.min()))
-        rec_max.append(float(dens.max()))
-        rec_clip.append(clipped_total)
+        rec_cfl[k - 1] = cfl
+        rec_mass[k - 1] = U.reshape(len(U), -1).sum(axis=1)  # over lanes and cells
+        dens = density_view(model, U)
+        rec_min[k - 1] = dens.min()
+        rec_max[k - 1] = dens.max()
+        rec_clip[k - 1] = clipped_total
         if next_snap is not None and t >= t0 + next_snap - 1e-9 * params.dt:
             result.snapshots.append(StateField(U.copy(), t))
             next_snap += snapshot_every
@@ -298,13 +297,9 @@ def run(
     if not result.snapshots or result.snapshots[-1].time < final.time - 1e-9 * params.dt:
         result.snapshots.append(final.copy())
     result.final = final
+    steps = np.arange(1, n_steps + 1)
     result.audit = AuditTrail(
-        step=np.asarray(rec_step, dtype=int),
-        t=np.asarray(rec_t, dtype=float),
-        cfl=np.asarray(rec_cfl, dtype=float),
-        mass=np.asarray(rec_mass, dtype=float).reshape(-1, U.shape[0]),
-        min_rho=np.asarray(rec_min, dtype=float),
-        max_rho=np.asarray(rec_max, dtype=float),
-        clipped_mass=np.asarray(rec_clip, dtype=float),
+        step=steps, t=t0 + steps * params.dt, cfl=rec_cfl, mass=rec_mass * dx,
+        min_rho=rec_min, max_rho=rec_max, clipped_mass=rec_clip,
     )
     return result

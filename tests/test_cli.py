@@ -1,8 +1,14 @@
+import contextlib
+import io
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pedflow import analysis as an
 from pedflow import cli
@@ -443,6 +449,25 @@ class TestMainExitCodes:
         ) == 0
         assert len(calls) == 1
 
+    def test_dispersion_of_a_state_without_a_summary_writes_the_table(
+            self, tmp_path, capsys):
+        # not hyperbolic and no diffusion: there is no stability summary, so
+        # the table comes without # lines; this exited 2 after making --out
+        cfg_path = base_config(tmp_path, {"scheme.delta": 0.0})
+        cfg = cli.load_config(cfg_path)
+        speeds = an.diffusive_speeds(cfg.model, cfg.rho_plus[0], cfg.rho_minus[0])
+        assert an.diffusive_discriminant(speeds) < 0
+        assert cli.main(
+            ["dispersion", "--config", str(cfg_path), "--out", str(tmp_path / "d")]
+        ) == 0
+        lines = (tmp_path / "d" / "dispersion.csv").read_text().splitlines()
+        assert lines[0] == "xi,re_s_plus,im_s_plus,re_s_minus,im_s_minus"
+        assert len(lines) == 1 + cfg.dispersion_n_points
+        assert capsys.readouterr().err == ""
+        # simulate applies the same rule: no stability.csv
+        assert simulate_exit_code(cfg_path, tmp_path) == 0
+        assert not (tmp_path / "o" / "stability.csv").exists()
+
     def test_pressure_table_subcommand(self, tmp_path):
         text = """
 model.kind = one_way_car
@@ -474,6 +499,66 @@ def simulate_exit_code(cfg_path, tmp_path, *flags):
     return cli.main(
         ["simulate", *flags, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
     )
+
+
+@st.composite
+def near_jam_configs(draw):
+    """Config text of a two_way_car or two_way_ar run of 1 to 3 lanes of 8
+    to 16 cells and 1 to 5 steps, with each lane's base total in
+    [0.97, 0.999) rho_star and drawn noise and seed."""
+    kind = draw(st.sampled_from(["two_way_car", "two_way_ar"]))
+    n_lanes = draw(st.integers(1, 3))
+    dt = draw(st.sampled_from([1e-5, 1e-4, 1e-3, 1e-2]))
+    rho_star = draw(st.sampled_from([1.0, 2.5]))
+    totals = [rho_star * draw(st.floats(0.97, 0.999, exclude_max=True))
+              for _ in range(n_lanes)]
+    shares = [draw(st.floats(0.0, 1.0)) for _ in range(n_lanes)]
+    keys = {
+        "model.kind": kind, "pressure.M": 1.0, "pressure.m": 2.0,
+        "pressure.eps": draw(st.sampled_from([1e-4, 1e-3, 1e-2])),
+        "pressure.gamma": 2.0, "pressure.rho_star": rho_star,
+        "grid.n_cells": draw(st.integers(8, 16)), "grid.dx": 1.0,
+        "scheme.dt": dt, "scheme.delta": draw(st.sampled_from([0.0, 0.1])),
+        "initial.rho_plus": [t * s for t, s in zip(totals, shares)],
+        "initial.rho_minus": [t - t * s for t, s in zip(totals, shares)],
+        "noise.sigma": draw(st.sampled_from([0.0]) | st.floats(0.0, 0.02)),
+        "noise.seed": draw(st.integers(0, 2**16)),
+        "run.t_end": draw(st.integers(1, 5)) * dt,
+    }
+    if kind == "two_way_car":
+        keys["model.V"] = 1.0
+    else:
+        for key in ("initial.w_plus", "initial.w_minus"):
+            keys[key] = [draw(st.floats(0.5, 1.5)) for _ in range(n_lanes)]
+    if n_lanes > 1:
+        keys.update({"lanes.count": n_lanes,
+                     "rates.lambda0": draw(st.sampled_from([0.0, 0.5, 5.0]))})
+
+    def text(value):  # a per-lane list is written comma-separated
+        return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+    return "".join(f"{key} = {text(value)}\n" for key, value in keys.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=near_jam_configs())
+def test_a_near_jam_run_exits_0_or_3_without_a_traceback_or_warning(text):
+    # a step near the jam density may stop the run (exit 3, "numerical
+    # failure: ..."), but no such config is a config error, an uncaught
+    # exception or a RuntimeWarning
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cfg_path = write_config(Path(tmp), text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["simulate", "--config", str(cfg_path),
+                             "--out", str(Path(tmp) / "o")])
+    assert code in (0, 3), err.getvalue()
+    if code == 3:
+        assert err.getvalue().startswith("numerical failure: ")
+        assert "Traceback" not in err.getvalue()
+    else:
+        assert err.getvalue() == ""
 
 
 def two_lane_ar_config(tmp_path, keys, w_plus="1.0", w_minus="1.0"):

@@ -495,3 +495,60 @@ def test_vacuum_error_follows_the_momentum_bound(kind, rho, y, raises):
     else:
         assert_bitwise_equal(model.flux(U), reference_flux(model, U))
         assert np.all(np.isfinite(model.max_abs_speed(U)))
+
+
+# The sim_flux flux as two stacked rows, and the real case of the root-pair
+# modulus as the larger of two absolute values: bitwise references for the
+# shorter forms of the kernels.
+
+
+def reference_sim_flux(model, U):
+    """(rho+ h, -rho- h), stacked from two rows."""
+    rho_p, rho_m = U[0], U[1]
+    _, h, _ = md._sim_h(model.flux_shape, rho_p, rho_m)
+    return np.stack([rho_p * h, -rho_m * h])
+
+
+def reference_pair_max_modulus(trace, disc):
+    sq = np.sqrt(np.abs(disc))
+    real_case = 0.5 * np.maximum(np.abs(trace + sq), np.abs(trace - sq))
+    complex_case = 0.5 * np.sqrt(trace * trace + np.abs(disc))
+    return np.where(disc >= 0.0, real_case, complex_case)
+
+
+# Signed zeros, the smallest subnormal and the smallest normal, and
+# magnitudes from the subnormal range up to 1e300.
+EDGE_MAGNITUDES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e300]
+
+
+def edge_floats(nonnegative=False):
+    """Those values and their negatives, or only -0.0 below zero if
+    nonnegative, plus any value of the same range and values of order 1."""
+    values = EDGE_MAGNITUDES + [-0.0]
+    if not nonnegative:
+        values += [-x for x in EDGE_MAGNITUDES]
+    low = 0.0 if nonnegative else -1e300
+    return (st.sampled_from(values) | st.floats(low, 1e300)
+            | st.floats(max(low, -1e-300), 1e-300) | st.floats(max(low, -2.0), 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from([(2,), (2, 7), (2, 3, 5)]), data=st.data())
+def test_sim_flux_matches_the_stacked_reference(shape, data):
+    # (C,), (C, N) and (C, K, N) states: in the first the minus row is a
+    # scalar, which np.negative(F[1], out=F[1]) cannot write to.
+    densities = edge_floats(nonnegative=True) | st.sampled_from([0.35, 0.5, 0.7])
+    U = data.draw(hnp.arrays(np.float64, shape, elements=densities))
+    assert_bitwise_equal(SIM.flux(U), reference_sim_flux(SIM, U))
+
+
+@settings(max_examples=500, deadline=None)
+@given(shape=st.sampled_from([(), (1,), (6,), (2, 5)]), data=st.data())
+def test_pair_max_modulus_matches_the_two_abs_reference(shape, data):
+    trace = data.draw(hnp.arrays(np.float64, shape, elements=edge_floats()))
+    disc = data.draw(hnp.arrays(np.float64, shape, elements=edge_floats()))
+    # trace**2 of the unused complex case overflows for |trace| > 1e154
+    with np.errstate(over="ignore"):
+        got = md._pair_max_modulus(trace, disc)
+        want = reference_pair_max_modulus(trace, disc)
+    assert_bitwise_equal(np.asarray(got), np.asarray(want))

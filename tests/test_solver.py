@@ -643,3 +643,97 @@ def test_a_step_makes_one_speed_bound_and_two_flux_calls(kind, monkeypatch):
     sv._advance(model, U, sv.Grid1D(n_cells=16, dx=1.0),
                 sv.SchemeParams(dt=0.02, delta_diff=0.1))
     assert calls == {"flux": 2, "max_abs_speed": 1}
+
+
+# The minmod limiter as sign times minimum, the reconstruction with the
+# slope halved on each side, and the audit of solver.run recorded into
+# lists: bitwise references for the shorter forms of the kernels.
+
+
+def reference_minmod(a, b):
+    return np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
+
+
+def reference_half_slope_reconstruct(U, limiter):
+    """U_L and U_R with the limited slope halved on each side."""
+    if limiter == "minmod":
+        fwd = np.roll(U, -1, axis=-1) - U
+        slope = reference_minmod(U - np.roll(U, 1, axis=-1), fwd)
+    else:
+        slope = np.zeros_like(U)
+    return U + 0.5 * slope, np.roll(U - 0.5 * slope, -1, axis=-1)
+
+
+# Signed zeros, the smallest subnormal and normal, magnitudes up to 1e300,
+# values of order 1, and pairs whose product underflows to zero.
+EDGE_MAGNITUDES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-160, 1e300]
+edge_floats = (st.sampled_from(EDGE_MAGNITUDES + [-x for x in EDGE_MAGNITUDES])
+               | st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)
+               | st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(shape=st.sampled_from([(), (5,), (2, 7)]), data=st.data())
+def test_minmod_matches_the_sign_and_minimum_reference(shape, data):
+    a = data.draw(hnp.arrays(np.float64, shape, elements=edge_floats))
+    # b is often a itself, -a or a scaled copy, so |a| = |b| ties occur
+    b = data.draw(hnp.arrays(np.float64, shape, elements=edge_floats)
+                  | st.sampled_from([1.0, -1.0, 0.5, 3.0]).map(lambda s: s * a))
+    with np.errstate(over="ignore"):  # a * b of two magnitudes near 1e300
+        assert_same_bits(sv._minmod(a, b), reference_minmod(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from([(1, 2), (2, 6), (4, 3, 5)]),
+       limiter=st.sampled_from(["minmod", "none"]), data=st.data())
+def test_reconstruction_matches_the_half_slope_reference(shape, limiter, data):
+    U = data.draw(hnp.arrays(np.float64, shape, elements=edge_floats))
+    with np.errstate(over="ignore"):
+        got = sv.muscl_reconstruct(U, limiter)
+        want = reference_half_slope_reconstruct(U, limiter)
+    assert_same_bits(got[0], want[0])
+    assert_same_bits(got[1], want[1])
+
+
+def reference_audit(model, U, grid, params, t0, n_steps):
+    """The AuditTrail of solver.run, recorded step by step into lists."""
+    rows = list(model.density_rows)
+    rec = {name: [] for name in ("step", "t", "cfl", "mass", "min_rho", "max_rho",
+                                 "clipped_mass")}
+    clipped_total = 0.0
+    for k in range(1, n_steps + 1):
+        U, cfl, clipped = sv._advance(model, U, grid, params)
+        clipped_total += clipped
+        rec["step"].append(k)
+        rec["t"].append(t0 + k * params.dt)
+        rec["cfl"].append(cfl)
+        rec["mass"].append(U.reshape(len(U), -1).sum(axis=1) * grid.dx)
+        rec["min_rho"].append(float(U[rows].min()))
+        rec["max_rho"].append(float(U[rows].max()))
+        rec["clipped_mass"].append(clipped_total)
+    fields = {name: np.asarray(values, dtype=int if name == "step" else float)
+              for name, values in rec.items()}
+    fields["mass"] = fields["mass"].reshape(-1, len(U))
+    return sv.AuditTrail(**fields)
+
+
+@pytest.mark.parametrize("kind", list(ALL_KINDS), ids=lambda kind: kind.value)
+@settings(max_examples=25, deadline=None)
+@given(t0=st.sampled_from([0.0, 0.1, 1234.567]), dx=st.sampled_from([1.0, 0.3, 1.7]),
+       n_steps=st.integers(0, 6), data=st.data())
+def test_run_audit_matches_the_per_step_reference(kind, t0, dx, n_steps, data):
+    # dx != 1 and t0 != 0 make the factor dx of the mass and the t0 of
+    # t = t0 + k dt show in the bits
+    model = ALL_KINDS[kind]
+    U = data.draw(step_states(model))
+    grid = sv.Grid1D(n_cells=16, dx=dx)
+    params = sv.SchemeParams(dt=0.01 * dx, delta_diff=0.1)
+    got = _outcome(sv.run, model, sv.StateField(U, t0), grid, params,
+                   n_steps * params.dt)
+    want = _outcome(reference_audit, model, U, grid, params, t0, n_steps)
+    if isinstance(want, type):
+        assert got is want
+        return
+    for name, value in vars(want).items():
+        assert getattr(got.audit, name).dtype == value.dtype
+        assert_same_bits(getattr(got.audit, name), value)
