@@ -12,7 +12,8 @@ and one `<scenario>/<subcommand>/<artifact> <sha256>` line per analysis
 artifact.  Given the path of a listing saved from another checkout, it
 prints only the lines that differ, as a unified diff (saved listing first),
 so that "the artifacts are byte-identical to the parent's" is one command.
-Exits 1 if any run exits non-zero or any line differs.
+A RuntimeWarning (overflow, invalid value) is an error here, as under
+pytest.  Exits 1 if any run exits non-zero or warns, or any line differs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import difflib
 import hashlib
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,7 +35,11 @@ def digest_run(config: Path, command: str, prefix: str, lines: list) -> int:
     """Run one subcommand on config and append the digest line of each
     artifact to lines."""
     with tempfile.TemporaryDirectory() as tmp:
-        code = cli.main([command, "--config", str(config), "--out", tmp])
+        try:
+            code = cli.main([command, "--config", str(config), "--out", tmp])
+        except RuntimeWarning as exc:  # an error under the filter of main()
+            print(f"{prefix}: pedflow {command} warned: {exc}", file=sys.stderr)
+            return 1
         if code != 0:
             print(f"{prefix}: pedflow {command} exited with code {code}",
                   file=sys.stderr)
@@ -48,6 +54,7 @@ def main(argv=None) -> int:
     if len(argv) > 1:
         print("usage: scenario_digests.py [SAVED_LISTING]", file=sys.stderr)
         return 2
+    warnings.simplefilter("error", RuntimeWarning)
     configs = sorted((ROOT / "scenarios").glob("*.cfg"))
     status = 0
     lines = []

@@ -25,6 +25,7 @@ speeds of a hyperbolic state are ((c_pp - c_mm) -+ sqrt(Delta)) / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,7 @@ from .errors import DomainError
 BOUNDARY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class DiffusiveSpeeds:
+class DiffusiveSpeeds(NamedTuple):
     """Partial derivatives of the two-species flux pair.
 
     c_pp = d1 f(rho+,rho-), c_pm = d2 f(rho+,rho-), and the mirrored
@@ -71,9 +71,9 @@ def _flux_partials(model, rho_plus, rho_minus):
         _, h, hp = md._sim_h(model.flux_shape, rp, rm)
         return h + rp * hp, rp * hp, rm * hp, h + rm * hp
     if model.kind is md.ModelKind.TWO_WAY_CAR:
-        spd = md._two_way_char_speeds(model, rp, rm)
-        c_u_plus, c_u_minus = spd["c_u_plus"], spd["c_u_minus"]
-        return c_u_plus, -rp * spd["c_pm"], -rm * spd["c_mp"], -c_u_minus
+        _, _, c_pm, c_mp, c_u_plus, c_u_minus = md._two_way_char_speeds(
+            model, rp, rm, model.V, model.V)
+        return c_u_plus, -rp * c_pm, -rm * c_mp, -c_u_minus
     raise DomainError("the flux partials require a two-species first-order model")
 
 
@@ -85,10 +85,12 @@ def diffusive_speeds(model, rho_plus, rho_minus) -> DiffusiveSpeeds:
 
 
 def diffusive_discriminant(speeds: DiffusiveSpeeds):
-    """Discriminant Delta = (c_pp + c_mm)^2 - 4 c_pm c_mp; hyperbolic where
-    Delta >= 0.  Elementwise when the fields are arrays."""
-    s = speeds.c_pp + speeds.c_mm
-    return s * s - 4.0 * speeds.c_pm * speeds.c_mp
+    """Discriminant Delta = (c_pp + c_mm)^2 - 4 c_pm c_mp of a DiffusiveSpeeds
+    or of its four fields as a plain tuple; hyperbolic where Delta >= 0.
+    Elementwise when the fields are arrays."""
+    c_pp, c_pm, c_mp, c_mm = speeds
+    s = c_pp + c_mm
+    return s * s - 4.0 * c_pm * c_mp
 
 
 def dispersion(speeds: DiffusiveSpeeds, delta_diff, xi):
@@ -167,9 +169,7 @@ def instability_summary(speeds: DiffusiveSpeeds, delta_diff) -> StabilityReport:
 
 def delta_field(model, rho_plus, rho_minus):
     """Vectorized discriminant over arrays of uniform states."""
-    return diffusive_discriminant(
-        DiffusiveSpeeds(*_flux_partials(model, rho_plus, rho_minus))
-    )
+    return diffusive_discriminant(_flux_partials(model, rho_plus, rho_minus))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,10 @@ _ANALYSED = frozenset({md.ModelKind.SIM_FLUX, md.ModelKind.TWO_WAY_CAR})
 
 REQUIRED = object()  # default of a key that must be given
 MAX_STEPS = 10**7  # run.t_end / scheme.dt; the bundled runs take <= 50,000
+# cells (grid.n_cells * lanes.count), map nodes (map.resolution**2) and rows
+# (dispersion.n_points, table.n_points): one float array of 10**6 entries is
+# 8 MB, and a step or a map holds a few dozen; the bundled configs ask <= 40,000
+MAX_POINTS = 10**6
 
 
 def _float(text: str) -> float:
@@ -266,6 +270,13 @@ def build_config(raw: dict) -> ScenarioConfig:
         if (n_lanes > 1) != multi and any(key.startswith(prefix) for key in raw):
             mode = "multi-lane" if multi else "single-lane"
             raise ConfigError(f"{prefix}* keys apply to {mode} runs only")
+    sizes = {"grid.n_cells * lanes.count": values["grid.n_cells"] * n_lanes,
+             "map.resolution**2": values.get("map.resolution", 0) ** 2,
+             "dispersion.n_points": values.get("dispersion.n_points", 0),
+             "table.n_points": values.get("table.n_points", 0)}
+    for name, size in sizes.items():
+        if size > MAX_POINTS:
+            raise ConfigError(f"{name} must be <= {MAX_POINTS:.0e}")
     stiffness = values.get("rates.lambda0", 0.0) * values["scheme.dt"]
     if stiffness > 1.0 + 1e-12:
         raise ConfigError(f"rates.lambda0 * scheme.dt = {stiffness:.3g} exceeds 1")
@@ -296,6 +307,11 @@ def build_config(raw: dict) -> ScenarioConfig:
         model = getattr(md.ModelSpec, kind.value)(**model_args)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
+    # noise past the density scale (rho_star, or 1 where the sim_flux profile
+    # ends) leaves nothing of the base state; sigma = 1e200 overflowed
+    scale = model.pressure.rho_star if kind in _PRESSURE else 1.0
+    if values["noise.sigma"] > scale:
+        raise ConfigError(f"noise.sigma must be <= {scale:g}, the density scale")
     if values["run.t_end"] / values["scheme.dt"] > MAX_STEPS:
         raise ConfigError(f"run.t_end / scheme.dt must be <= {MAX_STEPS:.0e}")
     cfg = ScenarioConfig(model=model, checks=parts["check"], **built, **parts["fields"])
@@ -524,10 +540,7 @@ def _summary_rows(report: an.StabilityReport):
 def _stability_rows(report: an.StabilityReport):
     rows = _summary_rows(report)
     if report.eigenvalues is not None:
-        rows += [
-            ("eigenvalue_minus", report.eigenvalues[0]),
-            ("eigenvalue_plus", report.eigenvalues[1]),
-        ]
+        rows += zip(("eigenvalue_minus", "eigenvalue_plus"), report.eigenvalues)
     return rows
 
 
@@ -736,10 +749,7 @@ def _cmd_pressure_table(cfg: ScenarioConfig, outdir: Path, args) -> int:
                       params.rho_star * 0.999)
     rho = np.linspace(0.0, rho_max, cfg.table_n_points)
     P, S, dP, dS = pr.one_way_offsets(params, rho, partials=True)
-    width = np.zeros_like(rho)
-    pos = rho > 0
-    width[pos] = pr.crossover_width(params, rho[pos])
-    columns = (rho, P, S, P + S, dP + dS, width)
+    columns = (rho, P, S, P + S, dP + dS, pr.crossover_width(params, rho))
     _write_csv(
         outdir / "pressure_table.csv",
         ["rho", "background", "singular", "total", "total_derivative",

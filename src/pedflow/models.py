@@ -155,7 +155,7 @@ class ModelSpec:
         """Physical flux of an admissible conserved state, row for row."""
         U = np.asarray(U, dtype=float)
         if self.kind is ModelKind.SIM_FLUX:
-            F = U * _sim_h(self.flux_shape, U[0], U[1])[1]
+            F = U * _sim_h(self.flux_shape, U[0], U[1], derivative=False)[1]
             F[1] *= -1.0  # (rho+ h, -rho- h): (-a) * b == -(a * b) exactly
             return F
         if self.kind is ModelKind.ONE_WAY_CAR:
@@ -204,33 +204,34 @@ class ModelSpec:
         if self.kind is ModelKind.TWO_WAY_AR:
             rho_p, w_p, _ = _species_primitives(U[0], U[1])
             rho_m, w_m, _ = _species_primitives(U[2], U[3])
-            spd = _two_way_char_speeds(self, rho_p, rho_m, w_p, w_m)
         else:
-            rho_p, rho_m = U[0], U[1]
-            spd = _two_way_char_speeds(self, rho_p, rho_m)
-        c_u_plus, c_u_minus = spd["c_u_plus"], spd["c_u_minus"]
+            rho_p, rho_m, w_p, w_m = U[0], U[1], self.V, self.V
+        u_plus, u_minus, c_pm, c_mp, c_u_plus, c_u_minus = _two_way_char_speeds(
+            self, rho_p, rho_m, w_p, w_m)
         # Delta in the order of the decoupled speeds, not in the flux-partial
         # order of analysis.diffusive_discriminant: the two round differently,
         # and the latter changes the two_lane.cfg audit.csv.
         diff = c_u_plus - c_u_minus
-        delta = diff * diff - 4.0 * rho_p * rho_m * spd["c_pm"] * spd["c_mp"]
+        delta = diff * diff - 4.0 * rho_p * rho_m * c_pm * c_mp
         out = _pair_max_modulus(c_u_plus + c_u_minus, delta)
         if self.kind is ModelKind.TWO_WAY_AR:
-            out = np.maximum(out, np.maximum(np.abs(spd["u_plus"]), np.abs(spd["u_minus"])))
+            out = np.maximum(out, np.maximum(np.abs(u_plus), np.abs(u_minus)))
         return out
 
 
 def _pair_max_modulus(trace, disc):
     """max |lambda| for the root pair (trace +- sqrt(disc)) / 2."""
-    sq = np.sqrt(np.abs(disc))
+    abs_disc = np.abs(disc)
+    sq = np.sqrt(abs_disc)
     # sq >= 0, so fl(|trace| + sq) = max(|fl(trace + sq)|, |fl(trace - sq)|)
     real_case = 0.5 * (np.abs(trace) + sq)
-    complex_case = 0.5 * np.sqrt(trace * trace + np.abs(disc))
+    complex_case = 0.5 * np.sqrt(trace * trace + abs_disc)
     return np.where(disc >= 0.0, real_case, complex_case)
 
 
-def _sim_h(params: SimFluxParams, rho_plus, rho_minus):
-    """Total density rho of two non-negative species, h = g(rho)/rho and h'.
+def _sim_h(params: SimFluxParams, rho_plus, rho_minus, derivative=True):
+    """Total density rho of two non-negative species, h = g(rho)/rho and
+    h', or None in place of h' with derivative=False (the flux reads h only).
 
     The 0/0 at vacuum is removed: on [0, a] the ratio is exactly the
     polynomial 1 - rho/(2a), so the vacuum limit h(0) = 1 needs no special
@@ -239,18 +240,20 @@ def _sim_h(params: SimFluxParams, rho_plus, rho_minus):
     a = params.a
     r = np.asarray(rho_plus + rho_minus, dtype=float)
     h = np.asarray(1.0 - r / (2.0 * a))  # an array also for 0-d input
-    hp = np.full(r.shape, -1.0 / (2.0 * a))
+    hp = np.full(r.shape, -1.0 / (2.0 * a)) if derivative else None
     mid = (r > a) & (r <= 1.0)
     if mid.any():  # most states of a stable run have no cell in (a, 1]
         rs = r[mid]
         d = a - rs
         g = a / 2.0 - a * d**2 / (2.0 * (1.0 - a) ** 2)
-        gp = a * d / (1.0 - a) ** 2
         h[mid] = g / rs
-        hp[mid] = (gp * rs - g) / rs**2
+        if derivative:
+            gp = a * d / (1.0 - a) ** 2
+            hp[mid] = (gp * rs - g) / rs**2
     high = r > 1.0
     h[high] = 0.0
-    hp[high] = 0.0
+    if derivative:
+        hp[high] = 0.0
     return r, h, hp
 
 
@@ -288,29 +291,20 @@ def ar_primitives(model: ModelSpec, U: np.ndarray, partials=False):
     return rho, w, u, parts[2] + parts[3]
 
 
-def _two_way_char_speeds(model, rho_plus, rho_minus, w_plus=None, w_minus=None):
-    """Characteristic ingredients of a two-way pressure-coupled model.
+def _two_way_char_speeds(model, rho_plus, rho_minus, w_plus, w_minus):
+    """Characteristic ingredients of a two-way pressure-coupled model, with
+    w = V for the constant-desired-speed models.
 
-    For constant-desired-speed models w defaults to V.  Returns actual
-    speeds u+-, the cross pressure partials c_pm = d p(rho+,rho-)/d rho-
-    and c_mp = d p(rho-,rho+)/d rho+, and the decoupled speeds
-    c_u+ = u+ - rho+ d1p(rho+,rho-), c_u- = u- + rho- d1p(rho-,rho+).
+    Returns the actual speeds u+-, the cross pressure partials
+    c_pm = d p(rho+,rho-)/d rho- and c_mp = d p(rho-,rho+)/d rho+, and the
+    decoupled speeds c_u+ = u+ - rho+ d1p(rho+,rho-) and
+    c_u- = u- + rho- d1p(rho-,rho+), as (u+, u-, c_pm, c_mp, c_u+, c_u-).
     """
-    if w_plus is None:
-        w_plus = model.V
-    if w_minus is None:
-        w_minus = model.V
     p_plus, p_minus, (c_pp, c_pm), (c_mm, c_mp) = pr.two_way_offsets(
         model.pressure, model.crowding, model.crowding_minus, rho_plus, rho_minus,
         partials=True,
     )
     u_plus = w_plus - p_plus
     u_minus = -w_minus + p_minus
-    return {
-        "u_plus": u_plus,
-        "u_minus": u_minus,
-        "c_pm": c_pm,
-        "c_mp": c_mp,
-        "c_u_plus": u_plus - rho_plus * c_pp,
-        "c_u_minus": u_minus + rho_minus * c_mm,
-    }
+    return (u_plus, u_minus, c_pm, c_mp,
+            u_plus - rho_plus * c_pp, u_minus + rho_minus * c_mm)

@@ -78,6 +78,9 @@ class CrowdingWeight:
     * constant: q = 1 (beta ignored)
     * affine:   q = 1 + beta * rho / rho_star
     * power:    q = (1 + rho / rho_star) ** beta
+
+    A value or derivative that does not vary with rho is a float, whose
+    product with an array has the bits of the product with an array of it.
     """
 
     kind: CrowdingKind = CrowdingKind.AFFINE
@@ -89,19 +92,19 @@ class CrowdingWeight:
             raise DomainError(f"beta must be >= 0, got {self.beta}")
 
     def value(self, rho, rho_star):
-        r = np.asarray(rho, dtype=float)
         if self.kind is CrowdingKind.CONSTANT:
-            return np.ones_like(r)
+            return 1.0
+        r = np.asarray(rho, dtype=float)
         if self.kind is CrowdingKind.AFFINE:
             return 1.0 + self.beta * r / rho_star
         return (1.0 + r / rho_star) ** self.beta
 
     def derivative(self, rho, rho_star):
-        r = np.asarray(rho, dtype=float)
         if self.kind is CrowdingKind.CONSTANT:
-            return np.zeros_like(r)
+            return 0.0
         if self.kind is CrowdingKind.AFFINE:
-            return np.full_like(r, self.beta / rho_star)
+            return self.beta / rho_star
+        r = np.asarray(rho, dtype=float)
         return self.beta * (1.0 + r / rho_star) ** (self.beta - 1.0) / rho_star
 
 
@@ -147,11 +150,9 @@ def one_way_offsets(params: PressureParams, rho, partials=False):
 
 
 def crossover_width(params: PressureParams, rho):
-    """Width rho * rho_star * eps**(1/gamma), for 0 < rho <= rho_star, of
+    """Width rho * rho_star * eps**(1/gamma), for 0 <= rho <= rho_star, of
     the band below rho_star where the singular correction becomes order one."""
     r = np.asarray(rho, dtype=float)
-    if params.eps == 0:
-        return np.zeros_like(r)
     return r * params.rho_star * params.eps ** (1.0 / params.gamma)
 
 
@@ -195,13 +196,13 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
             offsets.append(P)
             pairs.append((dP, dP))
             continue
-        qv = np.asarray(q.value(own, params.rho_star))
+        qv = q.value(own, params.rho_star)
         corr = zero_at(vac, params.eps / (qv * zg))
         offsets.append(P + corr)
         if partials:
             if zg_partials is not zg:
                 corr = zero_at(vac, params.eps / (qv * zg_partials))
-            dq = np.asarray(q.derivative(own, params.rho_star))
+            dq = q.derivative(own, params.rho_star)
             # d/d(total) of eps/(q z^gamma) at fixed q, plus the q(rho_own) term
             dtotal = zero_at(vac, corr * params.gamma / z_tot2)
             d_other = dP + dtotal

@@ -21,13 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BlowUpError,
-    ClipBudgetError,
-    CongestionOverflowError,
-    DomainError,
-    StabilityError,
-)
+from .errors import (BlowUpError, ClipBudgetError, CongestionOverflowError,
+                     DomainError, StabilityError)
 from .pressure import CONGESTION_REL_TOL
 
 #: Fraction of the initial mass that negative-density clipping may

@@ -1,5 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pedflow import analysis as an
 from pedflow import models as md
@@ -391,3 +396,84 @@ def test_map_bisection_matches_the_array_reference(model, monkeypatch):
         got.boundary_points.view(np.int64), want.boundary_points.view(np.int64)
     )
     np.testing.assert_array_equal(got.hyperbolic, want.hyperbolic)
+
+
+# delta_field when it built a frozen DiffusiveSpeeds record per call from
+# the partials of a dict of characteristic speeds, kept as the reference for
+# the plain tuple it passes to diffusive_discriminant now.
+
+
+@dataclass(frozen=True)
+class ReferenceSpeeds:
+    c_pp: float
+    c_pm: float
+    c_mp: float
+    c_mm: float
+
+
+def reference_delta_field(model, rho_plus, rho_minus):
+    rp = np.asarray(rho_plus, dtype=float)
+    rm = np.asarray(rho_minus, dtype=float)
+    if model.kind is md.ModelKind.SIM_FLUX:
+        _, h, hp = md._sim_h(model.flux_shape, rp, rm)
+        speeds = ReferenceSpeeds(h + rp * hp, rp * hp, rm * hp, h + rm * hp)
+    else:
+        p_plus, p_minus, (c_pp, c_pm), (c_mm, c_mp) = pr.two_way_offsets(
+            model.pressure, model.crowding, model.crowding_minus, rp, rm,
+            partials=True)
+        u_plus, u_minus = model.V - p_plus, -model.V + p_minus
+        spd = {"c_pm": c_pm, "c_mp": c_mp, "c_u_plus": u_plus - rp * c_pp,
+               "c_u_minus": u_minus + rm * c_mm}
+        speeds = ReferenceSpeeds(spd["c_u_plus"], -rp * spd["c_pm"],
+                                 -rm * spd["c_mp"], -spd["c_u_minus"])
+    s = speeds.c_pp + speeds.c_mm
+    return s * s - 4.0 * speeds.c_pm * speeds.c_mp
+
+
+# +-0.0, the smallest subnormal, a subnormal, a total below VACUUM_FLOOR,
+# and the kinks a = 0.7 and 1 of the default sim_flux profile
+EDGE_DENSITIES = [0.0, -0.0, 5e-324, 1e-310, 0.25 * pr.VACUUM_FLOOR, 0.35, 0.5]
+
+crowding_weights = st.builds(pr.CrowdingWeight, kind=st.sampled_from(list(pr.CrowdingKind)),
+                             beta=st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 3.0))
+
+
+@st.composite
+def delta_models(draw):
+    """A sim_flux model and the largest species density it is drawn at
+    (1e300), or a two_way_car model and rho_star / 2 (an admissible state);
+    rho_star = 1e300 puts totals up to about 1e300 into the pressure law."""
+    if draw(st.booleans()):
+        return md.ModelSpec.sim_flux(draw(st.just(0.7) | st.floats(0.05, 0.95))), 1e300
+    params = pr.PressureParams(
+        M=draw(st.floats(0.0, 2.0)), m=draw(st.sampled_from([1.0, 2.0]) | st.floats(1.0, 4.0)),
+        eps=draw(st.just(0.0) | st.floats(1e-4, 0.5)),
+        gamma=draw(st.sampled_from([2.0, 3.0]) | st.floats(1.01, 4.0)),
+        rho_star=draw(st.sampled_from([1.0, 1e300]) | st.floats(0.5, 2.0)))
+    model = md.ModelSpec.two_way_car(V=draw(st.floats(0.1, 2.0)), pressure=params,
+                                     crowding=draw(crowding_weights),
+                                     crowding_minus=draw(crowding_weights))
+    return model, 0.49 * params.rho_star
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_delta_field_matches_the_record_reference(data):
+    model, top = data.draw(delta_models())
+    elements = st.sampled_from(EDGE_DENSITIES) | st.floats(0.0, top)
+    form = data.draw(st.sampled_from(["float", "0-d", (7,), (2, 9)]))
+    pair = []
+    for _ in range(2):
+        if form in ("float", "0-d"):
+            rho = data.draw(elements)
+            pair.append(rho if form == "float" else np.asarray(rho))
+        else:
+            pair.append(data.draw(hnp.arrays(np.float64, form, elements=elements)))
+    # the pressure law overflows to inf near rho_star = 1e300, in both alike;
+    # sim_flux must not warn at any total
+    with np.errstate(all="ignore" if model.pressure is not None else None):
+        got = an.delta_field(model, *pair)
+        want = reference_delta_field(model, *pair)
+    assert np.shape(got) == np.shape(want)
+    np.testing.assert_array_equal(np.asarray(got, dtype=float).view(np.int64),
+                                  np.asarray(want, dtype=float).view(np.int64))

@@ -863,6 +863,57 @@ noise.seed = 2
         cfg = cli.load_config(base_config(tmp_path, {"run.t_end": at_ceiling}))
         assert sv.step_count(cfg.t_end, cfg.scheme.dt) == cli.MAX_STEPS
 
+    def test_noise_past_the_density_scale_is_rejected_before_any_output(
+            self, tmp_path, capsys):
+        # clusters.cfg with noise.sigma = 1e200 exited 0 after an overflow in
+        # the limiter
+        text = (ROOT / "scenarios" / "clusters.cfg").read_text()
+        cfg_path = write_config(tmp_path, text.replace("noise.sigma = 1e-2",
+                                                       "noise.sigma = 1e200"))
+        with pytest.raises(ConfigError, match="noise.sigma must be <= 1,"):
+            cli.load_config(cfg_path)
+        assert simulate_exit_code(cfg_path, tmp_path) == 2
+        assert "config error: noise.sigma must be <= 1," in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # the scale is 1 for sim_flux and pressure.rho_star for the other kinds
+        for kind, keys, scale in (
+                (md.ModelKind.SIM_FLUX, {}, 1.0),
+                (md.ModelKind.TWO_WAY_CAR, {"pressure.rho_star": "2.0"}, 2.0),
+                (md.ModelKind.ONE_WAY_AR, {"pressure.rho_star": "0.5"}, 0.5)):
+            at_scale = kind_config(tmp_path, kind, {**keys, "noise.sigma": repr(scale)})
+            assert cli.load_config(at_scale).sigma == scale
+            above = kind_config(tmp_path, kind, {
+                **keys, "noise.sigma": repr(float(np.nextafter(scale, 2 * scale)))})
+            with pytest.raises(ConfigError, match=f"noise.sigma must be <= {scale:g},"):
+                cli.load_config(above)
+
+    # map.resolution = 100000 asked np.meshgrid for two 10**10-entry arrays
+    # (80 GB each); only the load rule is run here, never a large case
+    @pytest.mark.parametrize("command, keys, name", [
+        ("simulate", {"grid.n_cells": "1000001"}, "grid.n_cells * lanes.count"),
+        ("simulate", {"grid.n_cells": "500001", "lanes.count": "2"},
+         "grid.n_cells * lanes.count"),
+        ("hyperbolicity-map", {"map.resolution": "1001"}, "map.resolution**2"),
+        ("dispersion", {"dispersion.n_points": "1000001"}, "dispersion.n_points"),
+        ("pressure-table", {"table.n_points": "1000001"}, "table.n_points"),
+    ], ids=["cells", "cells_times_lanes", "map", "dispersion", "table"])
+    def test_sizes_past_the_ceiling_are_rejected_before_any_output(
+            self, tmp_path, command, keys, name):
+        cfg_path = kind_config(tmp_path, md.ModelKind.TWO_WAY_CAR, keys)
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be <= 1e+06")):
+            cli.load_config(cfg_path)
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_sizes_at_the_ceiling_load(self, tmp_path):
+        assert cli.MAX_POINTS == 10**6
+        cfg = cli.load_config(kind_config(tmp_path, md.ModelKind.TWO_WAY_CAR, {
+            "grid.n_cells": "500000", "lanes.count": "2", "map.resolution": "1000",
+            "dispersion.n_points": "1000000", "table.n_points": "1000000"}))
+        assert (cfg.grid.n_cells * cfg.n_lanes, cfg.map_resolution ** 2,
+                cfg.dispersion_n_points, cfg.table_n_points) == (10**6,) * 4
+
 
 ROOT = TWO_LANE_CFG.parent.parent
 

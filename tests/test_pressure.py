@@ -254,7 +254,8 @@ class TestCrowdingWeight:
     def test_kinds_positive_increasing_bounded(self):
         rho = np.linspace(0.0, 1.0, 50)
         for q in ALL_WEIGHTS:
-            v = q.value(rho, 1.0)
+            # the constant weight is the float 1.0, whatever the shape of rho
+            v = np.broadcast_to(q.value(rho, 1.0), rho.shape)
             assert np.all(v > 0)
             assert np.all(np.diff(v) >= 0)
             assert np.all(v <= 4.0)  # O(1) on [0, rho_star]
@@ -412,6 +413,116 @@ def test_two_way_offsets_match_per_direction_reference(params, q_plus, q_minus, 
     assert_bitwise_equal(wrapped[0], want[0])
     assert_bitwise_equal(wrapped[1][0], want[3][0])
     assert_bitwise_equal(wrapped[1][1], want[3][1])
+
+
+# two_way_offsets when the crowding weight and its slope were arrays of the
+# density's shape for every kind (np.ones_like, np.zeros_like, np.full_like),
+# kept as the reference for the float constants that replaced them.
+
+
+def reference_array_crowding(q, rho, rho_star):
+    """(q(rho), q'(rho)) as arrays of rho's shape, 0-d for a scalar rho."""
+    r = np.asarray(rho, dtype=float)
+    if q.kind is pr.CrowdingKind.CONSTANT:
+        return np.ones_like(r), np.zeros_like(r)
+    if q.kind is pr.CrowdingKind.AFFINE:
+        return 1.0 + q.beta * r / rho_star, np.full_like(r, q.beta / rho_star)
+    return ((1.0 + r / rho_star) ** q.beta,
+            q.beta * (1.0 + r / rho_star) ** (q.beta - 1.0) / rho_star)
+
+
+def reference_array_crowding_offsets(params, q_plus, q_minus, rho_plus, rho_minus,
+                                     partials=False):
+    plus = np.asarray(rho_plus, dtype=float)
+    minus = np.asarray(rho_minus, dtype=float)
+    total = plus + minus
+    r = np.asarray(total)
+    P = params.M * r**params.m
+    dP = params.M * params.m * r ** (params.m - 1.0) if partials else None
+    if params.eps > 0:
+        vac = pr.vacuum_mask(total)
+        tot = r if vac is None else np.where(vac, 0.5 * params.rho_star, total)
+        z = 1.0 / tot - 1.0 / params.rho_star
+        zg = np.asarray(z) ** params.gamma
+        if partials:
+            zg_partials = zg if isinstance(z, np.ndarray) else z**params.gamma
+            z_tot2 = z * tot**2
+    offsets, pairs = [], []
+    for q, own in ((q_plus, plus), (q_minus, minus)):
+        if params.eps == 0:
+            offsets.append(P)
+            pairs.append((dP, dP))
+            continue
+        qv, dq = (np.asarray(a) for a in reference_array_crowding(q, own, params.rho_star))
+        corr = pr.zero_at(vac, params.eps / (qv * zg))
+        offsets.append(P + corr)
+        if partials:
+            if zg_partials is not zg:
+                corr = pr.zero_at(vac, params.eps / (qv * zg_partials))
+            dtotal = pr.zero_at(vac, corr * params.gamma / z_tot2)
+            d_other = dP + dtotal
+            pairs.append((d_other - pr.zero_at(vac, corr * dq / qv), d_other))
+    if not partials:
+        return tuple(offsets)
+    return tuple(offsets) + tuple(pairs)
+
+
+# +-0.0, the smallest subnormal, a subnormal, a total below VACUUM_FLOOR
+EDGE_DENSITIES = [0.0, -0.0, 5e-324, 1e-310, 0.25 * pr.VACUUM_FLOOR]
+
+
+@st.composite
+def edge_density_pairs(draw, rho_star):
+    """(rho_plus, rho_minus) as floats, 0-d arrays, (7,) or (2, 9) arrays:
+    each species below rho_star / 2, so an admissible state.  With vacuum,
+    the first entry of both species is drawn from EDGE_DENSITIES, so the
+    first total is below VACUUM_FLOOR; without, no total is."""
+    vacuum = draw(st.booleans())
+    live = st.floats(2 * pr.VACUUM_FLOOR, 0.49 * rho_star)
+    elements = st.sampled_from(EDGE_DENSITIES) | live if vacuum else live
+    form = draw(st.sampled_from(["float", "0-d", (7,), (2, 9)]))
+    pair = []
+    for _ in range(2):
+        if form in ("float", "0-d"):
+            rho = draw(st.sampled_from(EDGE_DENSITIES) if vacuum else live)
+            pair.append(rho if form == "float" else np.asarray(rho))
+            continue
+        rho = draw(hnp.arrays(np.float64, form, elements=elements))
+        if vacuum:
+            rho.flat[0] = draw(st.sampled_from(EDGE_DENSITIES))
+        pair.append(rho)
+    return tuple(pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # rho_star = 1e300 puts totals up to about 1e300 into the laws
+    params=st.builds(pr.PressureParams, M=st.floats(0.0, 2.0),
+                     m=st.sampled_from([1.0, 1.5, 2.0, 3.0]) | st.floats(1.0, 4.0),
+                     eps=st.just(0.0) | st.floats(1e-4, 0.5),
+                     gamma=st.sampled_from([2.0, 3.0]) | st.floats(1.01, 4.0),
+                     rho_star=st.sampled_from([1.0, 1e300]) | st.floats(0.5, 2.0)),
+    q_plus=crowding_weights,
+    q_minus=crowding_weights,
+    data=st.data(),
+)
+def test_two_way_offsets_match_the_array_crowding_reference(params, q_plus, q_minus, data):
+    rho_plus, rho_minus = data.draw(edge_density_pairs(params.rho_star))
+    # near rho_star = 1e300 the laws overflow to inf in both versions alike
+    with np.errstate(all="ignore"):
+        for partials in (False, True):
+            got = pr.two_way_offsets(params, q_plus, q_minus, rho_plus, rho_minus, partials)
+            want = reference_array_crowding_offsets(params, q_plus, q_minus,
+                                                    rho_plus, rho_minus, partials)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                for g_part, w_part in (zip(g, w) if isinstance(w, tuple) else [(g, w)]):
+                    assert_bitwise_equal(g_part, w_part)
+        for q, own in ((q_plus, rho_plus), (q_minus, rho_minus)):
+            want = reference_array_crowding(q, own, params.rho_star)
+            got = (q.value(own, params.rho_star), q.derivative(own, params.rho_star))
+            for g, w in zip(got, want):
+                assert_bitwise_equal(np.broadcast_to(g, np.shape(own)), w)
 
 
 # The six one-way functions that one_way_offsets replaced, kept as the

@@ -532,7 +532,8 @@ def reference_advance(model, U, grid, params):
     return U_new, cfl, clipped
 
 
-def reference_sim_h(params, rho_plus, rho_minus):
+def reference_sim_h(params, rho_plus, rho_minus, derivative=True):
+    """h and h' by np.where; the h-only request still computes both."""
     a = params.a
     r = np.asarray(rho_plus + rho_minus, dtype=float)
     h = 1.0 - r / (2.0 * a)
@@ -547,7 +548,7 @@ def reference_sim_h(params, rho_plus, rho_minus):
     high = r > 1.0
     h = np.where(high, 0.0, h)
     hp = np.where(high, 0.0, hp)
-    return r, h, hp
+    return r, h, hp if derivative else None
 
 
 def assert_same_bits(got, want):
@@ -623,6 +624,32 @@ def test_sim_h_matches_the_where_reference(rho_plus, rho_minus):
     for rp, rm in cases:
         for got, want in zip(md._sim_h(params, rp, rm), reference_sim_h(params, rp, rm)):
             assert_same_bits(got, want)
+
+
+# +-0.0, the smallest subnormal, a subnormal, and the kinks a and 1
+SIM_H_EDGES = [0.0, -0.0, 5e-324, 1e-310, 0.35, 0.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.just(0.7) | st.floats(0.05, 0.95), data=st.data())
+def test_sim_h_without_the_derivative_gives_the_same_h(a, data):
+    # species densities up to 1e300 each; the flux asks for h only
+    params = md.SimFluxParams(a=a)
+    elements = st.sampled_from(SIM_H_EDGES) | st.floats(0.0, 1e300) | st.floats(0.0, 1.0)
+    form = data.draw(st.sampled_from(["float", "0-d", (7,), (2, 9)]))
+    pair = []
+    for _ in range(2):
+        if form in ("float", "0-d"):
+            rho = data.draw(elements)
+            pair.append(rho if form == "float" else np.asarray(rho))
+        else:
+            pair.append(data.draw(hnp.arrays(np.float64, form, elements=elements)))
+    r, h, hp = md._sim_h(params, *pair, derivative=False)
+    assert hp is None
+    for got, want in zip((r, h), md._sim_h(params, *pair)):
+        assert_same_bits(got, want)
+    for got, want in zip(md._sim_h(params, *pair), reference_sim_h(params, *pair)):
+        assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("kind", list(ALL_KINDS), ids=lambda kind: kind.value)
