@@ -327,7 +327,37 @@ def build_config(raw: dict) -> ScenarioConfig:
                 1.0 - pr.CONGESTION_REL_TOL):
             raise ConfigError(f"{name} must be < pressure.rho_star * "
                               f"(1 - {pr.CONGESTION_REL_TOL:g})")
+    if kind in _PRESSURE and not _law_is_finite(model):
+        raise ConfigError(
+            "the pressure law overflows: offsets, partials and crossover width "
+            f"must be finite at the total densities {pr.VACUUM_FLOOR:g}, pressure."
+            f"rho_star / 2 and pressure.rho_star * (1 - {pr.CONGESTION_REL_TOL:g})")
     return cfg
+
+
+def _law_is_finite(model: md.ModelSpec) -> bool:
+    """Whether the one-way offsets (the pressure table's law), the two-way
+    offsets of a two-way model with the whole total on either side, all
+    their partials and the crossover width are finite, with no overflow, at
+    the smallest total the law sees (VACUUM_FLOOR), at rho_star / 2 and at
+    the jam bound: the powers of rho and of 1/rho - 1/rho_star peak at the ends."""
+    law = model.pressure
+    totals = np.array([pr.VACUUM_FLOOR, 0.5 * law.rho_star,
+                       law.rho_star * (1.0 - pr.CONGESTION_REL_TOL)])
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            values = [*pr.one_way_offsets(law, totals, partials=True),
+                      pr.crossover_width(law, totals)]
+            if model.crowding is not None:
+                zero = np.zeros_like(totals)
+                p_plus, p_minus, d_plus, d_minus = pr.two_way_offsets(
+                    law, model.crowding, model.crowding_minus,
+                    np.concatenate([totals, zero]), np.concatenate([zero, totals]),
+                    partials=True)
+                values += [p_plus, p_minus, *d_plus, *d_minus]
+    except FloatingPointError:
+        return False
+    return all(np.isfinite(v).all() for v in values)
 
 
 def load_config(path) -> ScenarioConfig:

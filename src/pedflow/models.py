@@ -152,7 +152,9 @@ class ModelSpec:
         return _DENSITY_ROWS[self.kind]
 
     def flux(self, U: np.ndarray) -> np.ndarray:
-        """Physical flux of an admissible conserved state, row for row."""
+        """Physical flux of an admissible conserved state, row for row, as a
+        new array that shares no memory with U: solver.central_flux works
+        in place on it."""
         U = np.asarray(U, dtype=float)
         if self.kind is ModelKind.SIM_FLUX:
             F = U * _sim_h(self.flux_shape, U[0], U[1], derivative=False)[1]
@@ -163,9 +165,13 @@ class ModelSpec:
             P, S = pr.one_way_offsets(self.pressure, rho)
             return np.stack([rho * (self.V - (P + S))])
         if self.kind is ModelKind.TWO_WAY_CAR:
-            rho_p, rho_m = U[0], U[1]
-            p_plus, p_minus = two_way_pressures(self, rho_p, rho_m)
-            return np.stack([rho_p * (self.V - p_plus), -rho_m * (self.V - p_minus)])
+            p_plus, p_minus = two_way_pressures(self, U[0], U[1])
+            F = np.empty(U.shape)  # F[i, ...] is a view also of a (C,) state
+            np.subtract(self.V, p_plus, out=F[0, ...])
+            np.subtract(self.V, p_minus, out=F[1, ...])
+            F *= U
+            F[1] *= -1.0  # (rho+ (V - p+), -rho- (V - p-))
+            return F
         # Dynamic desired speed: (rho u, rho w u) per species, with
         # u = w - p(rho) one-way, u+ = w+ - p(rho+,rho-) and
         # u- = -w- + p(rho-,rho+) two-way.
@@ -175,9 +181,11 @@ class ModelSpec:
         rho_p, w_p, vac_p = _species_primitives(U[0], U[1])
         rho_m, w_m, vac_m = _species_primitives(U[2], U[3])
         p_plus, p_minus = two_way_pressures(self, rho_p, rho_m)
-        u_p = pr.zero_at(vac_p, w_p - p_plus)
-        u_m = pr.zero_at(vac_m, -w_m + p_minus)
-        return np.stack([rho_p * u_p, U[1] * u_p, rho_m * u_m, U[3] * u_m])
+        F = np.empty(U.shape)
+        F[:2] = pr.zero_at(vac_p, w_p - p_plus)
+        F[2:] = pr.zero_at(vac_m, -w_m + p_minus)
+        F *= U  # (rho+ u+, rho+ w+ u+, rho- u-, rho- w- u-)
+        return F
 
     def max_abs_speed(self, U: np.ndarray) -> np.ndarray:
         """Largest absolute characteristic speed per cell of an admissible U.

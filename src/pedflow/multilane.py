@@ -148,18 +148,19 @@ def _offsets_and_speeds(model: md.ModelSpec, U: np.ndarray):
     """Densities, offsets, actual and desired speeds of stacked lanes.
 
     U is the (C, K, n) state; every result is (K, 2, n), rho a view of
-    U.  The desired speed w is V for constant-desired-speed lanes.
+    U, except the desired speed w: the float V for constant-desired-speed
+    lanes.
     """
     rho = sv.density_view(model, U).swapaxes(0, 1)
     p_plus, p_minus = md.two_way_pressures(model, rho[:, 0], rho[:, 1])
     p = np.stack([p_plus, p_minus], axis=1)
     if model.kind is md.ModelKind.TWO_WAY_CAR:
-        w = np.full_like(p, model.V)
+        w = w_p = w_m = model.V
     else:
         _, w_p, _ = md._species_primitives(U[0], U[1])
         _, w_m, _ = md._species_primitives(U[2], U[3])
         w = np.stack([w_p, w_m], axis=1)
-    u = np.stack([w[:, 0] - p_plus, -w[:, 1] + p_minus], axis=1)
+    u = np.stack([w_p - p_plus, -w_m + p_minus], axis=1)
     return rho, p, u, w
 
 

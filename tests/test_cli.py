@@ -914,6 +914,29 @@ noise.seed = 2
         assert (cfg.grid.n_cells * cfg.n_lanes, cfg.map_resolution ** 2,
                 cfg.dispersion_n_points, cfg.table_n_points) == (10**6,) * 4
 
+    # Each overflowed in the pressure law (a RuntimeWarning, an error under
+    # the suite's filter) after creating --out: eps in a scalar divide of the
+    # initial stability summary and in a divide of the map, gamma in the
+    # power of 1/rho - 1/rho_star, rho_star in the power of the background.
+    @pytest.mark.parametrize("scenario, key, command, extra", [
+        ("two_lane.cfg", "pressure.eps", "simulate", ""),
+        ("two_lane.cfg", "pressure.eps", "hyperbolicity-map", "map.resolution = 20\n"),
+        ("pressure.cfg", "pressure.gamma", "simulate", ""),
+        ("pressure.cfg", "pressure.rho_star", "pressure-table", ""),
+    ], ids=["eps_simulate", "eps_map", "gamma_simulate", "rho_star_table"])
+    def test_a_pressure_law_that_overflows_is_rejected_before_any_output(
+            self, tmp_path, capsys, scenario, key, command, extra):
+        text, n = re.subn(rf"^{re.escape(key)} = .*$", f"{key} = 1e308",
+                          (ROOT / "scenarios" / scenario).read_text(), flags=re.M)
+        assert n == 1
+        cfg_path = write_config(tmp_path, text + extra)
+        with pytest.raises(ConfigError, match="the pressure law overflows"):
+            cli.load_config(cfg_path)
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "config error: the pressure law overflows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 ROOT = TWO_LANE_CFG.parent.parent
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from pedflow.errors import (
     DomainError,
     PedflowError,
     StabilityError,
+    VacuumError,
 )
 
 SIM = md.ModelSpec.sim_flux(0.7)
@@ -702,12 +705,106 @@ edge_floats = (st.sampled_from(EDGE_MAGNITUDES + [-x for x in EDGE_MAGNITUDES])
 @settings(max_examples=500, deadline=None)
 @given(shape=st.sampled_from([(), (5,), (2, 7)]), data=st.data())
 def test_minmod_matches_the_sign_and_minimum_reference(shape, data):
-    a = data.draw(hnp.arrays(np.float64, shape, elements=edge_floats))
+    # nan and +-inf too: the minmod of a pair with a nan, or of inf and 0,
+    # is +0.0, as with the np.where form (a float multiply by a 0/1 mask
+    # gives nan there)
+    elements = edge_floats | st.sampled_from([np.nan, np.inf, -np.inf])
+    a = data.draw(hnp.arrays(np.float64, shape, elements=elements))
     # b is often a itself, -a or a scaled copy, so |a| = |b| ties occur
-    b = data.draw(hnp.arrays(np.float64, shape, elements=edge_floats)
+    b = data.draw(hnp.arrays(np.float64, shape, elements=elements)
                   | st.sampled_from([1.0, -1.0, 0.5, 3.0]).map(lambda s: s * a))
-    with np.errstate(over="ignore"):  # a * b of two magnitudes near 1e300
+    # a * b of two magnitudes near 1e300; inf * 0 in the reference
+    with np.errstate(over="ignore", invalid="ignore"):
         assert_same_bits(sv._minmod(a, b), reference_minmod(a, b))
+
+
+def _state_of(model, n=16, seed=0):
+    """An admissible (C, n) state: densities in [0.06, 0.21], so every
+    total is below 0.5, and momenta with w = 1.5."""
+    base = np.random.default_rng(seed).uniform(0.1, 0.35, n)
+    return np.stack([(0.6 if row in model.density_rows else 0.9) * base
+                     for row in range(model.n_conserved)])
+
+
+# The outcome of one _advance call on _state_of(model, 8) with nan, inf or
+# -inf in cell 3 of one row: the error class and message, per kind and row,
+# recorded from the np.where minmod.  A minmod that clears its sign changes
+# with a float multiply instead of an integer AND moves the reported cell of
+# a nan, or turns the class into BlowUpError, in 16 of these 33 cases.
+_BLOW = (BlowUpError, "non-finite value in component 0 at cell 2")
+_STAB = (StabilityError, "stability number inf exceeds guard 0.45")
+_JAM = (CongestionOverflowError, "density reached the jam density 1.0")
+_NEG = (DomainError, "densities must be >= 0")
+_VAC = (VacuumError, "zero density with non-zero momentum")
+NON_FINITE_OUTCOMES = {  # kind -> per row, the outcomes of (nan, inf, -inf)
+    md.ModelKind.SIM_FLUX: [(_BLOW, _BLOW, _STAB)] * 2,
+    md.ModelKind.ONE_WAY_CAR: [(_BLOW, _STAB, _STAB)],
+    md.ModelKind.ONE_WAY_AR: [(_BLOW, _STAB, _VAC), (_BLOW, _STAB, _STAB)],
+    md.ModelKind.TWO_WAY_CAR: [(_BLOW, _JAM, _NEG)] * 2,
+    md.ModelKind.TWO_WAY_AR: [(_BLOW, _JAM, _VAC), (_BLOW, _STAB, _STAB)] * 2,
+}
+
+
+@pytest.mark.parametrize("kind, row, which", [
+    (kind, row, which) for kind, rows in NON_FINITE_OUTCOMES.items()
+    for row in range(len(rows)) for which in range(3)
+], ids=lambda v: v.value if isinstance(v, md.ModelKind) else str(v))
+def test_a_non_finite_entry_stops_a_step_with_the_recorded_error(kind, row, which):
+    model = ALL_KINDS[kind]
+    U = _state_of(model, 8)
+    U[row, 3] = (np.nan, np.inf, -np.inf)[which]
+    error, message = NON_FINITE_OUTCOMES[kind][row][which]
+    params = sv.SchemeParams(dt=0.02, delta_diff=0.1)
+    with np.errstate(all="ignore"), pytest.raises(PedflowError) as info:
+        sv._advance(model, U, sv.Grid1D(8, 1.0), params)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def _read_only(A):
+    A = np.array(A, dtype=float)
+    A.flags.writeable = False
+    return A
+
+
+@pytest.mark.parametrize("kind", list(ALL_KINDS), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("form", ["point", "lane", "two_lanes"])
+def test_no_kernel_writes_into_its_inputs(kind, form):
+    # central_flux and _advance work in place on the arrays they make or
+    # get from model.flux, never on their arguments: each write into a
+    # read-only argument raises.  A (C,) point state has no stencil to step.
+    model = ALL_KINDS[kind]
+    lane = _state_of(model)
+    U = _read_only({"point": lane[:, 3], "lane": lane,
+                    "two_lanes": np.stack([lane, lane[:, ::-1]], axis=1)}[form])
+    F = model.flux(U)
+    assert not np.shares_memory(F, U)
+    spd = _read_only(model.max_abs_speed(U))
+    sv._minmod(_read_only(U - 0.2), U)
+    U_L, U_R = map(_read_only, sv.muscl_reconstruct(U))
+    assert not np.shares_memory(sv.central_flux(model, U_L, U_R, spd), U_L)
+    if form != "point":
+        params = sv.SchemeParams(dt=0.02, delta_diff=0.1)
+        sv._advance(model, U, sv.Grid1D(16, 1.0), params)
+
+
+def test_a_wide_two_way_ar_step_allocates_no_more_than_before():
+    # ROADMAP item 6: the tracemalloc peak of one (4, 16384) step may not
+    # grow past 3,933,536 B (7.50 states of 524,288 B), its peak before the
+    # step worked in place; in place it is 6.50 states (numpy 2.4)
+    model = ALL_KINDS[md.ModelKind.TWO_WAY_AR]
+    n = 16384
+    noise = np.random.default_rng(0).standard_normal((2, n))
+    rho_p, rho_m = 0.3 * (1.0 + 1e-3 * noise[0]), 0.15 * (1.0 + 1e-3 * noise[1])
+    U = np.stack([rho_p, rho_p, rho_m, rho_m])  # w = 1
+    grid, params = sv.Grid1D(n, 1.0), sv.SchemeParams(dt=0.05, delta_diff=0.1)
+    sv._advance(model, U, grid, params)
+    tracemalloc.start()
+    try:
+        sv._advance(model, U, grid, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_933_536
 
 
 @settings(max_examples=300, deadline=None)
