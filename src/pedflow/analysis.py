@@ -59,14 +59,16 @@ class DiffusiveSpeeds(NamedTuple):
 
 def _flux_partials(model, rho_plus, rho_minus):
     """(c_pp, c_pm, c_mp, c_mm) of a two-species first-order model,
-    elementwise over arrays of uniform states.
+    elementwise over arrays of uniform states; NumPy scalars for a scalar
+    state, which keep the bits of the 0-d arrays they replace (see
+    pressure.two_way_offsets).
 
     Supported kinds: sim_flux (piecewise-quadratic profile) and
     two_way_car (assembled from the pressure partials through the sign
     mapping of the module docstring).
     """
-    rp = np.asarray(rho_plus, dtype=float)
-    rm = np.asarray(rho_minus, dtype=float)
+    rp = np.asarray(rho_plus, dtype=float)[()]
+    rm = np.asarray(rho_minus, dtype=float)[()]
     if model.kind is md.ModelKind.SIM_FLUX:
         _, h, hp = md._sim_h(model.flux_shape, rp, rm)
         return h + rp * hp, rp * hp, rm * hp, h + rm * hp
@@ -168,7 +170,8 @@ def instability_summary(speeds: DiffusiveSpeeds, delta_diff) -> StabilityReport:
 
 
 def delta_field(model, rho_plus, rho_minus):
-    """Vectorized discriminant over arrays of uniform states."""
+    """Vectorized discriminant over arrays of uniform states; a NumPy
+    scalar for a scalar state."""
     return diffusive_discriminant(_flux_partials(model, rho_plus, rho_minus))
 
 
@@ -188,10 +191,8 @@ class HyperbolicityMap:
 
     def to_table_text(self) -> str:
         """Plain-text raster: one row per rho_plus, entries 1/0."""
-        lines = []
-        for row in self.hyperbolic.astype(int):
-            lines.append(" ".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        rows = np.where(self.hyperbolic, "1", "0").tolist()
+        return "\n".join(map(" ".join, rows)) + "\n"
 
 
 def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:

@@ -331,8 +331,21 @@ def build_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(
             "the pressure law overflows: offsets, partials and crossover width "
             f"must be finite at the total densities {pr.VACUUM_FLOOR:g}, pressure."
-            f"rho_star / 2 and pressure.rho_star * (1 - {pr.CONGESTION_REL_TOL:g})")
+            f"rho_star / 2 and pressure.rho_star * (1 - {pr.CONGESTION_REL_TOL:g}), "
+            "and a two-way model's speed bound and Delta at pressure.rho_star / 2 "
+            f"and pressure.rho_star * (1 - {_SQUARES_REL_GAP:g})")
     return cfg
+
+
+# The speed bound and Delta square the pressure partials, so they are probed
+# short of the jam bound.  At rho_star * (1 - 1e-6) the probe keeps the gamma
+# range of the offsets (about 24.5 with eps = 1e-3, rho_star = 1; at the jam
+# bound it would end at 12) and rejects two_lane.cfg's law from eps = 1e136,
+# where runs overflowed from about 1e153 and maps of resolution 20 to 1000
+# from 1e146 to 1e151.  Maps whose diagonal nodes round into the admissible
+# triangle (resolution 10 or 50) reach rho_star * (1 - 1e-9) and overflowed
+# from 1e128; a probe there would end the gamma range at about 16.
+_SQUARES_REL_GAP = 1e-6
 
 
 def _law_is_finite(model: md.ModelSpec) -> bool:
@@ -340,7 +353,11 @@ def _law_is_finite(model: md.ModelSpec) -> bool:
     offsets of a two-way model with the whole total on either side, all
     their partials and the crossover width are finite, with no overflow, at
     the smallest total the law sees (VACUUM_FLOOR), at rho_star / 2 and at
-    the jam bound: the powers of rho and of 1/rho - 1/rho_star peak at the ends."""
+    the jam bound: the powers of rho and of 1/rho - 1/rho_star peak at the
+    ends.  For a two-way model the speed bound (with w = 0 for two_way_ar)
+    and, for two_way_car, Delta must be too, at the totals rho_star / 2 and
+    rho_star * (1 - _SQUARES_REL_GAP), each all plus, split evenly or all
+    minus."""
     law = model.pressure
     totals = np.array([pr.VACUUM_FLOOR, 0.5 * law.rho_star,
                        law.rho_star * (1.0 - pr.CONGESTION_REL_TOL)])
@@ -355,6 +372,17 @@ def _law_is_finite(model: md.ModelSpec) -> bool:
                     np.concatenate([totals, zero]), np.concatenate([zero, totals]),
                     partials=True)
                 values += [p_plus, p_minus, *d_plus, *d_minus]
+                # through the kernels behind ModelSpec.max_abs_speed and
+                # analysis.delta_field, whose calls perfbench counts per run
+                probes = law.rho_star * np.array([0.5, 1.0 - _SQUARES_REL_GAP])
+                share = np.array([0.0, 0.5, 1.0])
+                plus = np.outer(probes, share).ravel()
+                minus = np.outer(probes, 1.0 - share).ravel()
+                w = 0.0 if model.V is None else model.V
+                values.append(md._two_way_max_abs_speed(model, plus, minus, w, w))
+                if model.kind in _ANALYSED:
+                    values.append(an.diffusive_discriminant(
+                        an._flux_partials(model, plus, minus)))
     except FloatingPointError:
         return False
     return all(np.isfinite(v).all() for v in values)

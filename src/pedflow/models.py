@@ -208,23 +208,27 @@ class ModelSpec:
         if self.kind is ModelKind.ONE_WAY_AR:
             rho, w, u, dp = ar_primitives(self, U, partials=True)
             return np.maximum(np.abs(u), np.abs(u - rho * dp))
-        # two-way CAR / AR
         if self.kind is ModelKind.TWO_WAY_AR:
             rho_p, w_p, _ = _species_primitives(U[0], U[1])
             rho_m, w_m, _ = _species_primitives(U[2], U[3])
-        else:
-            rho_p, rho_m, w_p, w_m = U[0], U[1], self.V, self.V
-        u_plus, u_minus, c_pm, c_mp, c_u_plus, c_u_minus = _two_way_char_speeds(
-            self, rho_p, rho_m, w_p, w_m)
-        # Delta in the order of the decoupled speeds, not in the flux-partial
-        # order of analysis.diffusive_discriminant: the two round differently,
-        # and the latter changes the two_lane.cfg audit.csv.
-        diff = c_u_plus - c_u_minus
-        delta = diff * diff - 4.0 * rho_p * rho_m * c_pm * c_mp
-        out = _pair_max_modulus(c_u_plus + c_u_minus, delta)
-        if self.kind is ModelKind.TWO_WAY_AR:
-            out = np.maximum(out, np.maximum(np.abs(u_plus), np.abs(u_minus)))
-        return out
+            return _two_way_max_abs_speed(self, rho_p, rho_m, w_p, w_m)
+        return _two_way_max_abs_speed(self, U[0], U[1], self.V, self.V)
+
+
+def _two_way_max_abs_speed(model, rho_plus, rho_minus, w_plus, w_minus):
+    """ModelSpec.max_abs_speed of a two-way pressure-coupled model from the
+    densities and desired speeds (w = V for two_way_car)."""
+    u_plus, u_minus, c_pm, c_mp, c_u_plus, c_u_minus = _two_way_char_speeds(
+        model, rho_plus, rho_minus, w_plus, w_minus)
+    # Delta in the order of the decoupled speeds, not in the flux-partial
+    # order of analysis.diffusive_discriminant: the two round differently,
+    # and the latter changes the two_lane.cfg audit.csv.
+    diff = c_u_plus - c_u_minus
+    delta = diff * diff - 4.0 * rho_plus * rho_minus * c_pm * c_mp
+    out = _pair_max_modulus(c_u_plus + c_u_minus, delta)
+    if model.kind is ModelKind.TWO_WAY_AR:
+        out = np.maximum(out, np.maximum(np.abs(u_plus), np.abs(u_minus)))
+    return out
 
 
 def _pair_max_modulus(trace, disc):

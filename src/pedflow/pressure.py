@@ -94,10 +94,9 @@ class CrowdingWeight:
     def value(self, rho, rho_star):
         if self.kind is CrowdingKind.CONSTANT:
             return 1.0
-        r = np.asarray(rho, dtype=float)
         if self.kind is CrowdingKind.AFFINE:
-            return 1.0 + self.beta * r / rho_star
-        return (1.0 + r / rho_star) ** self.beta
+            return 1.0 + self.beta * rho / rho_star
+        return (1.0 + np.asarray(rho, dtype=float) / rho_star) ** self.beta
 
     def derivative(self, rho, rho_star):
         if self.kind is CrowdingKind.CONSTANT:
@@ -109,8 +108,14 @@ class CrowdingWeight:
 
 
 def vacuum_mask(rho):
-    """Mask of the entries below VACUUM_FLOOR, or None when there is none;
-    the mask is only built when one reduction finds a vacuum entry."""
+    """Mask of the entries below VACUUM_FLOOR, or None when there is none.
+
+    For an array the mask is only built when one NaN-ignoring reduction
+    finds a vacuum entry; a NumPy scalar is compared directly (NaN is no
+    vacuum either way) and gives np.True_ or None.
+    """
+    if not isinstance(rho, np.ndarray):
+        return (rho < VACUUM_FLOOR) or None
     if np.fmin.reduce(rho, axis=None, initial=np.inf) < VACUUM_FLOOR:
         return rho < VACUUM_FLOOR
     return None
@@ -168,9 +173,17 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
     The correction and its partials are 0 where the total density is
     below VACUUM_FLOOR (masked only if such a total exists).  The
     densities must be admissible: >= 0, with a total below rho_star.
+
+    Scalar densities (floats, NumPy scalars or 0-d arrays) give NumPy
+    scalars: the densities and the arithmetic on them stay NumPy scalars,
+    which cost far less per operation than 0-d arrays.  +, -, * and / round
+    alike on both, a power need not, so each power keeps the operand type
+    it had when every scalar was a 0-d array: the powers of the total and
+    of z are 0-d array powers, the 0-d partials' power of z is a
+    NumPy-scalar one (the map bisection keeps its bits).
     """
-    plus = np.asarray(rho_plus, dtype=float)
-    minus = np.asarray(rho_minus, dtype=float)
+    plus = np.asarray(rho_plus, dtype=float)[()]
+    minus = np.asarray(rho_minus, dtype=float)[()]
     total = plus + minus
     r = np.asarray(total)
     P = params.M * r**params.m
@@ -179,12 +192,12 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
         vac = vacuum_mask(total)
         # fill vacuum entries with a safely interior density
         tot = r if vac is None else np.where(vac, 0.5 * params.rho_star, total)
-        z = 1.0 / tot - 1.0 / params.rho_star
+        # a NumPy-scalar divide for scalar input (tot[()] is a view of an array)
+        z = 1.0 / tot[()] - 1.0 / params.rho_star
         zg = np.asarray(z) ** params.gamma
         if partials:
             # 0-d partials take the NumPy-scalar power of z, which can round
-            # unlike the 0-d array power of the offsets; both are kept so
-            # that scalar evaluations (the map bisection) keep their bits.
+            # unlike the 0-d array power of the offsets
             zg_partials = zg if isinstance(z, np.ndarray) else z**params.gamma
             z_tot2 = z * tot**2
         del tot, z

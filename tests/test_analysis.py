@@ -398,6 +398,38 @@ def test_map_bisection_matches_the_array_reference(model, monkeypatch):
     np.testing.assert_array_equal(got.hyperbolic, want.hyperbolic)
 
 
+def fd_eigen_discriminant(model, rho_plus, rho_minus, h=1e-7):
+    """(a - d)^2 + 4 b c of the central-difference Jacobian [[a, b], [c, d]]
+    of model.flux at arrays of states: its eigenvalues are real where this
+    is >= 0.  Independent of the analytic partials of analysis."""
+    U = np.stack([rho_plus, rho_minus])
+    columns = []
+    for k in range(2):
+        e = np.zeros((2, 1))
+        e[k] = h
+        columns.append((model.flux(U + e) - model.flux(U - e)) / (2.0 * h))
+    (a, c), (b, d) = columns
+    return (a - d) ** 2 + 4.0 * b * c
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("kind", list(pr.CrowdingKind))
+def test_map_boundary_points_separate_real_from_complex_flux_eigenvalues(kind, eps):
+    params = pr.PressureParams(M=1.0, m=2.0, eps=eps, gamma=2.0, rho_star=1.0)
+    model = md.ModelSpec.two_way_car(V=1.0, pressure=params,
+                                     crowding=pr.CrowdingWeight(kind))
+    hmap = an.hyperbolicity_map(model, 40)
+    points = hmap.boundary_points
+    assert len(points) > 0
+    # the points of edges along rho_plus come first, then those along rho_minus
+    n_plus = np.count_nonzero(np.diff(hmap.hyperbolic, axis=0))
+    step = np.zeros_like(points)
+    step[:n_plus, 0] = step[n_plus:, 1] = 2.0 * an.BOUNDARY_TOL
+    real_below = fd_eigen_discriminant(model, *(points - step).T) >= 0.0
+    real_above = fd_eigen_discriminant(model, *(points + step).T) >= 0.0
+    assert np.all(real_below != real_above)
+
+
 # delta_field when it built a frozen DiffusiveSpeeds record per call from
 # the partials of a dict of characteristic speeds, kept as the reference for
 # the plain tuple it passes to diffusive_discriminant now.
@@ -461,12 +493,13 @@ def delta_models(draw):
 def test_delta_field_matches_the_record_reference(data):
     model, top = data.draw(delta_models())
     elements = st.sampled_from(EDGE_DENSITIES) | st.floats(0.0, top)
-    form = data.draw(st.sampled_from(["float", "0-d", (7,), (2, 9)]))
+    form = data.draw(st.sampled_from(["float", "numpy scalar", "0-d", (7,), (2, 9)]))
     pair = []
     for _ in range(2):
-        if form in ("float", "0-d"):
+        if isinstance(form, str):
             rho = data.draw(elements)
-            pair.append(rho if form == "float" else np.asarray(rho))
+            pair.append({"float": float, "numpy scalar": np.float64,
+                         "0-d": np.asarray}[form](rho))
         else:
             pair.append(data.draw(hnp.arrays(np.float64, form, elements=elements)))
     # the pressure law overflows to inf near rho_star = 1e300, in both alike;
@@ -477,3 +510,36 @@ def test_delta_field_matches_the_record_reference(data):
     assert np.shape(got) == np.shape(want)
     np.testing.assert_array_equal(np.asarray(got, dtype=float).view(np.int64),
                                   np.asarray(want, dtype=float).view(np.int64))
+
+
+@pytest.mark.parametrize("form", [float, np.float64, np.asarray],
+                         ids=["float", "numpy_scalar", "0-d"])
+@pytest.mark.parametrize("state", [(0.3, 0.2), (0.0, 0.0), (0.5, 0.4)])
+@pytest.mark.parametrize("model", [car_model(eps=1e-3), car_model(eps=0.0), SIM],
+                         ids=["two_way_car", "two_way_car_eps_0", "sim_flux"])
+def test_scalar_states_give_numpy_scalars(model, state, form):
+    rho_plus, rho_minus = map(form, state)
+    assert type(an.delta_field(model, rho_plus, rho_minus)) is np.float64
+    partials = an._flux_partials(model, rho_plus, rho_minus)
+    assert [type(c) for c in partials] == [np.float64] * 4
+
+
+def reference_table_text(hyperbolic):
+    """HyperbolicityMap.to_table_text when it formatted one cell at a time."""
+    lines = []
+    for row in hyperbolic.astype(int):
+        lines.append(" ".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("raster", [
+    np.array([[True, False], [False, True]]),
+    np.ones((5, 5), dtype=bool),
+    np.zeros((3, 3), dtype=bool),
+    np.random.default_rng(3).random((160, 160)) < 0.5,
+], ids=["2x2", "all_true", "all_false", "random_160"])
+def test_table_text_matches_the_per_cell_reference(raster):
+    axis = np.linspace(0.0, 1.0, raster.shape[0])
+    hmap = an.HyperbolicityMap(rho_plus=axis, rho_minus=axis.copy(), hyperbolic=raster,
+                               boundary_points=np.empty((0, 2)))
+    assert hmap.to_table_text() == reference_table_text(raster)

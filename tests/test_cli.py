@@ -937,6 +937,25 @@ noise.seed = 2
         assert "config error: the pressure law overflows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # eps from about 1e153 to 1e280 passed the rule on the offsets and
+    # partials alone, and the squares of the partials in the speed bound and
+    # in Delta overflowed at run time (1e175 to 1e250 in this sweep).
+    @pytest.mark.parametrize("command", ["simulate", "hyperbolicity-map"])
+    @pytest.mark.parametrize("k", range(0, 301, 25))
+    def test_a_large_eps_runs_or_is_rejected_without_a_warning(self, tmp_path, command, k):
+        cfg_path = two_lane_config(tmp_path, {"pressure.eps": f"1e{k}", "run.t_end": "1"})
+        cfg_path.write_text(cfg_path.read_text() + "map.resolution = 20\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if k in (200, 250):
+            assert code == 2
+        if code == 2:
+            assert not out.exists()
+
 
 ROOT = TWO_LANE_CFG.parent.parent
 

@@ -331,7 +331,7 @@ def reference_pressure_partials(params, q, rho_own, rho_other):
 
 
 def assert_bitwise_equal(got, want):
-    # a scalar input gives a float from the reference and a 0-d result
+    # a scalar input gives a float from the reference and a NumPy scalar
     # from the kernel
     assert np.shape(got) == np.shape(want)
     got = np.ascontiguousarray(got, dtype=float)
@@ -359,10 +359,11 @@ pressure_params = st.builds(
 
 @st.composite
 def density_pairs(draw, rho_star):
-    """(rho_plus, rho_minus) as floats or arrays, an admissible state: both
-    >= 0, with a total below rho_star.  Half of the draws have no total below VACUUM_FLOOR; the other half draw
-    totals of 0 and below the floor among live ones, so both branches of
-    the vacuum mask are taken."""
+    """(rho_plus, rho_minus) as floats, NumPy scalars, 0-d arrays or arrays,
+    an admissible state: both >= 0, with a total below rho_star.  Half of
+    the draws have no total below VACUUM_FLOOR; the other half draw totals
+    of 0 and below the floor among live ones, so both branches of the
+    vacuum mask are taken."""
     fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
     loads = st.floats(2 * pr.VACUUM_FLOOR, 0.999)
     if draw(st.booleans()):
@@ -378,7 +379,8 @@ def density_pairs(draw, rho_star):
     rho_plus = total * np.asarray(frac)
     rho_minus = total - rho_plus
     if np.ndim(total) == 0:
-        return float(rho_plus), float(rho_minus)
+        form = draw(st.sampled_from([float, np.float64, np.asarray]))
+        return form(rho_plus), form(rho_minus)
     return rho_plus, rho_minus
 
 
@@ -413,6 +415,49 @@ def test_two_way_offsets_match_per_direction_reference(params, q_plus, q_minus, 
     assert_bitwise_equal(wrapped[0], want[0])
     assert_bitwise_equal(wrapped[1][0], want[3][0])
     assert_bitwise_equal(wrapped[1][1], want[3][1])
+
+
+@pytest.mark.parametrize("form", [float, np.float64, np.asarray],
+                         ids=["float", "numpy_scalar", "0-d"])
+def test_scalar_powers_keep_their_operand_types(form):
+    # at exponents without a NumPy fast path about 1 in 20 NumPy-scalar
+    # powers rounds unlike the 0-d array power, so 300 states catch a power
+    # whose operand type changed, which the drawn examples may miss
+    params = make_params(m=2.3, eps=1e-3, gamma=2.7)
+    q_plus, q_minus = pr.CrowdingWeight("power", 1.3), pr.CrowdingWeight("affine", 0.7)
+    rng = np.random.default_rng(11)
+    for rho_plus, rho_minus in rng.uniform(0.0, 0.49, (300, 2)):
+        got = pr.two_way_offsets(params, q_plus, q_minus, form(rho_plus), form(rho_minus),
+                                 partials=True)
+        assert_bitwise_equal(got[0], reference_two_way_pressure(
+            params, q_plus, rho_plus, rho_minus))
+        assert_bitwise_equal(got[1], reference_two_way_pressure(
+            params, q_minus, rho_minus, rho_plus))
+        for pair, want in zip(got[2:], (
+                reference_pressure_partials(params, q_plus, rho_plus, rho_minus),
+                reference_pressure_partials(params, q_minus, rho_minus, rho_plus))):
+            assert_bitwise_equal(pair[0], want[0])
+            assert_bitwise_equal(pair[1], want[1])
+        for q, own in ((q_plus, rho_plus), (q_minus, rho_minus)):
+            want = reference_array_crowding(q, own, params.rho_star)
+            assert_bitwise_equal(q.value(form(own), params.rho_star), want[0])
+            assert_bitwise_equal(q.derivative(form(own), params.rho_star), want[1])
+
+
+@pytest.mark.parametrize("form", [float, np.float64, np.asarray],
+                         ids=["float", "numpy_scalar", "0-d"])
+@pytest.mark.parametrize("state", [(0.3, 0.2), (0.0, 0.25 * pr.VACUUM_FLOOR)],
+                         ids=["live", "vacuum"])
+@pytest.mark.parametrize("m", [1.0, 2.5])
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+@pytest.mark.parametrize("kind", list(pr.CrowdingKind))
+def test_scalar_densities_give_numpy_scalars(kind, eps, m, state, form):
+    params = make_params(m=m, eps=eps, gamma=2.5)
+    q = pr.CrowdingWeight(kind)
+    for partials in (False, True):
+        got = pr.two_way_offsets(params, q, q, *map(form, state), partials)
+        values = [*got[:2], *(v for pair in got[2:] for v in pair)]
+        assert [type(v) for v in values] == [np.float64] * len(values)
 
 
 # two_way_offsets when the crowding weight and its slope were arrays of the
