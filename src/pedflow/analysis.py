@@ -181,7 +181,14 @@ class HyperbolicityMap:
 
     hyperbolic[i, j] is the sign of Delta at (rho_plus[i], rho_minus[j]);
     boundary_points are Delta = 0 locations found by bisection along
-    grid edges separating differently classified nodes.
+    grid edges separating differently classified nodes: those of the
+    edges along rho_plus first, then those along rho_minus, each in
+    np.nonzero order.  When both directions share one crowding weight
+    (crowding == crowding_minus, as for sim_flux and every config without
+    a crowding_minus section), Delta(a, b) has the bits of Delta(b, a)
+    absent overflow, so the raster is symmetric and the points along
+    rho_minus are those along rho_plus with the coordinates swapped: only
+    one axis is bisected.
     """
 
     rho_plus: np.ndarray
@@ -210,10 +217,10 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
     else:
         rho_max = admissible = model.pressure.rho_star * (1.0 - 1e-9)
     axis = np.linspace(0.0, rho_max, grid_resolution)
-    RP, RM = np.meshgrid(axis, axis, indexing="ij")
-    inside = RP + RM < admissible
-    rp_in = np.where(inside, RP, 0.0)
-    rm_in = np.where(inside, RM, 0.0)
+    # rho_plus down the rows and rho_minus along them, broadcast from axis
+    inside = axis[:, None] + axis < admissible
+    rp_in = np.where(inside, axis[:, None], 0.0)
+    rm_in = np.where(inside, axis, 0.0)
     hyp = np.where(inside, delta_field(model, rp_in, rm_in), 1.0) >= 0.0
 
     def point_delta(rp, rm):
@@ -221,27 +228,39 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
             return 1.0
         return float(delta_field(model, rp, rm))
 
-    points = []
-    for axis_dir in (0, 1):
+    def bisect_flips(axis_dir):
+        """The flips of hyp along one axis, in np.nonzero order, and the
+        boundary point of each, bisected from its first node."""
+        di, dj = (1, 0) if axis_dir == 0 else (0, 1)
         flips = np.nonzero(np.diff(hyp, axis=axis_dir))
-        for i, j in zip(*flips):
-            p1 = (axis[i + 1], axis[j]) if axis_dir == 0 else (axis[i], axis[j + 1])
-            points.append(_bisect_boundary(point_delta, (axis[i], axis[j]), p1))
-    boundary = np.array(points) if points else np.empty((0, 2))
+        points = [_bisect_boundary(point_delta, (axis[i], axis[j]),
+                                   (axis[i + di], axis[j + dj]), bool(hyp[i, j]))
+                  for i, j in zip(*flips)]
+        return flips, np.array(points).reshape(-1, 2)
+
+    flips, plus_points = bisect_flips(0)
+    if model.crowding == model.crowding_minus:
+        # the flip (i, j) along rho_minus is the flip (j, i) along rho_plus
+        # mirrored (see HyperbolicityMap); np.lexsort ranks the rho_plus
+        # flips by (j, i), the np.nonzero order of the rho_minus ones
+        minus_points = plus_points[np.lexsort(flips), ::-1]
+    else:
+        minus_points = bisect_flips(1)[1]
+    boundary = np.concatenate([plus_points, minus_points])
     return HyperbolicityMap(
         rho_plus=axis, rho_minus=axis.copy(), hyperbolic=hyp, boundary_points=boundary
     )
 
 
-def _bisect_boundary(point_delta, p0, p1, tol=BOUNDARY_TOL):
-    """Locate the Delta = 0 crossing on the segment p0 -> p1, one Python
-    float per coordinate (the float operations of an array bisection)."""
-    f0 = point_delta(*p0)
+def _bisect_boundary(point_delta, p0, p1, hyperbolic0, tol=BOUNDARY_TOL):
+    """Locate the Delta = 0 crossing on the segment p0 -> p1, where p0 is
+    hyperbolic (Delta >= 0) exactly when hyperbolic0 is true and p1 is of
+    the other class; one Python float per coordinate (the float operations
+    of an array bisection)."""
     (ax, ay), (bx, by) = map(float, p0), map(float, p1)
     while max(abs(bx - ax), abs(by - ay)) > tol:
         mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-        fm = point_delta(mx, my)
-        if (fm >= 0) == (f0 >= 0):
+        if (point_delta(mx, my) >= 0) == hyperbolic0:
             ax, ay = mx, my
         else:
             bx, by = mx, my

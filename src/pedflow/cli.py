@@ -771,11 +771,9 @@ def _cmd_simulate(cfg: ScenarioConfig, outdir: Path, args) -> int:
 def _cmd_hyperbolicity_map(cfg: ScenarioConfig, outdir: Path, args) -> int:
     hmap = an.hyperbolicity_map(cfg.model, cfg.map_resolution)
     (outdir / "map.txt").write_text(hmap.to_table_text())
-    _write_csv(
-        outdir / "boundary.csv",
-        ["rho_plus", "rho_minus"],
-        [tuple(point) for point in hmap.boundary_points],
-    )
+    columns = [map(repr, c.tolist()) for c in hmap.boundary_points.T]
+    _write_csv(outdir / "boundary.csv", ["rho_plus", "rho_minus"],
+               map(",".join, zip(*columns)))
     return 0
 
 

@@ -424,6 +424,23 @@ class TestMainExitCodes:
         assert boundary[0] == "rho_plus,rho_minus"
         assert len(boundary) > 10
 
+    @pytest.mark.parametrize("points", [None, np.empty((0, 2))], ids=["map", "empty"])
+    def test_boundary_csv_matches_the_per_value_reference(self, tmp_path, monkeypatch,
+                                                          points):
+        """boundary.csv, written a column at a time, has the bytes of one
+        _fmt per value."""
+        cfg_path = two_lane_config(tmp_path, {})
+        hmap = an.hyperbolicity_map(cli.load_config(cfg_path).model, 40)
+        if points is not None:
+            hmap = an.HyperbolicityMap(hmap.rho_plus, hmap.rho_minus, hmap.hyperbolic,
+                                       points)
+        monkeypatch.setattr(an, "hyperbolicity_map", lambda model, resolution: hmap)
+        assert cli.main(["hyperbolicity-map", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "map")]) == 0
+        want = ["rho_plus,rho_minus"] + [",".join(cli._fmt(v) for v in point)
+                                         for point in hmap.boundary_points]
+        assert (tmp_path / "map" / "boundary.csv").read_text() == "\n".join(want) + "\n"
+
     def test_dispersion_subcommand(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
         assert cli.main(
