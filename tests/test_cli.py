@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import re
 import tempfile
 import warnings
@@ -34,6 +35,7 @@ run.snapshot_every = 2.0
 
 
 TWO_LANE_CFG = Path(__file__).resolve().parent.parent / "scenarios" / "two_lane.cfg"
+ROOT = TWO_LANE_CFG.parent.parent
 
 
 def two_lane_config(tmp_path, keys):
@@ -329,6 +331,102 @@ rates.lambda0 = 0.5
         assert float(last[4]) == pytest.approx(float(first[4]), rel=1e-12)
 
 
+def snapshot_run(tmp_path, lanes, n_snapshots):
+    """Config of a sim_flux run of one lane or a two_way_car run of two lanes
+    that writes n_snapshots snapshots."""
+    if lanes == 1:
+        return base_config(tmp_path, {"run.t_end": 2.0 * (n_snapshots - 1)})
+    return two_lane_config(tmp_path, {"grid.n_cells": 16, "run.snapshot_every": 0.5,
+                                      "run.t_end": 0.5 * (n_snapshots - 1)})
+
+
+def simulate_files(cfg_path, out):
+    """Run simulate and return every artifact's bytes by relative path."""
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+class TestSnapshotWriter:
+    """Snapshot sets at or above cli._FORK_MIN_VALUES are written by two
+    processes; the files are the same as when one process writes them."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Count the forks of this process, with every set of two or more
+        snapshots large enough to fork."""
+        calls = []
+        fork = os.fork
+
+        def counting_fork():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(cli, "_FORK_MIN_VALUES", 1)
+        return calls
+
+    def sequential(self, tmp_path, cfg_path, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_FORK_MIN_VALUES", float("inf"))
+            return simulate_files(cfg_path, tmp_path / "sequential")
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("n_snapshots", [1, 2, 3, 5])
+    def test_two_processes_write_the_bytes_of_one(self, tmp_path, monkeypatch, forks,
+                                                   lanes, n_snapshots):
+        cfg_path = snapshot_run(tmp_path, lanes, n_snapshots)
+        want = self.sequential(tmp_path, cfg_path, monkeypatch)
+        assert simulate_files(cfg_path, tmp_path / "forked") == want
+        assert len(forks) == (n_snapshots > 1)
+        assert sum(name.startswith("snapshots") for name in want) == n_snapshots
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_failed_child_leaves_its_files_to_the_parent(self, tmp_path, monkeypatch,
+                                                           forks, lanes):
+        cfg_path = snapshot_run(tmp_path, lanes, 5)
+        want = self.sequential(tmp_path, cfg_path, monkeypatch)
+        parent, write = os.getpid(), cli._write_snapshot
+
+        def fails_in_the_child(path, snap, grid):
+            if os.getpid() != parent:
+                path.write_text("t,x\n0.0,")  # a partial file
+                raise OSError("no space left on device")
+            write(path, snap, grid)
+
+        monkeypatch.setattr(cli, "_write_snapshot", fails_in_the_child)
+        assert simulate_files(cfg_path, tmp_path / "forked") == want
+        assert len(forks) == 1
+
+    def test_a_failure_in_both_processes_leaves_main(self, tmp_path, monkeypatch, forks):
+        def fails(path, snap, grid):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "_write_snapshot", fails)
+        with pytest.raises(OSError, match="no space left on device"):
+            cli.main(["simulate", "--config", str(snapshot_run(tmp_path, 1, 3)),
+                      "--out", str(tmp_path / "o")])
+        assert len(forks) == 1
+
+    def test_without_fork_one_process_writes_the_same_bytes(self, tmp_path,
+                                                              monkeypatch):
+        cfg_path = snapshot_run(tmp_path, 2, 3)
+        want = self.sequential(tmp_path, cfg_path, monkeypatch)
+        monkeypatch.setattr(cli, "_FORK_MIN_VALUES", 1)
+        monkeypatch.delattr(os, "fork")
+        assert simulate_files(cfg_path, tmp_path / "unforked") == want
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.cfg")),
+                             ids=lambda path: path.name)
+    def test_no_bundled_scenario_reaches_the_bound(self, path):
+        # at most one snapshot per interval after the first, plus the last
+        cfg = cli.load_config(path)
+        intervals = int(cfg.t_end / cfg.snapshot_every) if cfg.snapshot_every else 0
+        odd_snapshots = (intervals + 2) // 2
+        values = odd_snapshots * cli.build_initial(cfg).values.size
+        assert values < cli._FORK_MIN_VALUES
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
@@ -440,6 +538,20 @@ class TestMainExitCodes:
         want = ["rho_plus,rho_minus"] + [",".join(cli._fmt(v) for v in point)
                                          for point in hmap.boundary_points]
         assert (tmp_path / "map" / "boundary.csv").read_text() == "\n".join(want) + "\n"
+
+    def test_a_map_whose_delta_overflows_is_a_numerical_failure(self, tmp_path, capsys):
+        # the load rules pass this law, but a diagonal node of the map at
+        # resolution 10 lies 1e-9 short of the jam density, where Delta
+        # squares partials past the float range (ROADMAP item 9)
+        cfg_path = two_lane_config(tmp_path, {"pressure.gamma": 17})
+        cfg_path.write_text(cfg_path.read_text() + "map.resolution = 10\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["hyperbolicity-map", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "map")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert list((tmp_path / "map").iterdir()) == []
 
     def test_dispersion_subcommand(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
@@ -576,6 +688,29 @@ def test_a_near_jam_run_exits_0_or_3_without_a_traceback_or_warning(text):
         assert "Traceback" not in err.getvalue()
     else:
         assert err.getvalue() == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.floats(1.0, 40.0, exclude_min=True),
+       eps=st.sampled_from([0.0]) | st.builds("1e{}".format, st.integers(-12, 160)),
+       resolution=st.integers(2, 20))
+def test_a_map_exits_0_2_or_3_without_a_warning(gamma, eps, resolution):
+    # two_lane.cfg's law with a drawn gamma and eps: the load rules reject
+    # the laws that overflow where they probe (exit 2), a map whose Delta
+    # overflows anyway stops (exit 3), and only a map of exit 0 is written
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        cfg_path = two_lane_config(Path(tmp), {"pressure.gamma": gamma,
+                                               "pressure.eps": eps})
+        cfg_path.write_text(cfg_path.read_text() + f"map.resolution = {resolution}\n")
+        out = Path(tmp) / "map"
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["hyperbolicity-map", "--config", str(cfg_path),
+                             "--out", str(out)])
+        written = sorted(path.name for path in out.iterdir()) if out.exists() else []
+    assert code in (0, 2, 3)
+    assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    assert written == (["boundary.csv", "map.txt"] if code == 0 else [])
 
 
 def two_lane_ar_config(tmp_path, keys, w_plus="1.0", w_minus="1.0"):
@@ -973,8 +1108,6 @@ noise.seed = 2
         if code == 2:
             assert not out.exists()
 
-
-ROOT = TWO_LANE_CFG.parent.parent
 
 # A valid value of every key of cli.CONFIG_KEYS; model.kind is set per test.
 VALID = {
