@@ -207,8 +207,11 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
 
     For the sim_flux model the square is [0, 1]^2 (the flux vanishes
     beyond total density 1, where the system is degenerate hyperbolic);
-    for pressure-coupled models the grid stays strictly inside the
-    admissible triangle and the outside is reported as hyperbolic.
+    for pressure-coupled models it is [0, rho_max]^2 with
+    rho_max = rho_star * (1 - 1e-9), only the nodes (i, j) strictly below
+    its diagonal i + j = grid_resolution - 1 (by index: some diagonal
+    totals round below rho_max) are evaluated, and the others are reported
+    as hyperbolic.
     """
     if grid_resolution < 2:
         raise DomainError("grid_resolution must be >= 2")
@@ -218,7 +221,8 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
         rho_max = admissible = model.pressure.rho_star * (1.0 - 1e-9)
     axis = np.linspace(0.0, rho_max, grid_resolution)
     # rho_plus down the rows and rho_minus along them, broadcast from axis
-    inside = axis[:, None] + axis < admissible
+    index = np.arange(grid_resolution)
+    inside = (index[:, None] + index < grid_resolution - 1) | (admissible == np.inf)
     rp_in = np.where(inside, axis[:, None], 0.0)
     rm_in = np.where(inside, axis, 0.0)
     hyp = np.where(inside, delta_field(model, rp_in, rm_in), 1.0) >= 0.0

@@ -20,7 +20,7 @@ import os
 import sys
 from collections.abc import Callable, Set
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -343,36 +343,40 @@ def build_config(raw: dict) -> ScenarioConfig:
 # range of the offsets (about 24.5 with eps = 1e-3, rho_star = 1; at the jam
 # bound it would end at 12) and rejects two_lane.cfg's law from eps = 1e136,
 # where runs overflowed from about 1e153 and maps of resolution 20 to 1000
-# from 1e146 to 1e151.  Maps whose diagonal nodes round into the admissible
-# triangle (resolution 10 or 50) reach rho_star * (1 - 1e-9) and overflowed
-# from 1e128; a probe there would end the gamma range at about 16.
+# from 1e146 to 1e151.  A map evaluates no node of its diagonal, at
+# rho_star * (1 - 1e-9), but a bisection of an edge that ends there can
+# pass this probe's total where Delta is negative up to the jam density.
 _SQUARES_REL_GAP = 1e-6
 
 
 def _law_is_finite(model: md.ModelSpec) -> bool:
-    """Whether the one-way offsets (the pressure table's law), the two-way
-    offsets of a two-way model with the whole total on either side, all
-    their partials and the crossover width are finite, with no overflow, at
-    the smallest total the law sees (VACUUM_FLOOR), at rho_star / 2 and at
-    the jam bound: the powers of rho and of 1/rho - 1/rho_star peak at the
-    ends.  For a two-way model the speed bound (with w = 0 for two_way_ar)
-    and, for two_way_car, Delta must be too, at the totals rho_star / 2 and
+    """Whether the offsets of both directions, with the whole total on
+    either side, all their partials and the crossover width are finite,
+    with no overflow, at the smallest total the law sees (VACUUM_FLOOR), at
+    rho_star / 2 and at the jam bound: the powers of rho and of
+    1/rho - 1/rho_star peak at the ends.  The offsets are probed with the
+    lone stream's weights (the law of the one-way kinds and of the pressure
+    table) and, for a two-way model, with its own.  For a two-way model the
+    speed bound (with w = 0 for two_way_ar) and, for two_way_car, Delta
+    must be finite too, at the totals rho_star / 2 and
     rho_star * (1 - _SQUARES_REL_GAP), each all plus, split evenly or all
     minus."""
     law = model.pressure
     totals = np.array([pr.VACUUM_FLOOR, 0.5 * law.rho_star,
                        law.rho_star * (1.0 - pr.CONGESTION_REL_TOL)])
+    zero = np.zeros_like(totals)
+    weights = [(pr.LONE_STREAM, pr.LONE_STREAM)]
+    if model.crowding is not None:
+        weights.append((model.crowding, model.crowding_minus))
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            values = [*pr.one_way_offsets(law, totals, partials=True),
-                      pr.crossover_width(law, totals)]
-            if model.crowding is not None:
-                zero = np.zeros_like(totals)
+            values = [pr.crossover_width(law, totals)]
+            for q_plus, q_minus in weights:
                 p_plus, p_minus, d_plus, d_minus = pr.two_way_offsets(
-                    law, model.crowding, model.crowding_minus,
-                    np.concatenate([totals, zero]), np.concatenate([zero, totals]),
-                    partials=True)
+                    law, q_plus, q_minus, np.concatenate([totals, zero]),
+                    np.concatenate([zero, totals]), partials=True)
                 values += [p_plus, p_minus, *d_plus, *d_minus]
+            if model.crowding is not None:
                 # through the kernels behind ModelSpec.max_abs_speed and
                 # analysis.delta_field, whose calls perfbench counts per run
                 probes = law.rho_star * np.array([0.5, 1.0 - _SQUARES_REL_GAP])
@@ -849,12 +853,16 @@ def _cmd_dispersion(cfg: ScenarioConfig, outdir: Path, args) -> int:
 def _cmd_pressure_table(cfg: ScenarioConfig, outdir: Path, args) -> int:
     params = cfg.model.pressure
     rho_max = cfg.table_rho_max
-    if rho_max is None:
-        rho_max = min(params.rho_star * (1.0 - params.eps ** (1.0 / params.gamma)),
-                      params.rho_star * 0.999)
+    if rho_max is None:  # the band edge, which is <= 0 from eps = 1 on
+        edge = 1.0 - params.eps ** (1.0 / params.gamma)
+        rho_max = params.rho_star * (edge if 0.0 < edge < 0.999 else 0.999)
     rho = np.linspace(0.0, rho_max, cfg.table_n_points)
-    P, S, dP, dS = pr.one_way_offsets(params, rho, partials=True)
-    columns = (rho, P, S, P + S, dP + dS, pr.crossover_width(params, rho))
+    lone = (pr.LONE_STREAM, pr.LONE_STREAM)
+    p, _, (dp, _), _ = pr.two_way_offsets(params, *lone, rho, 0.0, partials=True)
+    # the background and singular parts: the law with eps, then M, set to 0
+    P, S = (pr.two_way_offsets(replace(params, **{key: 0.0}), *lone, rho, 0.0)[0]
+            for key in ("eps", "M"))
+    columns = (rho, P, S, p, dp, pr.crossover_width(params, rho))
     _write_csv(
         outdir / "pressure_table.csv",
         ["rho", "background", "singular", "total", "total_derivative",

@@ -162,8 +162,8 @@ class ModelSpec:
             return F
         if self.kind is ModelKind.ONE_WAY_CAR:
             rho = U[0]
-            P, S = pr.one_way_offsets(self.pressure, rho)
-            return np.stack([rho * (self.V - (P + S))])
+            p = _lone_stream_offsets(self, rho)[0]
+            return np.stack([rho * (self.V - p)])
         if self.kind is ModelKind.TWO_WAY_CAR:
             p_plus, p_minus = two_way_pressures(self, U[0], U[1])
             F = np.empty(U.shape)  # F[i, ...] is a view also of a (C,) state
@@ -203,8 +203,8 @@ class ModelSpec:
             return _pair_max_modulus(tr, tr * tr - 4.0 * det)
         if self.kind is ModelKind.ONE_WAY_CAR:
             rho = U[0]
-            P, S, dP, dS = pr.one_way_offsets(self.pressure, rho, partials=True)
-            return np.abs(self.V - (P + S) - rho * (dP + dS))
+            p, _, (dp, _), _ = _lone_stream_offsets(self, rho, partials=True)
+            return np.abs(self.V - p - rho * dp)
         if self.kind is ModelKind.ONE_WAY_AR:
             rho, w, u, dp = ar_primitives(self, U, partials=True)
             return np.maximum(np.abs(u), np.abs(u - rho * dp))
@@ -276,6 +276,13 @@ def two_way_pressures(model: ModelSpec, rho_plus, rho_minus):
     )
 
 
+def _lone_stream_offsets(model: ModelSpec, rho, partials=False):
+    """pr.two_way_offsets of a one-way model's density rho as a lone stream:
+    p(rho) first and, with partials=True, (dp/drho, dp/drho-) third."""
+    return pr.two_way_offsets(model.pressure, pr.LONE_STREAM, pr.LONE_STREAM,
+                              rho, 0.0, partials)
+
+
 def _species_primitives(rho, y):
     """Recover (rho, w, pr.vacuum_mask(rho)) for one species; vacuum cells
     get w = 0.  The caller applies the pressure closure.  A vacuum cell
@@ -296,11 +303,11 @@ def ar_primitives(model: ModelSpec, U: np.ndarray, partials=False):
     """(rho, w, u) of a one_way_ar model; with partials=True also the
     offset derivative dp/drho."""
     rho, w, vac = _species_primitives(U[0], U[1])
-    parts = pr.one_way_offsets(model.pressure, rho, partials)
-    u = pr.zero_at(vac, w - (parts[0] + parts[1]))
+    offsets = _lone_stream_offsets(model, rho, partials)
+    u = pr.zero_at(vac, w - offsets[0])
     if not partials:
         return rho, w, u
-    return rho, w, u, parts[2] + parts[3]
+    return rho, w, u, offsets[2][0]
 
 
 def _two_way_char_speeds(model, rho_plus, rho_minus, w_plus, w_minus):

@@ -8,10 +8,12 @@ speed, so it carries velocity units.  It is built from two pieces:
   density rho_star and is negligible elsewhere.  The correction switches
   on inside a band below rho_star whose width scales like eps**(1/gamma).
 
-The two-way variant evaluates the background on the total density of
-both walking directions and divides the singular correction by a
-crowding weight q of the walker's own density, so the majority stream is
-slowed less than the minority one.
+The law is evaluated for two walking directions: the background on the
+total density of both, and the singular correction divided by a crowding
+weight q of the walker's own density, so the majority stream is slowed
+less than the minority one.  The one-way law is that of a lone stream:
+the plus direction with no counter-flow (rho- = 0) and the constant
+weight q = 1, LONE_STREAM.
 """
 
 from __future__ import annotations
@@ -107,6 +109,10 @@ class CrowdingWeight:
         return self.beta * (1.0 + r / rho_star) ** (self.beta - 1.0) / rho_star
 
 
+#: The crowding weight of a lone stream (see the module docstring).
+LONE_STREAM = CrowdingWeight(CrowdingKind.CONSTANT)
+
+
 def vacuum_mask(rho):
     """Mask of the entries below VACUUM_FLOOR, or None when there is none.
 
@@ -124,34 +130,6 @@ def vacuum_mask(rho):
 def zero_at(mask, x):
     """x with the entries under mask set to 0; x itself when mask is None."""
     return x if mask is None else np.where(mask, 0.0, x)
-
-
-def one_way_offsets(params: PressureParams, rho, partials=False):
-    """Background and singular parts of the one-way offset, from one evaluation.
-
-    Returns (P, S) with the background P(rho) = M * rho**m and the singular
-    correction S(rho) = eps / (1/rho - 1/rho_star)**gamma, whose sum is the
-    offset; with partials=True also their derivatives (dP, dS), where
-    dS = eps * gamma / ((1/rho - 1/rho_star)**(gamma+1) * rho**2).  S is
-    strictly increasing from VACUUM_FLOOR on and divergent at rho_star;
-    below VACUUM_FLOOR, S and dS are 0, their limit at vacuum (gamma > 1).
-    rho must be admissible: 0 <= rho < rho_star.
-    """
-    r = np.asarray(rho, dtype=float)
-    P = params.M * r**params.m
-    S = np.zeros_like(r)
-    dS = np.zeros_like(r) if partials else None
-    pos = r >= VACUUM_FLOOR
-    if params.eps > 0 and np.any(pos):
-        # indexing gives a 1-d array even for a 0-d rho, so the powers below
-        # are array powers for every input shape
-        z = 1.0 / r[pos] - 1.0 / params.rho_star
-        S[pos] = params.eps / z**params.gamma
-        if partials:
-            dS[pos] = params.eps * params.gamma / (z ** (params.gamma + 1.0) * r[pos] ** 2)
-    if not partials:
-        return P, S
-    return P, S, params.M * params.m * r ** (params.m - 1.0), dS
 
 
 def crossover_width(params: PressureParams, rho):

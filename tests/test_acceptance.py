@@ -6,6 +6,7 @@ scenarios are shared through module-scoped fixtures.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -437,6 +438,11 @@ def test_criterion_08_conservation(fig3, fig4):
     )
 
 
+def _lone_stream(params, rho):
+    """The one-way offset: the plus offset of a lone stream."""
+    return pr.two_way_offsets(params, pr.LONE_STREAM, pr.LONE_STREAM, rho, 0.0)[0]
+
+
 def test_criterion_09_pressure_law():
     params = pr.PressureParams(M=1.0, m=2.0, eps=1e-3, gamma=2.0, rho_star=1.0)
     q = pr.CrowdingWeight(kind="affine", beta=1.0)
@@ -446,7 +452,7 @@ def test_criterion_09_pressure_law():
     for _ in range(500):
         rho_plus = rng.uniform(0.01, 0.7)
         rho_minus = rng.uniform(0.01, 0.95 - rho_plus)
-        bg, _ = pr.one_way_offsets(params, rho_plus + rho_minus)
+        bg = _lone_stream(replace(params, eps=0.0), rho_plus + rho_minus)
         q_plus = pr.two_way_pressure(params, q, rho_plus, rho_minus) - bg
         q_minus = pr.two_way_pressure(params, q, rho_minus, rho_plus) - bg
         lhs = q.value(rho_plus, 1.0) * q_plus
@@ -480,8 +486,8 @@ def test_criterion_09_pressure_law():
             p_sweep = pr.PressureParams(M=1.0, m=2.0, eps=eps, gamma=gamma, rho_star=1.0)
 
             def excess(rho):
-                background, singular = pr.one_way_offsets(p_sweep, rho)
-                return singular - background
+                singular = _lone_stream(replace(p_sweep, M=0.0), rho)
+                return singular - _lone_stream(replace(p_sweep, eps=0.0), rho)
 
             crossing = _bisect_zero(lambda r: -excess(r), 0.2, 1.0 - 1e-9, iters=100)
             width = pr.crossover_width(p_sweep, p_sweep.rho_star)

@@ -39,9 +39,13 @@ ROOT = TWO_LANE_CFG.parent.parent
 
 
 def two_lane_config(tmp_path, keys):
-    """scenarios/two_lane.cfg with the values of the given keys replaced;
-    a key given None is dropped."""
-    text = TWO_LANE_CFG.read_text()
+    return scenario_config(tmp_path, "two_lane.cfg", keys)
+
+
+def scenario_config(tmp_path, name, keys):
+    """scenarios/<name> with the values of the given keys replaced; a key
+    given None is dropped."""
+    text = (ROOT / "scenarios" / name).read_text()
     for key, value in keys.items():
         line = "" if value is None else f"{key} = {value}"
         text, n = re.subn(rf"^{re.escape(key)} = .*$", line, text, flags=re.M)
@@ -540,11 +544,17 @@ class TestMainExitCodes:
         assert (tmp_path / "map" / "boundary.csv").read_text() == "\n".join(want) + "\n"
 
     def test_a_map_whose_delta_overflows_is_a_numerical_failure(self, tmp_path, capsys):
-        # the load rules pass this law, but a diagonal node of the map at
-        # resolution 10 lies 1e-9 short of the jam density, where Delta
-        # squares partials past the float range (ROADMAP item 9)
-        cfg_path = two_lane_config(tmp_path, {"pressure.gamma": 17})
-        cfg_path.write_text(cfg_path.read_text() + "map.resolution = 10\n")
+        # the load rules pass this law (eps = 1e89 does not), but Delta is
+        # negative up to the jam density near rho_plus / rho_star = 0.674;
+        # at resolution 90 an edge from such a node runs to a diagonal node
+        # (hyperbolic by definition, see hyperbolicity_map), and its
+        # bisection reaches a total 6.9e-7 short of the jam density, past
+        # the load probe at 1e-6, where Delta squares partials past the
+        # float range
+        cfg_path = two_lane_config(tmp_path, {
+            "pressure.gamma": 10, "pressure.eps": "1e87", "crowding.beta": 50})
+        cfg_path.write_text(cfg_path.read_text() + "crowding_minus.kind = power\n"
+                            "crowding_minus.beta = 10\nmap.resolution = 90\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = cli.main(["hyperbolicity-map", "--config", str(cfg_path),
@@ -552,6 +562,23 @@ class TestMainExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
         assert list((tmp_path / "map").iterdir()) == []
+
+    @pytest.mark.parametrize("keys, resolution", [
+        ({"pressure.gamma": 17}, 10), ({"pressure.eps": "1e128"}, 10),
+        ({"pressure.gamma": 17}, 50)], ids=["gamma_10", "eps_10", "gamma_50"])
+    def test_a_map_evaluates_no_node_of_its_diagonal(self, tmp_path, keys, resolution):
+        # the diagonal i + j = resolution - 1 has the total
+        # rho_star (1 - 1e-9), but some of its nodes rounded below it, 4 at
+        # resolution 10 and 12 at 50, and were evaluated: there Delta squares
+        # partials past the float range, and these laws exited 3
+        cfg_path = two_lane_config(tmp_path, keys)
+        cfg_path.write_text(cfg_path.read_text() + f"map.resolution = {resolution}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["hyperbolicity-map", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "map")]) == 0
+        assert sorted(p.name for p in (tmp_path / "map").iterdir()) == [
+            "boundary.csv", "map.txt"]
 
     def test_dispersion_subcommand(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
@@ -623,6 +650,20 @@ table.n_points = 50
         )
         assert len(lines) == 51
 
+    @pytest.mark.parametrize("eps", [1.0, 2.0])
+    def test_the_default_table_range_of_a_large_eps_is_the_cap(self, tmp_path, eps):
+        # from eps = 1 on, the band edge rho_star (1 - eps**(1/gamma)) is at
+        # or below 0, so the range falls back to 0.999 rho_star; it ran from
+        # 0 down to -0.414 at eps = 2 and was 0 in every row at eps = 1
+        cfg_path = scenario_config(tmp_path, "pressure.cfg", {"pressure.eps": eps})
+        assert cli.main(["pressure-table", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "p")]) == 0
+        rho = np.loadtxt(tmp_path / "p" / "pressure_table.csv", delimiter=",",
+                         skiprows=1, usecols=0)
+        assert len(rho) == 200
+        assert rho[0] == 0.0 and rho[-1] == 0.999
+        assert np.all(np.diff(rho) > 0)
+
 
 def simulate_exit_code(cfg_path, tmp_path, *flags):
     return cli.main(
@@ -631,33 +672,39 @@ def simulate_exit_code(cfg_path, tmp_path, *flags):
 
 
 @st.composite
-def near_jam_configs(draw):
-    """Config text of a two_way_car or two_way_ar run of 1 to 3 lanes of 8
-    to 16 cells and 1 to 5 steps, with each lane's base total in
+def near_jam_configs(draw, one_way=False):
+    """Config text of a two_way_car or two_way_ar run of 1 to 3 lanes, or
+    with one_way of a one_way_car or one_way_ar run of one lane, of 8 to 16
+    cells and 1 to 5 steps, with each lane's base total in
     [0.97, 0.999) rho_star and drawn noise and seed."""
-    kind = draw(st.sampled_from(["two_way_car", "two_way_ar"]))
-    n_lanes = draw(st.integers(1, 3))
+    kinds = ["one_way_car", "one_way_ar"] if one_way else ["two_way_car", "two_way_ar"]
+    kind = draw(st.sampled_from(kinds))
+    n_lanes = 1 if one_way else draw(st.integers(1, 3))
     dt = draw(st.sampled_from([1e-5, 1e-4, 1e-3, 1e-2]))
     rho_star = draw(st.sampled_from([1.0, 2.5]))
     totals = [rho_star * draw(st.floats(0.97, 0.999, exclude_max=True))
               for _ in range(n_lanes)]
-    shares = [draw(st.floats(0.0, 1.0)) for _ in range(n_lanes)]
+    if one_way:
+        bases = {"initial.rho": totals[0]}
+    else:
+        shares = [draw(st.floats(0.0, 1.0)) for _ in range(n_lanes)]
+        bases = {"initial.rho_plus": [t * s for t, s in zip(totals, shares)],
+                 "initial.rho_minus": [t - t * s for t, s in zip(totals, shares)]}
     keys = {
         "model.kind": kind, "pressure.M": 1.0, "pressure.m": 2.0,
         "pressure.eps": draw(st.sampled_from([1e-4, 1e-3, 1e-2])),
         "pressure.gamma": 2.0, "pressure.rho_star": rho_star,
         "grid.n_cells": draw(st.integers(8, 16)), "grid.dx": 1.0,
         "scheme.dt": dt, "scheme.delta": draw(st.sampled_from([0.0, 0.1])),
-        "initial.rho_plus": [t * s for t, s in zip(totals, shares)],
-        "initial.rho_minus": [t - t * s for t, s in zip(totals, shares)],
+        **bases,
         "noise.sigma": draw(st.sampled_from([0.0]) | st.floats(0.0, 0.02)),
         "noise.seed": draw(st.integers(0, 2**16)),
         "run.t_end": draw(st.integers(1, 5)) * dt,
     }
-    if kind == "two_way_car":
+    if kind.endswith("_car"):
         keys["model.V"] = 1.0
     else:
-        for key in ("initial.w_plus", "initial.w_minus"):
+        for key in ["initial.w"] if one_way else ["initial.w_plus", "initial.w_minus"]:
             keys[key] = [draw(st.floats(0.5, 1.5)) for _ in range(n_lanes)]
     if n_lanes > 1:
         keys.update({"lanes.count": n_lanes,
@@ -669,9 +716,7 @@ def near_jam_configs(draw):
     return "".join(f"{key} = {text(value)}\n" for key, value in keys.items())
 
 
-@settings(max_examples=200, deadline=None)
-@given(text=near_jam_configs())
-def test_a_near_jam_run_exits_0_or_3_without_a_traceback_or_warning(text):
+def assert_exits_0_or_3_without_a_traceback_or_warning(text):
     # a step near the jam density may stop the run (exit 3, "numerical
     # failure: ..."), but no such config is a config error, an uncaught
     # exception or a RuntimeWarning
@@ -688,6 +733,19 @@ def test_a_near_jam_run_exits_0_or_3_without_a_traceback_or_warning(text):
         assert "Traceback" not in err.getvalue()
     else:
         assert err.getvalue() == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=near_jam_configs())
+def test_a_near_jam_run_exits_0_or_3_without_a_traceback_or_warning(text):
+    assert_exits_0_or_3_without_a_traceback_or_warning(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=near_jam_configs(one_way=True))
+def test_a_near_jam_one_way_run_exits_0_or_3_without_a_traceback_or_warning(text):
+    # the one-way kinds evaluate the two-way pressure kernel as a lone stream
+    assert_exits_0_or_3_without_a_traceback_or_warning(text)
 
 
 @settings(max_examples=100, deadline=None)

@@ -324,7 +324,7 @@ def reference_car_flux_1w(model, rho):
     scalar = r.ndim == 0
     params = model.pressure
     # pressure_1w: background plus the singular correction, which starts
-    # at the vacuum floor of pr.one_way_offsets (it started at rho > 0)
+    # at the vacuum floor of pr.two_way_offsets (it started at rho > 0)
     singular = np.zeros_like(r)
     pos = r >= pr.VACUUM_FLOOR
     if params.eps > 0 and np.any(pos):
@@ -365,8 +365,9 @@ def reference_ar_conserved_flux(model, U):
     U = np.asarray(U, dtype=float)
     if model.kind is md.ModelKind.ONE_WAY_AR:
         rho, w, vac = reference_species_primitives(U[0], U[1])
-        P, S = pr.one_way_offsets(model.pressure, rho)
-        u = np.where(vac, 0.0, w - (P + S))
+        p = pr.two_way_offsets(model.pressure, pr.LONE_STREAM, pr.LONE_STREAM, rho,
+                               0.0)[0]
+        u = np.where(vac, 0.0, w - p)
         return np.stack([rho * u, U[1] * u])
     if model.kind is not md.ModelKind.TWO_WAY_AR:
         raise DomainError("ar_conserved_flux requires a dynamic desired-speed model")
