@@ -30,10 +30,20 @@ from typing import NamedTuple
 import numpy as np
 
 from . import models as md
+from ._fork import two_process_map
 from .errors import DomainError
 
 #: Density tolerance used to locate the Delta = 0 level set.
 BOUNDARY_TOL = 1e-6
+
+# Maps with at least this many flipped raster edges bisect them in two
+# processes (see hyperbolicity_map).  An edge took 0.34-0.40 ms to bisect,
+# and two processes took about 6 ms more than half the time of one (the
+# fork, pipe and wait, and copy-on-write faults), so they broke even at
+# 34-40 edges (medians of 41 alternating in-process builds of the
+# two_lane.cfg model's map on a shared 2-core x86-64 machine).  At the
+# default map.resolution of 200 a map has about 300 such edges.
+_FORK_MIN_EDGES = 40
 
 
 class DiffusiveSpeeds(NamedTuple):
@@ -212,6 +222,10 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
     its diagonal i + j = grid_resolution - 1 (by index: some diagonal
     totals round below rho_max) are evaluated, and the others are reported
     as hyperbolic.
+
+    A map with at least _FORK_MIN_EDGES flipped raster edges bisects them
+    in this process and a forked child (_fork.two_process_map); the points
+    are the same bits either way.
     """
     if grid_resolution < 2:
         raise DomainError("grid_resolution must be >= 2")
@@ -232,27 +246,29 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
             return 1.0
         return float(delta_field(model, rp, rm))
 
-    def bisect_flips(axis_dir):
+    def flipped_edges(axis_dir):
         """The flips of hyp along one axis, in np.nonzero order, and the
-        boundary point of each, bisected from its first node."""
+        (first node, second node, class of the first node) of each."""
         di, dj = (1, 0) if axis_dir == 0 else (0, 1)
         flips = np.nonzero(np.diff(hyp, axis=axis_dir))
-        points = [_bisect_boundary(point_delta, (axis[i], axis[j]),
-                                   (axis[i + di], axis[j + dj]), bool(hyp[i, j]))
-                  for i, j in zip(*flips)]
-        return flips, np.array(points).reshape(-1, 2)
+        return flips, [((axis[i], axis[j]), (axis[i + di], axis[j + dj]), bool(hyp[i, j]))
+                       for i, j in zip(*flips)]
 
-    flips, plus_points = bisect_flips(0)
-    if model.crowding == model.crowding_minus:
-        # the flip (i, j) along rho_minus is the flip (j, i) along rho_plus
-        # mirrored (see HyperbolicityMap); np.lexsort ranks the rho_plus
-        # flips by (j, i), the np.nonzero order of the rho_minus ones
-        minus_points = plus_points[np.lexsort(flips), ::-1]
-    else:
-        minus_points = bisect_flips(1)[1]
-    boundary = np.concatenate([plus_points, minus_points])
+    flips, edges = flipped_edges(0)
+    # the flip (i, j) along rho_minus is the flip (j, i) along rho_plus
+    # mirrored (see HyperbolicityMap) where crowding == crowding_minus
+    mirrored = model.crowding == model.crowding_minus
+    if not mirrored:
+        edges += flipped_edges(1)[1]
+    points = np.array(two_process_map(
+        lambda edge: _bisect_boundary(point_delta, *edge), edges,
+        len(edges) >= _FORK_MIN_EDGES)).reshape(-1, 2)
+    if mirrored:
+        # np.lexsort ranks the rho_plus flips by (j, i), the np.nonzero
+        # order of the rho_minus ones
+        points = np.concatenate([points, points[np.lexsort(flips), ::-1]])
     return HyperbolicityMap(
-        rho_plus=axis, rho_minus=axis.copy(), hyperbolic=hyp, boundary_points=boundary
+        rho_plus=axis, rho_minus=axis.copy(), hyperbolic=hyp, boundary_points=points
     )
 
 

@@ -16,7 +16,6 @@ species, so identical configs produce identical artifact bytes.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from collections.abc import Callable, Set
 from contextlib import contextmanager
@@ -30,6 +29,7 @@ from . import models as md
 from . import multilane as ml
 from . import pressure as pr
 from . import solver as sv
+from ._fork import two_process_map
 from .errors import ClipBudgetError, ConfigError, DomainError, PedflowError
 
 # Model kinds, grouped by what their configs read.
@@ -590,9 +590,10 @@ def _write_snapshot(path: Path, snap: sv.StateField, grid: sv.Grid1D):
 
 
 # Snapshot sets whose odd-indexed snapshots hold at least this many state
-# values are written by two processes.  A fork and wait cost about 2-5 ms
-# and formatting one value about 1.5 us, so two processes broke even at
-# 2**12 to 2**14 values (two snapshots of 4 components, medians of 21
+# values are written by two processes.  A fork, pipe and wait cost 2.2-4.5
+# ms (quartiles of 61 calls, in processes of 33 MB and 131 MB) and
+# formatting one value about 1.5 us, so two processes broke even at 2**12
+# to 2**14 values (two snapshots of 4 components, medians of 21
 # alternating runs on a shared 2-core x86-64 machine).  The bound stays
 # above that noise: every bundled scenario (at most 5,120 values in its
 # odd-indexed snapshots) is written by one process.
@@ -602,34 +603,15 @@ _FORK_MIN_VALUES = 2**15
 def _write_snapshots(snapdir: Path, snapshots, grid: sv.Grid1D):
     """Write snapshot k to snapdir / snap_{k:06d}.csv.
 
-    Where os.fork exists and the odd-indexed snapshots hold at least
-    _FORK_MIN_VALUES values, a child process writes those while this one
-    writes the even-indexed ones, and this one returns after both finish.
-    If the child fails, this process writes the child's files again, so an
-    error surfaces here as it does when the files are written in order.
+    Where the odd-indexed snapshots hold at least _FORK_MIN_VALUES values,
+    a forked child writes those while this process writes the even-indexed
+    ones (see _fork.two_process_map, which also says how errors surface).
     """
-    def write(first, stride):
-        for idx in range(first, len(snapshots), stride):
-            _write_snapshot(snapdir / f"snap_{idx:06d}.csv", snapshots[idx], grid)
+    def write(idx):
+        _write_snapshot(snapdir / f"snap_{idx:06d}.csv", snapshots[idx], grid)
 
-    if (not hasattr(os, "fork")
-            or sum(snap.values.size for snap in snapshots[1::2]) < _FORK_MIN_VALUES):
-        write(0, 1)
-        return
-    pid = os.fork()
-    if pid == 0:  # the child: write the odd-indexed files, then exit at once
-        status = 1
-        try:
-            write(1, 2)
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        write(0, 2)
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        write(1, 2)
+    odd_values = sum(snap.values.size for snap in snapshots[1::2])
+    two_process_map(write, range(len(snapshots)), odd_values >= _FORK_MIN_VALUES)
 
 
 def _summary_rows(report: an.StabilityReport):

@@ -1,8 +1,9 @@
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -384,6 +385,8 @@ def asymmetric_car_model():
 @pytest.mark.parametrize("model", [car_model(eps=1e-3), asymmetric_car_model(), SIM],
                          ids=["two_way_car", "two_way_car_asymmetric", "sim_flux"])
 def test_map_bisection_matches_the_array_reference(model, monkeypatch):
+    # one process, so that every call is recorded here
+    monkeypatch.delattr(os, "fork")
     calls = []
     delta_field = an.delta_field
 
@@ -635,3 +638,86 @@ def test_table_text_matches_the_per_cell_reference(raster):
     hmap = an.HyperbolicityMap(rho_plus=axis, rho_minus=axis.copy(), hyperbolic=raster,
                                boundary_points=np.empty((0, 2)))
     assert hmap.to_table_text() == reference_table_text(raster)
+
+
+def one_process_map(model, resolution):
+    """The map of model built without os.fork, so by one process."""
+    with pytest.MonkeyPatch.context() as m:
+        m.delattr(os, "fork")
+        return an.hyperbolicity_map(model, resolution)
+
+
+def assert_same_map(got, want):
+    np.testing.assert_array_equal(got.hyperbolic, want.hyperbolic)
+    np.testing.assert_array_equal(got.boundary_points.view(np.int64),
+                                  want.boundary_points.view(np.int64))
+
+
+class TestTwoProcessMap:
+    """Maps with at least an._FORK_MIN_EDGES flipped raster edges are
+    bisected by two processes; the map is the same, bit for bit, as when
+    one process bisects them."""
+
+    @pytest.mark.parametrize("model", [car_model(eps=1e-3), asymmetric_car_model(), SIM],
+                             ids=["two_lane_law", "two_way_car_asymmetric", "sim_flux"])
+    def test_two_processes_bisect_the_points_of_one(self, model, forks):
+        want = one_process_map(model, 160)
+        assert_same_map(an.hyperbolicity_map(model, 160), want)
+        assert len(forks) == 1  # the edges of both axes, where both are bisected
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(crowding=crowding_weights, crowding_minus=st.none() | crowding_weights,
+           eps=st.floats(1e-4, 0.5), gamma=st.floats(1.01, 4.0),
+           resolution=st.integers(20, 80))
+    def test_drawn_maps(self, monkeypatch, forks, crowding, crowding_minus, eps, gamma,
+                        resolution):
+        monkeypatch.setattr(an, "_FORK_MIN_EDGES", 1)
+        params = pr.PressureParams(M=1.0, m=2.0, eps=eps, gamma=gamma, rho_star=1.0)
+        model = md.ModelSpec.two_way_car(V=1.0, pressure=params, crowding=crowding,
+                                         crowding_minus=crowding_minus)
+        want = one_process_map(model, resolution)
+        n_forks = len(forks)
+        assert_same_map(an.hyperbolicity_map(model, resolution), want)
+        assert len(forks) - n_forks == (len(want.boundary_points) > 0)
+
+    def test_a_failed_child_leaves_its_edges_to_the_parent(self, monkeypatch, forks):
+        model = car_model(eps=1e-3)
+        want = one_process_map(model, 160)
+        parent, delta_field = os.getpid(), an.delta_field
+
+        def fails_in_the_child(model, rho_plus, rho_minus):
+            if os.getpid() != parent:
+                raise FloatingPointError("overflow encountered in scalar multiply")
+            return delta_field(model, rho_plus, rho_minus)
+
+        monkeypatch.setattr(an, "delta_field", fails_in_the_child)
+        assert_same_map(an.hyperbolicity_map(model, 160), want)
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("failing", [(1,), (2,), (1, 2), (2, 3)])
+    def test_the_first_failed_edge_raises_as_in_one_process(self, monkeypatch, forks,
+                                                            failing):
+        """Edges 0, 2, ... are this process's share and 1, 3, ... the
+        child's; the error raised is that of the first failing edge."""
+        model = car_model(eps=1e-3)
+        hmap = one_process_map(model, 40)
+        axis = hmap.rho_plus
+        flips = list(zip(*np.nonzero(np.diff(hmap.hyperbolic, axis=0))))
+        delta_field = an.delta_field
+
+        def fails_on_an_edge(model, rho_plus, rho_minus):
+            # the bisection of the flip (i, j) evaluates rho_minus = axis[j]
+            # and rho_plus strictly between axis[i] and axis[i + 1]
+            for k in failing:
+                i, j = flips[k]
+                if (np.ndim(rho_plus) == 0 and rho_minus == axis[j]
+                        and axis[i] < rho_plus < axis[i + 1]):
+                    raise FloatingPointError(f"edge {k}")
+            return delta_field(model, rho_plus, rho_minus)
+
+        monkeypatch.setattr(an, "delta_field", fails_on_an_edge)
+        for build in (one_process_map, an.hyperbolicity_map):
+            with pytest.raises(FloatingPointError, match=f"^edge {failing[0]}$"):
+                build(model, 40)
+        assert len(forks) == 1

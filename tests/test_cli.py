@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import os
 import re
@@ -356,19 +357,11 @@ class TestSnapshotWriter:
     processes; the files are the same as when one process writes them."""
 
     @pytest.fixture
-    def forks(self, monkeypatch):
+    def forks(self, forks, monkeypatch):
         """Count the forks of this process, with every set of two or more
         snapshots large enough to fork."""
-        calls = []
-        fork = os.fork
-
-        def counting_fork():
-            calls.append(None)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(cli, "_FORK_MIN_VALUES", 1)
-        return calls
+        return forks
 
     def sequential(self, tmp_path, cfg_path, monkeypatch):
         with monkeypatch.context() as m:
@@ -418,6 +411,18 @@ class TestSnapshotWriter:
         want = self.sequential(tmp_path, cfg_path, monkeypatch)
         monkeypatch.setattr(cli, "_FORK_MIN_VALUES", 1)
         monkeypatch.delattr(os, "fork")
+        assert simulate_files(cfg_path, tmp_path / "unforked") == want
+
+    def test_a_failed_fork_leaves_every_file_to_one_process(self, tmp_path,
+                                                            monkeypatch):
+        cfg_path = snapshot_run(tmp_path, 2, 3)
+        want = self.sequential(tmp_path, cfg_path, monkeypatch)
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "_FORK_MIN_VALUES", 1)
+        monkeypatch.setattr(os, "fork", fork)
         assert simulate_files(cfg_path, tmp_path / "unforked") == want
 
     @pytest.mark.parametrize("path", sorted((ROOT / "scenarios").glob("*.cfg")),
@@ -543,14 +548,17 @@ class TestMainExitCodes:
                                          for point in hmap.boundary_points]
         assert (tmp_path / "map" / "boundary.csv").read_text() == "\n".join(want) + "\n"
 
-    def test_a_map_whose_delta_overflows_is_a_numerical_failure(self, tmp_path, capsys):
+    def test_a_map_whose_delta_overflows_is_a_numerical_failure(self, tmp_path, capsys,
+                                                                 forks):
         # the load rules pass this law (eps = 1e89 does not), but Delta is
         # negative up to the jam density near rho_plus / rho_star = 0.674;
         # at resolution 90 an edge from such a node runs to a diagonal node
         # (hyperbolic by definition, see hyperbolicity_map), and its
         # bisection reaches a total 6.9e-7 short of the jam density, past
         # the load probe at 1e-6, where Delta squares partials past the
-        # float range
+        # float range.  It is the 42nd edge bisected, an odd-indexed one:
+        # the forked child's share, which the CLI bisects again when the
+        # child fails, and so raises the child's error itself.
         cfg_path = two_lane_config(tmp_path, {
             "pressure.gamma": 10, "pressure.eps": "1e87", "crowding.beta": 50})
         cfg_path.write_text(cfg_path.read_text() + "crowding_minus.kind = power\n"
@@ -562,6 +570,26 @@ class TestMainExitCodes:
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
         assert list((tmp_path / "map").iterdir()) == []
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("name", ["two_lane.cfg", "clusters.cfg"])
+    def test_a_forked_map_has_the_bytes_of_one_process(self, tmp_path, monkeypatch,
+                                                       forks, name):
+        """The maps of the digest listing, at their resolution of 200, are
+        bisected by two processes; one process writes the same bytes."""
+        cfg_path = scenario_config(tmp_path, name, {})
+        assert cli.load_config(cfg_path).map_resolution == 200
+
+        def map_files(out):
+            assert cli.main(["hyperbolicity-map", "--config", str(cfg_path),
+                             "--out", str(out)]) == 0
+            return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+        forked = map_files(tmp_path / "forked")
+        assert len(forks) == 1
+        monkeypatch.delattr(os, "fork")
+        assert map_files(tmp_path / "unforked") == forked
+        assert sorted(forked) == ["boundary.csv", "map.txt"]
 
     @pytest.mark.parametrize("keys, resolution", [
         ({"pressure.gamma": 17}, 10), ({"pressure.eps": "1e128"}, 10),
