@@ -3,6 +3,13 @@ them with a saved listing.
 
     python scripts/scenario_digests.py > digests.txt   # the listing
     python scripts/scenario_digests.py digests.txt     # compare with it
+    python scripts/scenario_digests.py scripts/scenario_digests.txt
+
+The last line compares with the committed listing, scripts/scenario_digests.txt,
+which a change that alters an artifact updates in its own diff.  Float
+results depend on the CPU and the NumPy build, so that listing holds only
+on the platform it was made on: x86-64, NumPy 2.4.6, AVX-512 (the platform
+of perfbench/digests.json).
 
 Runs every scenarios/*.cfg through `pedflow simulate`, and through each
 analysis subcommand its model kind supports, into a temporary directory,

@@ -8,8 +8,8 @@ getting worse) and dies linearly as the target lane fills, reaching
 exactly zero at the jam density, so congested lanes attract nobody.
 
 Rates toward non-existent lanes (below lane 0, above lane K-1) are
-zero, which closes the finite stack conservatively: summed over lanes,
-the sources cancel and each walking direction conserves its total mass.
+zero, which closes the K lanes conservatively: summed over lanes, the
+sources cancel and each walking direction conserves its total mass.
 """
 
 from __future__ import annotations
@@ -57,7 +57,10 @@ def lane_change_rate(rates: LaneChangeRates, dpdt, rho_target, rho_star):
     if rates.ramp == "positive_part":
         ramp = np.maximum(dpdt, 0.0)
     else:
-        ramp = 1.0 / (1.0 + np.exp(-dpdt))
+        # exp(-dpdt) overflows for dpdt below about -709, as near the jam
+        # density: 1/(1 + inf) = 0 is the ramp's limit there, no error
+        with np.errstate(over="ignore"):
+            ramp = 1.0 / (1.0 + np.exp(-dpdt))
     cut = np.maximum(1.0 - rho_target / rho_star, 0.0)
     if rates.cutoff == "quadratic":
         cut = cut * cut
@@ -85,67 +88,17 @@ def density_sources(rho: np.ndarray, rates_up: np.ndarray, rates_down: np.ndarra
     return S
 
 
-def momentum_sources(
-    rho: np.ndarray, w: np.ndarray, rates_up: np.ndarray, rates_down: np.ndarray
-):
-    """Lane-change gain of the desired-speed momentum rho*w.
+def lane_densities(model: md.ModelSpec, U: np.ndarray) -> np.ndarray:
+    """(K, 2, n) per-lane, per-direction densities of the (C, K, n) state U.
 
-    The momentum moves with the same rates as the walkers carrying it,
-    so with a uniform w the result reduces to w times density_sources.
+    C-contiguous, so that sums over it round in the same order for every
+    layout of U.
     """
-    return density_sources(np.asarray(rho, dtype=float) * np.asarray(w, dtype=float),
-                           rates_up, rates_down)
-
-
-@dataclass
-class LaneStack:
-    """K two-way lanes sharing one model, a grid and a jam density.
-
-    values is the (C, K, n) conserved state: components, then lanes, then
-    cells; every lane runs the same two-way model (constant or dynamic
-    desired speed).  prev_offsets holds the (K, 2, n) per-lane,
-    per-direction offset fields of the previous step, used for the
-    discrete material derivative that drives the rates.  clipped_mass is
-    the negative density mass the transport steps have clipped to zero
-    so far, summed over lanes.
-    """
-
-    model: md.ModelSpec
-    values: np.ndarray
-    rates: LaneChangeRates
-    time: float = 0.0
-    prev_offsets: np.ndarray | None = None
-    clipped_mass: float = 0.0
-
-    def __post_init__(self):
-        if self.model.kind not in (md.ModelKind.TWO_WAY_CAR, md.ModelKind.TWO_WAY_AR):
-            raise DomainError("lanes must be two-way pressure-coupled models")
-        self.values = np.asarray(self.values, dtype=float)
-        shape = self.values.shape
-        if len(shape) != 3 or shape[0] != self.model.n_conserved or shape[1] < 1:
-            raise DomainError(f"lane state must be ({self.model.n_conserved} "
-                              f"components, >= 1 lanes, cells), got {shape}")
-
-    @property
-    def n_lanes(self) -> int:
-        return self.values.shape[1]
-
-    def densities(self) -> np.ndarray:
-        """(K, 2, n) array of per-lane, per-direction densities.
-
-        C-contiguous, so that sums over it round in the same order for
-        every stack layout.
-        """
-        dens = sv.density_view(self.model, self.values)
-        return np.ascontiguousarray(dens.swapaxes(0, 1))
-
-    def direction_mass(self, grid: sv.Grid1D) -> np.ndarray:
-        """Total mass per walking direction, summed over lanes."""
-        return self.densities().sum(axis=(0, 2)) * grid.dx
+    return np.ascontiguousarray(sv.density_view(model, U).swapaxes(0, 1))
 
 
 def _offsets_and_speeds(model: md.ModelSpec, U: np.ndarray):
-    """Densities, offsets, actual and desired speeds of stacked lanes.
+    """Densities, offsets, actual and desired speeds of K lanes.
 
     U is the (C, K, n) state; every result is (K, 2, n), rho a view of
     U, except the desired speed w: the float V for constant-desired-speed
@@ -171,34 +124,33 @@ def _upwind_gradient(p: np.ndarray, u: np.ndarray, dx: float) -> np.ndarray:
     return np.where(u >= 0.0, backward, forward)
 
 
-def coupled_step(stack: LaneStack, grid: sv.Grid1D, params: sv.SchemeParams) -> LaneStack:
-    """Advance the whole stack one step: transport, then lane exchange.
+def coupled_step(model: md.ModelSpec, rates: LaneChangeRates, U: np.ndarray,
+                 prev_offsets: np.ndarray | None, grid: sv.Grid1D,
+                 params: sv.SchemeParams, t: float):
+    """Advance K lanes one step from time t: transport, then lane exchange.
 
-    All lanes are advanced together, as one (C, K, n) array, by the
-    conservative transport-diffusion step; the lane-change sources are
-    then evaluated on the transported states (one common time level) and
-    applied as explicit increments dt*S to the densities and dt*R to the
-    desired-speed momenta of dynamic lanes.  The offset material
-    derivative uses the offsets stored by the previous call; the first
-    call uses the spatial term only.
+    U is the admissible (C, K, n) state of K lanes of one two-way model:
+    components, then lanes, then cells.  All lanes are advanced together
+    by the conservative transport-diffusion step; the lane-change sources
+    are then evaluated on the transported states (one common time level)
+    and applied as explicit increments dt*S to the densities and dt*R to
+    the desired-speed momenta of dynamic lanes.  The offset material
+    derivative uses prev_offsets, the (K, 2, n) offsets the previous step
+    returned; the first step passes None and uses the spatial term only.
 
-    Raises SourceStiffnessError when lambda0*dt exceeds 1, or when the
-    fraction dt*(rate_up + rate_down) of a cell's walkers that would leave
-    it exceeds 1, which would make its density negative.  Takes an
-    admissible stack and checks the state after the exchange.
+    Returns the new state, its offsets and the density mass the transport
+    step clipped to zero, summed over lanes.  Raises SourceStiffnessError
+    when the fraction dt*(rate_up + rate_down) of a cell's walkers that
+    would leave it exceeds 1, which would make its density negative; the
+    caller keeps lambda0*dt <= 1.  Checks the state after the exchange.
     """
     dt = params.dt
-    if dt * stack.rates.lambda0 > 1.0 + 1e-12:
-        raise SourceStiffnessError(
-            f"lambda0 * dt = {dt * stack.rates.lambda0:.3g} exceeds 1"
-        )
-    model = stack.model
     rho_star = model.pressure.rho_star
-    U, _, clipped = sv._advance(model, stack.values, grid, params)
+    U, _, clipped = sv._advance(model, U, grid, params)
     rho, p, u, w = _offsets_and_speeds(model, U)
     dpdt = u * _upwind_gradient(p, u, grid.dx)
-    if stack.prev_offsets is not None:
-        dpdt = dpdt + (p - stack.prev_offsets) / dt
+    if prev_offsets is not None:
+        dpdt = dpdt + (p - prev_offsets) / dt
 
     # Lane k moves walkers up toward lane k+1 and down toward lane k-1,
     # each rate cut off by the total density of the target lane; the
@@ -206,10 +158,9 @@ def coupled_step(stack: LaneStack, grid: sv.Grid1D, params: sv.SchemeParams) -> 
     total = rho.sum(axis=1, keepdims=True)
     rates_up = np.zeros(rho.shape)
     rates_down = np.zeros(rho.shape)
-    rates_up[:-1] = lane_change_rate(stack.rates, dpdt[:-1], total[1:], rho_star)
-    rates_down[1:] = lane_change_rate(stack.rates, dpdt[1:], total[:-1], rho_star)
+    rates_up[:-1] = lane_change_rate(rates, dpdt[:-1], total[1:], rho_star)
+    rates_down[1:] = lane_change_rate(rates, dpdt[1:], total[:-1], rho_star)
 
-    t = stack.time + dt
     outflow = dt * (rates_up + rates_down)
     worst = np.unravel_index(np.argmax(outflow), outflow.shape)
     if outflow[worst] > 1.0:
@@ -217,20 +168,14 @@ def coupled_step(stack: LaneStack, grid: sv.Grid1D, params: sv.SchemeParams) -> 
         raise SourceStiffnessError(
             f"lane-change outflow dt*(rate_up + rate_down) = {outflow[worst]:.3g} "
             f"exceeds 1 in lane {lane}, direction {('plus', 'minus')[direction]}, "
-            f"cell {cell} at t = {t:.6g}"
+            f"cell {cell} at t = {t + dt:.6g}"
         )
 
-    # rho is a view of U: take both sources before either update
+    # rho is a view of U: take both sources before either update.  The
+    # desired-speed momentum rho*w moves with the walkers carrying it.
     S = density_sources(rho, rates_up, rates_down)
     if model.kind is md.ModelKind.TWO_WAY_AR:
-        U[1::2] += dt * momentum_sources(rho, w, rates_up, rates_down).swapaxes(0, 1)
+        U[1::2] += dt * density_sources(rho * w, rates_up, rates_down).swapaxes(0, 1)
     sv.density_view(model, U)[...] += dt * S.swapaxes(0, 1)
     sv.check_admissible(model, U)
-    return LaneStack(
-        model=model,
-        values=U,
-        rates=stack.rates,
-        time=t,
-        prev_offsets=p,
-        clipped_mass=stack.clipped_mass + clipped,
-    )
+    return U, p, clipped

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from pedflow import analysis as an
 from pedflow import cli
 from pedflow import models as md
+from pedflow import multilane as ml
 from pedflow import solver as sv
 from pedflow.errors import ClipBudgetError, ConfigError
 
@@ -335,6 +336,19 @@ rates.lambda0 = 0.5
         assert float(last[3]) == pytest.approx(float(first[3]), rel=1e-12)
         assert float(last[4]) == pytest.approx(float(first[4]), rel=1e-12)
 
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_run_shorter_than_1e_9_writes_its_final_snapshot(self, tmp_path, lanes):
+        # the final state is written unless the last snapshot is within
+        # 1e-9 * dt of it, on one lane as on two
+        keys = {"scheme.dt": 1e-10, "run.t_end": 5e-10, "run.snapshot_every": None}
+        if lanes == 1:
+            keys.update({"initial.rho_plus": 0.3, "initial.rho_minus": 0.1,
+                         "lanes.count": None, "rates.lambda0": None,
+                         "rates.ramp": None, "rates.cutoff": None})
+        assert simulate_exit_code(two_lane_config(tmp_path, keys), tmp_path) == 0
+        snaps = sorted(p.name for p in (tmp_path / "o" / "snapshots").iterdir())
+        assert snaps == ["snap_000000.csv", "snap_000001.csv"]
+
 
 def snapshot_run(tmp_path, lanes, n_snapshots):
     """Config of a sim_flux run of one lane or a two_way_car run of two lanes
@@ -501,6 +515,29 @@ class TestMainExitCodes:
         assert cli.main(
             ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
         ) == 3
+
+    def test_multilane_run_stops_at_the_first_step_past_the_clip_budget(
+        self, tmp_path, monkeypatch
+    ):
+        # _advance clips c more per step: the multi-lane loop sums the
+        # clipped mass and stops at the first step k with k*c > budget
+        cfg = cli.load_config(TWO_LANE_CFG)
+        dens = ml.lane_densities(cfg.model, cli.build_initial(cfg).values)
+        budget = sv.CLIP_BUDGET_REL * float(np.sum(dens.sum(axis=(0, 2)) * cfg.grid.dx))
+        c = budget / 2.5
+        advance = sv._advance
+        steps = []
+
+        def clipping_advance(model, U, grid, params):
+            steps.append(len(steps) + 1)
+            U_new, cfl, clipped = advance(model, U, grid, params)
+            return U_new, cfl, clipped + c
+
+        monkeypatch.setattr(sv, "_advance", clipping_advance)
+        message = f"clipped mass {3 * c:.3e} exceeds budget {budget:.3e}"
+        with pytest.raises(ClipBudgetError, match=re.escape(message)):
+            cli.run_scenario(cfg, tmp_path)
+        assert steps == [1, 2, 3]
 
     def test_check_failure(self, tmp_path):
         text = BASE_CONFIG + "check.final_supnorm_lt = 1e-12\n"
@@ -736,7 +773,9 @@ def near_jam_configs(draw, one_way=False):
             keys[key] = [draw(st.floats(0.5, 1.5)) for _ in range(n_lanes)]
     if n_lanes > 1:
         keys.update({"lanes.count": n_lanes,
-                     "rates.lambda0": draw(st.sampled_from([0.0, 0.5, 5.0]))})
+                     "rates.lambda0": draw(st.sampled_from([0.0, 0.5, 5.0])),
+                     "rates.ramp": draw(st.sampled_from(["positive_part", "sigmoid"])),
+                     "rates.cutoff": draw(st.sampled_from(["linear", "quadratic"]))})
 
     def text(value):  # a per-lane list is written comma-separated
         return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
@@ -766,6 +805,33 @@ def assert_exits_0_or_3_without_a_traceback_or_warning(text):
 @settings(max_examples=200, deadline=None)
 @given(text=near_jam_configs())
 def test_a_near_jam_run_exits_0_or_3_without_a_traceback_or_warning(text):
+    assert_exits_0_or_3_without_a_traceback_or_warning(text)
+
+
+def test_a_near_jam_sigmoid_ramp_does_not_overflow():
+    # the offsets' material derivative falls far below -709 near the jam
+    # density, where exp(-dpdt) of the sigmoid ramp overflows
+    text = """
+model.kind = two_way_car
+model.V = 1.0
+pressure.M = 1.0
+pressure.m = 2.0
+pressure.eps = 1e-2
+pressure.gamma = 2.0
+pressure.rho_star = 1.0
+grid.n_cells = 12
+grid.dx = 1.0
+scheme.dt = 1e-5
+scheme.delta = 0.0
+initial.rho_plus = 0.31637400653797315, 0.4018402515718305
+initial.rho_minus = 0.6594252451729499, 0.5794476658790688
+noise.sigma = 0.0008714923710370259
+noise.seed = 8743
+run.t_end = 3e-5
+lanes.count = 2
+rates.lambda0 = 5.0
+rates.ramp = sigmoid
+"""
     assert_exits_0_or_3_without_a_traceback_or_warning(text)
 
 

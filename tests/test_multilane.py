@@ -11,7 +11,6 @@ from pedflow import solver as sv
 from pedflow.errors import (
     BlowUpError,
     CongestionOverflowError,
-    DomainError,
     PedflowError,
     SourceStiffnessError,
 )
@@ -74,11 +73,11 @@ class TestLaneChangeRate:
 
         monkeypatch.setattr(ml, "lane_change_rate", rates)
         lanes = [np.full((2, 8), 0.4), np.full((2, 8), 0.45)]
-        stack = ml.LaneStack(model=car_model(), values=np.stack(lanes, axis=1),
-                             rates=ml.LaneChangeRates(lambda0=1.0))
         grid = sv.Grid1D(n_cells=8, dx=1.0)
         with pytest.raises(CongestionOverflowError, match="reached the jam density"):
-            ml.coupled_step(stack, grid, sv.SchemeParams(dt=0.05))
+            ml.coupled_step(car_model(), ml.LaneChangeRates(lambda0=1.0),
+                            np.stack(lanes, axis=1), None, grid,
+                            sv.SchemeParams(dt=0.05), 0.0)
         assert max(float(np.max(t)) for t in calls) < 1.0
 
 
@@ -117,7 +116,7 @@ class TestSources:
         rates_up = np.zeros((2, 2, 1))
         rates_up[0, 0, 0] = 1.0
         rates_down = np.zeros((2, 2, 1))
-        R = ml.momentum_sources(rho, w, rates_up, rates_down)
+        R = ml.density_sources(rho * w, rates_up, rates_down)
         assert R[0, 0, 0] == pytest.approx(-0.36)
         assert R[1, 0, 0] == pytest.approx(0.36)
 
@@ -131,7 +130,7 @@ class TestSources:
         scale = max((np.abs(up * rho)).max(), (np.abs(down * rho)).max(), 1e-30)
         assert np.abs(S.sum(axis=0)).max() <= 1e-13 * scale * K
         w = rng.uniform(0.5, 1.5, (K, 2, 16))
-        R = ml.momentum_sources(rho, w, up, down)
+        R = ml.density_sources(rho * w, up, down)
         assert np.abs(R.sum(axis=0)).max() <= 1e-13 * scale * K * w.max()
 
     def test_uniform_w_factors_out(self):
@@ -142,7 +141,7 @@ class TestSources:
         down = random_rates(rng, K, (8,))
         V = 1.3
         S = ml.density_sources(rho, up, down)
-        R = ml.momentum_sources(rho, np.full_like(rho, V), up, down)
+        R = ml.density_sources(rho * np.full_like(rho, V), up, down)
         np.testing.assert_allclose(R, V * S, rtol=1e-13, atol=1e-16)
 
     def test_w_transport_consistency(self):
@@ -156,7 +155,7 @@ class TestSources:
         up[K - 1] = 0.0
         down[0] = 0.0
         S = ml.density_sources(rho, up, down)
-        R = ml.momentum_sources(rho, w, up, down)
+        R = ml.density_sources(rho * w, up, down)
         for k in range(K):
             expected = np.zeros_like(w[k])
             if k + 1 < K:
@@ -167,43 +166,53 @@ class TestSources:
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-13)
 
 
-def make_stack(K, rng, n=16):
+def make_lanes(K, rng, n=16):
+    """The (2, K, n) state of K two_way_car lanes with drawn densities."""
     lanes = []
     for _ in range(K):
         rho_p = rng.uniform(0.1, 0.3, n)
         rho_m = rng.uniform(0.1, 0.3, n)
         lanes.append(np.stack([rho_p, rho_m]))
-    return ml.LaneStack(
-        model=car_model(),
-        values=np.stack(lanes, axis=1),
-        rates=ml.LaneChangeRates(lambda0=0.5),
-    )
+    return np.stack(lanes, axis=1)
+
+
+def direction_mass(model, U, grid):
+    """Total mass per walking direction, summed over lanes."""
+    return ml.lane_densities(model, U).sum(axis=(0, 2)) * grid.dx
+
+
+def run_steps(model, rates, U, grid, params, n_steps):
+    """The state n_steps coupled steps make from U."""
+    offsets = None
+    for k in range(n_steps):
+        U, offsets, _ = ml.coupled_step(model, rates, U, offsets, grid, params,
+                                        k * params.dt)
+    return U
 
 
 class TestCoupledStep:
     def test_zero_rates_match_independent_steps(self):
         rng = np.random.default_rng(2)
-        stack = make_stack(3, rng)
-        stack.rates = ml.LaneChangeRates(lambda0=0.0)
+        model, U = car_model(), make_lanes(3, rng)
         grid = sv.Grid1D(n_cells=16, dx=1.0)
         params = sv.SchemeParams(dt=0.05, delta_diff=0.1)
         independent = [
-            sv._advance(stack.model, stack.values[:, k], grid, params)[0]
-            for k in range(stack.n_lanes)
+            sv._advance(model, U[:, k], grid, params)[0]
+            for k in range(U.shape[1])
         ]
-        coupled = ml.coupled_step(stack, grid, params)
+        coupled, _, _ = ml.coupled_step(model, ml.LaneChangeRates(lambda0=0.0), U,
+                                        None, grid, params, 0.0)
         for k, want in enumerate(independent):
-            np.testing.assert_array_equal(coupled.values[:, k], want)
+            np.testing.assert_array_equal(coupled[:, k], want)
 
     def test_per_direction_mass_conserved(self):
         rng = np.random.default_rng(3)
-        stack = make_stack(4, rng)
+        model, U = car_model(), make_lanes(4, rng)
         grid = sv.Grid1D(n_cells=16, dx=1.0)
         params = sv.SchemeParams(dt=0.05, delta_diff=0.1)
-        before = stack.direction_mass(grid)
-        for _ in range(40):
-            stack = ml.coupled_step(stack, grid, params)
-        after = stack.direction_mass(grid)
+        before = direction_mass(model, U, grid)
+        U = run_steps(model, ml.LaneChangeRates(lambda0=0.5), U, grid, params, 40)
+        after = direction_mass(model, U, grid)
         np.testing.assert_allclose(after, before, rtol=1e-12)
 
     def test_symmetric_lanes_stay_identical(self):
@@ -212,16 +221,11 @@ class TestCoupledStep:
         rho_p = rng.uniform(0.1, 0.3, n)
         rho_m = rng.uniform(0.1, 0.3, n)
         lane = np.stack([rho_p, rho_m])
-        stack = ml.LaneStack(
-            model=car_model(),
-            values=np.stack([lane, lane], axis=1),
-            rates=ml.LaneChangeRates(lambda0=0.5),
-        )
         grid = sv.Grid1D(n_cells=n, dx=1.0)
         params = sv.SchemeParams(dt=0.05, delta_diff=0.1)
-        for _ in range(20):
-            stack = ml.coupled_step(stack, grid, params)
-        np.testing.assert_array_equal(stack.values[:, 0], stack.values[:, 1])
+        U = run_steps(car_model(), ml.LaneChangeRates(lambda0=0.5),
+                      np.stack([lane, lane], axis=1), grid, params, 20)
+        np.testing.assert_array_equal(U[:, 0], U[:, 1])
 
     def test_ar_lanes_conserve_momentum_totals(self):
         rng = np.random.default_rng(5)
@@ -234,46 +238,16 @@ class TestCoupledStep:
             w_p = rng.uniform(1.0, 1.2, n)
             w_m = rng.uniform(1.0, 1.2, n)
             lanes.append(np.stack([rho_p, rho_p * w_p, rho_m, rho_m * w_m]))
-        stack = ml.LaneStack(
-            model=model,
-            values=np.stack(lanes, axis=1),
-            rates=ml.LaneChangeRates(lambda0=0.4),
-        )
+        U = np.stack(lanes, axis=1)
         grid = sv.Grid1D(n_cells=n, dx=1.0)
         params = sv.SchemeParams(dt=0.05)
-        y_before = stack.values[[1, 3]].sum()
-        mass_before = stack.direction_mass(grid)
-        for _ in range(20):
-            stack = ml.coupled_step(stack, grid, params)
-        mass_after = stack.direction_mass(grid)
-        y_after = stack.values[[1, 3]].sum()
+        y_before = U[[1, 3]].sum()
+        mass_before = direction_mass(model, U, grid)
+        U = run_steps(model, ml.LaneChangeRates(lambda0=0.4), U, grid, params, 20)
+        mass_after = direction_mass(model, U, grid)
+        y_after = U[[1, 3]].sum()
         np.testing.assert_allclose(mass_after, mass_before, rtol=1e-12)
         assert y_after == pytest.approx(y_before, rel=1e-12)
-
-    def test_source_stiffness_guard(self):
-        rng = np.random.default_rng(6)
-        stack = make_stack(2, rng)
-        stack.rates = ml.LaneChangeRates(lambda0=30.0)
-        grid = sv.Grid1D(n_cells=16, dx=1.0)
-        params = sv.SchemeParams(dt=0.05)
-        with pytest.raises(SourceStiffnessError):
-            ml.coupled_step(stack, grid, params)
-
-    def test_stack_validation(self):
-        with pytest.raises(DomainError, match="two-way"):
-            ml.LaneStack(
-                model=md.ModelSpec.sim_flux(),
-                values=np.zeros((2, 1, 8)),
-                rates=ml.LaneChangeRates(),
-            )
-        # no lanes; a single lane without a lane axis; too many components
-        for shape in [(2, 0, 8), (2, 8), (4, 2, 8)]:
-            with pytest.raises(DomainError, match="lane state must be"):
-                ml.LaneStack(
-                    model=car_model(),
-                    values=np.zeros(shape),
-                    rates=ml.LaneChangeRates(),
-                )
 
     def test_outflow_bound(self):
         # A dense bump in lane 0 drives rates whose combined outflow
@@ -283,74 +257,57 @@ class TestCoupledStep:
         lane0 = np.stack([np.full(n, 0.1), np.full(n, 0.05)])
         lane0[0, 28:36] = 0.75
         lane1 = np.stack([np.full(n, 0.1), np.full(n, 0.05)])
-        stack = ml.LaneStack(
-            model=car_model(),
-            values=np.stack([lane0, lane1], axis=1),
-            rates=ml.LaneChangeRates(lambda0=10.0),
-        )
+        model, rates = car_model(), ml.LaneChangeRates(lambda0=10.0)
+        U, offsets = np.stack([lane0, lane1], axis=1), None
         grid = sv.Grid1D(n_cells=n, dx=1.0)
         params = sv.SchemeParams(dt=0.05)
         with pytest.raises(SourceStiffnessError, match="lane 0, direction plus, cell"):
-            for _ in range(8):
-                stack = ml.coupled_step(stack, grid, params)
-                assert stack.densities().min() >= 0.0
+            for k in range(8):
+                U, offsets, _ = ml.coupled_step(model, rates, U, offsets, grid,
+                                                params, k * params.dt)
+                assert ml.lane_densities(model, U).min() >= 0.0
 
     def test_blow_up_names_the_lane(self):
-        stack = make_stack(2, np.random.default_rng(9))
-        stack.values[0, 1, 5] = np.nan
+        U = make_lanes(2, np.random.default_rng(9))
+        U[0, 1, 5] = np.nan
         grid = sv.Grid1D(n_cells=16, dx=1.0)
         with pytest.raises(BlowUpError, match="of lane 1 at cell"):
-            ml.coupled_step(stack, grid, sv.SchemeParams(dt=0.05))
-
-    def test_clipped_mass_accumulates_on_the_stack(self, monkeypatch):
-        advance = sv._advance
-
-        def clipping_advance(model, U, grid, params):
-            U_new, cfl, clipped = advance(model, U, grid, params)
-            return U_new, cfl, clipped + 0.25
-
-        monkeypatch.setattr(sv, "_advance", clipping_advance)
-        stack = make_stack(2, np.random.default_rng(8))
-        grid = sv.Grid1D(n_cells=16, dx=1.0)
-        params = sv.SchemeParams(dt=0.05)
-        for _ in range(3):
-            stack = ml.coupled_step(stack, grid, params)
-        assert stack.clipped_mass == 0.75
+            ml.coupled_step(car_model(), ml.LaneChangeRates(lambda0=0.5), U, None,
+                            grid, sv.SchemeParams(dt=0.05), 0.0)
 
 
 # The per-lane coupled step that the batched one replaced, kept as the
 # reference: one solver step per lane, then rates filled lane by lane.
 
 
-def reference_desired_speeds(stack):
-    model = stack.model
+def reference_desired_speeds(model, U):
+    K = U.shape[1]
     if model.kind is md.ModelKind.TWO_WAY_CAR:
-        n = stack.values.shape[-1]
-        return np.stack([np.full((2, n), model.V, dtype=float)
-                         for _ in range(stack.n_lanes)])
+        n = U.shape[-1]
+        return np.stack([np.full((2, n), model.V, dtype=float) for _ in range(K)])
     out = []
-    for k in range(stack.n_lanes):
-        v = stack.values[:, k]
+    for k in range(K):
+        v = U[:, k]
         _, w_p, _ = md._species_primitives(v[0], v[1])
         _, w_m, _ = md._species_primitives(v[2], v[3])
         out.append(np.stack([w_p, w_m]))
     return np.stack(out)
 
 
-def reference_offsets_and_speeds(stack):
-    model = stack.model
+def reference_offsets_and_speeds(model, U):
+    K = U.shape[1]
     rows = list(model.density_rows)
-    rho = np.stack([stack.values[rows, k] for k in range(stack.n_lanes)])
+    rho = np.stack([U[rows, k] for k in range(K)])
     p = np.empty_like(rho)
     u = np.empty_like(rho)
-    for k in range(stack.n_lanes):
+    for k in range(K):
         p_plus, p_minus = md.two_way_pressures(model, rho[k, 0], rho[k, 1])
         p[k, 0], p[k, 1] = p_plus, p_minus
         if model.kind is md.ModelKind.TWO_WAY_CAR:
             u[k, 0] = model.V - p_plus
             u[k, 1] = -model.V + p_minus
         else:
-            v = stack.values[:, k]
+            v = U[:, k]
             _, w_p, _ = md._species_primitives(v[0], v[1])
             _, w_m, _ = md._species_primitives(v[2], v[3])
             u[k, 0] = w_p - p_plus
@@ -358,25 +315,16 @@ def reference_offsets_and_speeds(stack):
     return rho, p, u
 
 
-def reference_coupled_step(stack, grid, params):
-    model = stack.model
-    new_lanes = [
-        sv._advance(model, stack.values[:, k], grid, params)[0]
-        for k in range(stack.n_lanes)
-    ]
-    new_stack = ml.LaneStack(
-        model=model,
-        values=np.stack(new_lanes, axis=1),
-        rates=stack.rates,
-        time=stack.time + params.dt,
-        prev_offsets=stack.prev_offsets,
-    )
-    rho, p, u = reference_offsets_and_speeds(new_stack)
+def reference_coupled_step(model, rates, U, prev_offsets, grid, params, t):
+    """The state, offsets and time one step makes from U at time t."""
+    K = U.shape[1]
+    new = np.stack([sv._advance(model, U[:, k], grid, params)[0] for k in range(K)],
+                   axis=1)
+    rho, p, u = reference_offsets_and_speeds(model, new)
     dpdt = u * ml._upwind_gradient(p, u, grid.dx)
-    if stack.prev_offsets is not None:
-        dpdt = dpdt + (p - stack.prev_offsets) / params.dt
+    if prev_offsets is not None:
+        dpdt = dpdt + (p - prev_offsets) / params.dt
 
-    K = new_stack.n_lanes
     rho_star = model.pressure.rho_star
     total = rho.sum(axis=1)
     rates_up = np.zeros_like(rho)
@@ -385,25 +333,24 @@ def reference_coupled_step(stack, grid, params):
         for alpha in range(2):
             if k + 1 < K:
                 rates_up[k, alpha] = ml.lane_change_rate(
-                    stack.rates, dpdt[k, alpha], total[k + 1], rho_star
+                    rates, dpdt[k, alpha], total[k + 1], rho_star
                 )
             if k - 1 >= 0:
                 rates_down[k, alpha] = ml.lane_change_rate(
-                    stack.rates, dpdt[k, alpha], total[k - 1], rho_star
+                    rates, dpdt[k, alpha], total[k - 1], rho_star
                 )
 
     S = ml.density_sources(rho, rates_up, rates_down)
     if model.kind is md.ModelKind.TWO_WAY_AR:
-        R = ml.momentum_sources(rho, reference_desired_speeds(new_stack),
-                                rates_up, rates_down)
+        R = ml.density_sources(rho * reference_desired_speeds(model, new),
+                               rates_up, rates_down)
     dens_rows = list(model.density_rows)
     for k in range(K):
-        new_stack.values[dens_rows, k] += params.dt * S[k]
+        new[dens_rows, k] += params.dt * S[k]
         if model.kind is md.ModelKind.TWO_WAY_AR:
-            new_stack.values[1, k] += params.dt * R[k, 0]
-            new_stack.values[3, k] += params.dt * R[k, 1]
-    new_stack.prev_offsets = p
-    return new_stack
+            new[1, k] += params.dt * R[k, 0]
+            new[3, k] += params.dt * R[k, 1]
+    return new, p, t + params.dt
 
 
 def assert_bitwise_equal(got, want):
@@ -413,7 +360,8 @@ def assert_bitwise_equal(got, want):
 
 
 @st.composite
-def lane_stacks(draw, kind, K, n=12):
+def lane_states(draw, kind, K, n=12):
+    """The model, (C, K, n) state and rates of K drawn lanes."""
     rho = draw(hnp.arrays(np.float64, (K, 2, n), elements=st.floats(0.02, 0.35)))
     if kind == "two_way_car":
         model = car_model()
@@ -429,11 +377,7 @@ def lane_stacks(draw, kind, K, n=12):
         ramp=draw(st.sampled_from(["positive_part", "sigmoid"])),
         cutoff=draw(st.sampled_from(["linear", "quadratic"])),
     )
-    return ml.LaneStack(
-        model=model,
-        values=np.ascontiguousarray(values.swapaxes(0, 1)),
-        rates=rates,
-    )
+    return model, np.ascontiguousarray(values.swapaxes(0, 1)), rates
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
@@ -441,17 +385,24 @@ def lane_stacks(draw, kind, K, n=12):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_batched_step_matches_per_lane_reference(kind, K, data):
-    stack = data.draw(lane_stacks(kind, K))
+    model, U, rates = data.draw(lane_states(kind, K))
     delta = data.draw(st.sampled_from([0.0, 0.1]))
-    grid = sv.Grid1D(n_cells=stack.values.shape[-1], dx=1.0)
+    grid = sv.Grid1D(n_cells=U.shape[-1], dx=1.0)
     params = sv.SchemeParams(dt=0.05, delta_diff=delta)
-    batched = reference = stack
+    batched = reference = U
+    offsets = ref_offsets = None
+    t = ref_t = 0.0
     for _ in range(20):
-        batched = ml.coupled_step(batched, grid, params)
-        reference = reference_coupled_step(reference, grid, params)
-        assert batched.time == reference.time
-        assert_bitwise_equal(batched.values, reference.values)
-        assert_bitwise_equal(batched.prev_offsets, reference.prev_offsets)
+        # the running time of the multi-lane loop in cli._run_multilane
+        batched, offsets, _ = ml.coupled_step(model, rates, batched, offsets, grid,
+                                              params, t)
+        t += params.dt
+        reference, ref_offsets, ref_t = reference_coupled_step(
+            model, rates, reference, ref_offsets, grid, params, ref_t
+        )
+        assert t == ref_t
+        assert_bitwise_equal(batched, reference)
+        assert_bitwise_equal(offsets, ref_offsets)
 
 
 def _largest_interface_totals(rho):
@@ -463,14 +414,15 @@ def _largest_interface_totals(rho):
 
 
 @st.composite
-def near_jam_stacks(draw, kind, K, n=8):
-    """An admissible stack of K lanes with loads up to 0.95 rho_star and
-    species shares drawn per cell.  Half of the draws scale each lane so
-    that its largest interface total lies within 0.3% below the jam
-    density: componentwise minmod makes interface totals above both
-    neighbouring cells' (ROADMAP item 4, defect C), and the huge flux there
-    takes over a quarter of such one-lane steps to new cell averages past
-    the jam density.  The cell values come from a drawn numpy seed."""
+def near_jam_states(draw, kind, K, n=8):
+    """The model, (C, K, n) state and rates of K admissible lanes with
+    loads up to 0.95 rho_star and species shares drawn per cell.  Half of
+    the draws scale each lane so that its largest interface total lies
+    within 0.3% below the jam density: componentwise minmod makes
+    interface totals above both neighbouring cells' (ROADMAP item 4,
+    defect C), and the huge flux there takes over a quarter of such
+    one-lane steps to new cell averages past the jam density.  The cell
+    values come from a drawn numpy seed."""
     eps = draw(st.sampled_from([1e-4, 1e-3]))
     model = car_model(eps=eps) if kind == "two_way_car" else ar_model(eps=eps)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -486,26 +438,30 @@ def near_jam_stacks(draw, kind, K, n=8):
         w = rng.uniform(0.8, 1.3, (2, K, n))
         values = np.stack([rho[0], rho[0] * w[0], rho[1], rho[1] * w[1]])
     rates = ml.LaneChangeRates(lambda0=draw(st.sampled_from([0.0, 0.5, 2.0])))
-    return ml.LaneStack(model=model, values=values, rates=rates)
+    return model, values, rates
 
 
-def _steps(stack, grid, params, n_steps):
-    """The states n_steps steps make from stack, each with the mass clipped
+def _steps(model, rates, U, grid, params, n_steps):
+    """The states n_steps steps make from U, each with the mass clipped
     so far, and the class of the package error that stopped them (None if
     none did).  One lane steps as single-lane runs do (sv._advance), more
     lanes as multi-lane runs do (ml.coupled_step)."""
     states = []
+    clipped = 0.0
     try:
-        if stack.n_lanes == 1:
-            U, clipped = stack.values[:, 0], 0.0
+        if U.shape[1] == 1:
+            U = U[:, 0]
             for _ in range(n_steps):
-                U, _, clip = sv._advance(stack.model, U, grid, params)
+                U, _, clip = sv._advance(model, U, grid, params)
                 clipped += clip
                 states.append((U[:, None], clipped))
         else:
-            for _ in range(n_steps):
-                stack = ml.coupled_step(stack, grid, params)
-                states.append((stack.values, stack.clipped_mass))
+            offsets = None
+            for k in range(n_steps):
+                U, offsets, clip = ml.coupled_step(model, rates, U, offsets, grid,
+                                                   params, k * params.dt)
+                clipped += clip
+                states.append((U, clipped))
     except PedflowError as err:
         return states, type(err)
     return states, None
@@ -520,17 +476,17 @@ def test_every_step_is_admissible_conserving_and_repeatable_or_stops(kind, K, da
     # densities are >= 0 with every total below the jam density, whose
     # mass per walking direction is conserved up to round-off and the
     # clipped mass, and which a rerun reproduces bit for bit.
-    stack = data.draw(near_jam_stacks(kind, K))
-    grid = sv.Grid1D(n_cells=stack.values.shape[-1], dx=1.0)
+    model, U, rates = data.draw(near_jam_states(kind, K))
+    grid = sv.Grid1D(n_cells=U.shape[-1], dx=1.0)
     params = sv.SchemeParams(dt=data.draw(st.sampled_from([0.02, 0.05])),
                              delta_diff=data.draw(st.sampled_from([0.0, 0.1])))
-    states, error = _steps(stack, grid, params, 4)
-    again, error_again = _steps(stack, grid, params, 4)
+    states, error = _steps(model, rates, U, grid, params, 4)
+    again, error_again = _steps(model, rates, U, grid, params, 4)
     assert error_again is error
     assert len(again) == len(states)
-    rows = list(stack.model.density_rows)
-    jam = stack.model.pressure.rho_star * (1.0 - pr.CONGESTION_REL_TOL)
-    mass0 = stack.direction_mass(grid)
+    rows = list(model.density_rows)
+    jam = model.pressure.rho_star * (1.0 - pr.CONGESTION_REL_TOL)
+    mass0 = direction_mass(model, U, grid)
     for (values, clipped), (rerun, _) in zip(states, again):
         dens = values[rows]
         assert dens.min() >= 0.0
