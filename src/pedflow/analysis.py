@@ -37,13 +37,14 @@ from .errors import DomainError
 BOUNDARY_TOL = 1e-6
 
 # Maps with at least this many flipped raster edges bisect them in two
-# processes (see hyperbolicity_map).  An edge took 0.34-0.40 ms to bisect,
-# and two processes took about 6 ms more than half the time of one (the
-# fork, pipe and wait, and copy-on-write faults), so they broke even at
-# 34-40 edges (medians of 41 alternating in-process builds of the
-# two_lane.cfg model's map on a shared 2-core x86-64 machine).  At the
-# default map.resolution of 200 a map has about 300 such edges.
-_FORK_MIN_EDGES = 40
+# processes (see hyperbolicity_map).  An edge took about 0.10 ms to
+# bisect, and two processes took about 2.6 ms more than half the time of
+# one (the fork, pipe and wait, and copy-on-write faults), so they broke
+# even at 50-54 edges (medians of 81 alternating in-process builds per
+# resolution of the two_lane.cfg model's map, 34 to 238 edges, on a shared
+# 2-core x86-64 machine).  At the default map.resolution of 200 a map has
+# about 300 such edges.
+_FORK_MIN_EDGES = 52
 
 
 class DiffusiveSpeeds(NamedTuple):
@@ -234,12 +235,13 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
     else:
         rho_max = admissible = model.pressure.rho_star * (1.0 - 1e-9)
     axis = np.linspace(0.0, rho_max, grid_resolution)
-    # rho_plus down the rows and rho_minus along them, broadcast from axis
+    # rho_plus down the rows and rho_minus along them; one delta_field call
+    # on the gathered nodes that are evaluated
     index = np.arange(grid_resolution)
     inside = (index[:, None] + index < grid_resolution - 1) | (admissible == np.inf)
-    rp_in = np.where(inside, axis[:, None], 0.0)
-    rm_in = np.where(inside, axis, 0.0)
-    hyp = np.where(inside, delta_field(model, rp_in, rm_in), 1.0) >= 0.0
+    i, j = np.nonzero(inside)
+    hyp = ~inside
+    hyp[inside] = delta_field(model, axis[i], axis[j]) >= 0.0
 
     def point_delta(rp, rm):
         if rp + rm >= admissible:

@@ -132,6 +132,16 @@ def zero_at(mask, x):
     return x if mask is None else np.where(mask, 0.0, x)
 
 
+def _power(x, exponent):
+    """x**exponent; for a NumPy scalar x, the bits of the 0-d array power,
+    whose fast paths at the exponents 2 and 1 are x * x and x itself."""
+    if isinstance(x, np.ndarray):
+        return x**exponent
+    if exponent == 2.0:
+        return x * x
+    return x if exponent == 1.0 else np.asarray(x) ** exponent
+
+
 def crossover_width(params: PressureParams, rho):
     """Width rho * rho_star * eps**(1/gamma), for 0 <= rho <= rho_star, of
     the band below rho_star where the singular correction becomes order one."""
@@ -154,30 +164,30 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
 
     Scalar densities (floats, NumPy scalars or 0-d arrays) give NumPy
     scalars: the densities and the arithmetic on them stay NumPy scalars,
-    which cost far less per operation than 0-d arrays.  +, -, * and / round
-    alike on both, a power need not, so each power keeps the operand type
-    it had when every scalar was a 0-d array: the powers of the total and
-    of z are 0-d array powers, the 0-d partials' power of z is a
-    NumPy-scalar one (the map bisection keeps its bits).
+    which cost far less per operation than 0-d arrays and, unlike floats,
+    obey np.errstate.  +, -, * and / round alike on both, a power need
+    not, so each power keeps the bits it had when every scalar was a 0-d
+    array: the powers of the total and of z have the bits of 0-d array
+    powers (x * x and x at the exponents 2 and 1, a 0-d array power at
+    others), and the scalar partials' power of z is a NumPy-scalar one,
+    which can round unlike z * z (the map bisection keeps its bits).
     """
     plus = np.asarray(rho_plus, dtype=float)[()]
     minus = np.asarray(rho_minus, dtype=float)[()]
     total = plus + minus
-    r = np.asarray(total)
-    P = params.M * r**params.m
-    dP = params.M * params.m * r ** (params.m - 1.0) if partials else None
+    P = params.M * _power(total, params.m)
+    dP = params.M * params.m * _power(total, params.m - 1.0) if partials else None
     if params.eps > 0:
         vac = vacuum_mask(total)
         # fill vacuum entries with a safely interior density
-        tot = r if vac is None else np.where(vac, 0.5 * params.rho_star, total)
-        # a NumPy-scalar divide for scalar input (tot[()] is a view of an array)
-        z = 1.0 / tot[()] - 1.0 / params.rho_star
-        zg = np.asarray(z) ** params.gamma
+        tot = total if vac is None else np.where(vac, 0.5 * params.rho_star, total)[()]
+        z = 1.0 / tot - 1.0 / params.rho_star
+        zg = _power(z, params.gamma)
         if partials:
-            # 0-d partials take the NumPy-scalar power of z, which can round
-            # unlike the 0-d array power of the offsets
+            # scalar partials take the NumPy-scalar power of z, which can
+            # round unlike the 0-d array power of the offsets
             zg_partials = zg if isinstance(z, np.ndarray) else z**params.gamma
-            z_tot2 = z * tot**2
+            z_tot2 = z * _power(tot, 2.0)
         del tot, z
     # One direction at a time; the dels free each direction's temporaries
     # before the next, which keeps the peak memory of array calls down.

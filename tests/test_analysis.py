@@ -452,6 +452,38 @@ def test_map_matches_the_two_axis_bisection(model, resolution):
     np.testing.assert_array_equal(hmap.boundary_points.view(np.int64), want.view(np.int64))
 
 
+def reference_square_delta(model, resolution):
+    """The map's axis, its evaluated nodes and Delta over the whole square,
+    as the map's raster took it before it gathered the triangle: zeros in
+    place of the nodes on and past the diagonal of a pressure model."""
+    rho_max = 1.0 if model.pressure is None else model.pressure.rho_star * (1.0 - 1e-9)
+    axis = np.linspace(0.0, rho_max, resolution)
+    index = np.arange(resolution)
+    inside = (index[:, None] + index < resolution - 1) | (model.pressure is None)
+    square = an.delta_field(model, np.where(inside, axis[:, None], 0.0),
+                            np.where(inside, axis, 0.0))
+    return axis, inside, square
+
+
+@pytest.mark.parametrize("resolution", [10, 50, 160])
+@pytest.mark.parametrize("model", [
+    *[md.ModelSpec.two_way_car(V=1.0, pressure=car_model().pressure,
+                               crowding=pr.CrowdingWeight(kind))
+      for kind in pr.CrowdingKind],
+    asymmetric_car_model(), SIM,
+], ids=[*(f"two_way_car_{k.value}" for k in pr.CrowdingKind),
+        "two_way_car_asymmetric", "sim_flux"])
+def test_the_triangle_raster_matches_the_masked_square(model, resolution):
+    # at resolutions 10 and 50 some diagonal totals round below
+    # rho_star (1 - 1e-9); the triangle is taken by index all the same
+    axis, inside, square = reference_square_delta(model, resolution)
+    hmap = an.hyperbolicity_map(model, resolution)
+    np.testing.assert_array_equal(hmap.hyperbolic, np.where(inside, square, 1.0) >= 0.0)
+    i, j = np.nonzero(inside)
+    np.testing.assert_array_equal(an.delta_field(model, axis[i], axis[j]).view(np.int64),
+                                  square[inside].view(np.int64))
+
+
 def fd_eigen_discriminant(model, rho_plus, rho_minus, h=1e-7):
     """(a - d)^2 + 4 b c of the central-difference Jacobian [[a, b], [c, d]]
     of model.flux at arrays of states: its eigenvalues are real where this

@@ -429,6 +429,23 @@ def test_two_way_offsets_match_per_direction_reference(params, q_plus, q_minus, 
     assert_bitwise_equal(wrapped[1][1], want[3][1])
 
 
+def assert_scalar_offsets_match_the_0d_reference(params, q_plus, q_minus, states, form):
+    """The offsets and partials of each (rho_plus, rho_minus) of states,
+    passed through form, are NumPy scalars with the bits of the 0-d array
+    references."""
+    for rho_plus, rho_minus in states:
+        got = pr.two_way_offsets(params, q_plus, q_minus, form(rho_plus), form(rho_minus),
+                                 partials=True)
+        values = [*got[:2], *(v for pair in got[2:] for v in pair)]
+        assert [type(v) for v in values] == [np.float64] * 6
+        want = [reference_two_way_pressure(params, q_plus, rho_plus, rho_minus),
+                reference_two_way_pressure(params, q_minus, rho_minus, rho_plus),
+                *reference_pressure_partials(params, q_plus, rho_plus, rho_minus),
+                *reference_pressure_partials(params, q_minus, rho_minus, rho_plus)]
+        for value, reference in zip(values, want):
+            assert_bitwise_equal(value, reference)
+
+
 @pytest.mark.parametrize("form", [float, np.float64, np.asarray],
                          ids=["float", "numpy_scalar", "0-d"])
 def test_scalar_powers_keep_their_operand_types(form):
@@ -437,23 +454,37 @@ def test_scalar_powers_keep_their_operand_types(form):
     # whose operand type changed, which the drawn examples may miss
     params = make_params(m=2.3, eps=1e-3, gamma=2.7)
     q_plus, q_minus = pr.CrowdingWeight("power", 1.3), pr.CrowdingWeight("affine", 0.7)
-    rng = np.random.default_rng(11)
-    for rho_plus, rho_minus in rng.uniform(0.0, 0.49, (300, 2)):
-        got = pr.two_way_offsets(params, q_plus, q_minus, form(rho_plus), form(rho_minus),
-                                 partials=True)
-        assert_bitwise_equal(got[0], reference_two_way_pressure(
-            params, q_plus, rho_plus, rho_minus))
-        assert_bitwise_equal(got[1], reference_two_way_pressure(
-            params, q_minus, rho_minus, rho_plus))
-        for pair, want in zip(got[2:], (
-                reference_pressure_partials(params, q_plus, rho_plus, rho_minus),
-                reference_pressure_partials(params, q_minus, rho_minus, rho_plus))):
-            assert_bitwise_equal(pair[0], want[0])
-            assert_bitwise_equal(pair[1], want[1])
+    states = np.random.default_rng(11).uniform(0.0, 0.49, (300, 2))
+    assert_scalar_offsets_match_the_0d_reference(params, q_plus, q_minus, states, form)
+    for rho_plus, rho_minus in states:
         for q, own in ((q_plus, rho_plus), (q_minus, rho_minus)):
             want = reference_array_crowding(q, own, params.rho_star)
             assert_bitwise_equal(q.value(form(own), params.rho_star), want[0])
             assert_bitwise_equal(q.derivative(form(own), params.rho_star), want[1])
+
+
+# States whose z = 1/total - 1 squares unlike libm's pow(z, 2), as about 1
+# in 1,000 do.  With M = 0 the offsets and partials are the singular
+# terms alone, whose bits show either power of z taken in place of the other.
+POW_SQUARE_STATES = [(0.056, 0.0691), (0.1035, 0.1923), (0.2452, 0.0459), (0.1641, 0.1317)]
+
+
+@pytest.mark.parametrize("form", [float, np.float64, np.asarray],
+                         ids=["float", "numpy_scalar", "0-d"])
+@pytest.mark.parametrize("m", [1.0, 2.0])
+@pytest.mark.parametrize("M", [0.0, 1.0])
+def test_scalar_exponents_2_and_1_keep_the_bits_of_0d_powers(M, m, form):
+    # gamma = 2 and m = 2 or 1: the scalar kernel squares and passes
+    # through where the 0-d array powers took NumPy's square and positive;
+    # m - 1 = 0 keeps a 0-d array power
+    params = make_params(M=M, m=m, eps=1e-3, gamma=2.0)
+    q_plus, q_minus = pr.CrowdingWeight("power", 1.3), pr.CrowdingWeight("affine", 0.7)
+    for rho_plus, rho_minus in POW_SQUARE_STATES:
+        z = 1.0 / (np.float64(rho_plus) + np.float64(rho_minus)) - 1.0
+        assert z**2.0 != z * z
+    states = [*POW_SQUARE_STATES, (0.0, 0.0), (0.0, 0.25 * pr.VACUUM_FLOOR),
+              *np.random.default_rng(12).uniform(0.0, 0.49, (300, 2))]
+    assert_scalar_offsets_match_the_0d_reference(params, q_plus, q_minus, states, form)
 
 
 @pytest.mark.parametrize("form", [float, np.float64, np.asarray],

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -820,14 +820,19 @@ def test_reconstruction_matches_the_half_slope_reference(shape, limiter, data):
 
 
 def reference_audit(model, U, grid, params, t0, n_steps):
-    """The AuditTrail of solver.run, recorded step by step into lists."""
+    """The AuditTrail of solver.run, recorded step by step into lists, with
+    its clip budget: ClipBudgetError once the clipped mass passes
+    CLIP_BUDGET_REL of the initial density mass."""
     rows = list(model.density_rows)
     rec = {name: [] for name in ("step", "t", "cfl", "mass", "min_rho", "max_rho",
                                  "clipped_mass")}
+    budget = sv.CLIP_BUDGET_REL * float(np.sum(U[rows].sum(axis=1) * grid.dx))
     clipped_total = 0.0
     for k in range(1, n_steps + 1):
         U, cfl, clipped = sv._advance(model, U, grid, params)
         clipped_total += clipped
+        if clipped_total > budget:
+            raise ClipBudgetError("clipped mass exceeds the budget")
         rec["step"].append(k)
         rec["t"].append(t0 + k * params.dt)
         rec["cfl"].append(cfl)
@@ -841,15 +846,35 @@ def reference_audit(model, U, grid, params, t0, n_steps):
     return sv.AuditTrail(**fields)
 
 
+def clip_budget_state():
+    """A two_way_ar draw whose first step clips more than the budget: an
+    empty first lane, and a second lane with no plus density and two vacuum
+    cells in its minus density."""
+    rho = np.array([0.4, 0.7, 0.1, 0.4, 0.4, 0.6, 0.6, 0.4,
+                    0.2, 0.0, 0.0, 0.1, 0.5, 0.2, 0.7, 0.6])
+    w = np.array([0.9, 1.1, 1.3, 0.8, 1.4, 0.9, 0.6, 0.9,
+                  1.3, 0.7, 0.8, 1.5, 0.6, 0.8, 0.9, 1.0])
+    U = np.zeros((4, 2, 16))
+    U[2, 1], U[3, 1] = rho, rho * w
+    return U
+
+
 @pytest.mark.parametrize("kind", list(ALL_KINDS), ids=lambda kind: kind.value)
 @settings(max_examples=25, deadline=None)
 @given(t0=st.sampled_from([0.0, 0.1, 1234.567]), dx=st.sampled_from([1.0, 0.3, 1.7]),
        n_steps=st.integers(0, 6), data=st.data())
+# data=None stands for clip_budget_state(), a two_way_ar state
+@example(t0=0.0, dx=1.0, n_steps=1, data=None)
 def test_run_audit_matches_the_per_step_reference(kind, t0, dx, n_steps, data):
     # dx != 1 and t0 != 0 make the factor dx of the mass and the t0 of
     # t = t0 + k dt show in the bits
     model = ALL_KINDS[kind]
-    U = data.draw(step_states(model))
+    if data is None:
+        if kind is not md.ModelKind.TWO_WAY_AR:
+            return
+        U = clip_budget_state()
+    else:
+        U = data.draw(step_states(model))
     grid = sv.Grid1D(n_cells=16, dx=dx)
     params = sv.SchemeParams(dt=0.01 * dx, delta_diff=0.1)
     got = _outcome(sv.run, model, sv.StateField(U, t0), grid, params,
