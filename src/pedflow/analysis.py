@@ -72,21 +72,21 @@ def _flux_partials(model, rho_plus, rho_minus):
     """(c_pp, c_pm, c_mp, c_mm) of a two-species first-order model,
     elementwise over arrays of uniform states; NumPy scalars for a scalar
     state, which keep the bits of the 0-d arrays they replace (see
-    pressure.two_way_offsets).
+    pressure.two_way_offsets).  The densities (floats, NumPy scalars or
+    arrays, not lists) are converted once, by models._sim_h or
+    pressure.two_way_offsets.
 
     Supported kinds: sim_flux (piecewise-quadratic profile) and
     two_way_car (assembled from the pressure partials through the sign
     mapping of the module docstring).
     """
-    rp = np.asarray(rho_plus, dtype=float)[()]
-    rm = np.asarray(rho_minus, dtype=float)[()]
     if model.kind is md.ModelKind.SIM_FLUX:
-        _, h, hp = md._sim_h(model.flux_shape, rp, rm)
-        return h + rp * hp, rp * hp, rm * hp, h + rm * hp
+        _, h, hp = md._sim_h(model.flux_shape, rho_plus, rho_minus)
+        return h + rho_plus * hp, rho_plus * hp, rho_minus * hp, h + rho_minus * hp
     if model.kind is md.ModelKind.TWO_WAY_CAR:
         _, _, c_pm, c_mp, c_u_plus, c_u_minus = md._two_way_char_speeds(
-            model, rp, rm, model.V, model.V)
-        return c_u_plus, -rp * c_pm, -rm * c_mp, -c_u_minus
+            model, rho_plus, rho_minus, model.V, model.V)
+        return c_u_plus, -rho_plus * c_pm, -rho_minus * c_mp, -c_u_minus
     raise DomainError("the flux partials require a two-species first-order model")
 
 
@@ -192,14 +192,14 @@ class HyperbolicityMap:
 
     hyperbolic[i, j] is the sign of Delta at (rho_plus[i], rho_minus[j]);
     boundary_points are Delta = 0 locations found by bisection along
-    grid edges separating differently classified nodes: those of the
-    edges along rho_plus first, then those along rho_minus, each in
-    np.nonzero order.  When both directions share one crowding weight
-    (crowding == crowding_minus, as for sim_flux and every config without
-    a crowding_minus section), Delta(a, b) has the bits of Delta(b, a)
-    absent overflow, so the raster is symmetric and the points along
-    rho_minus are those along rho_plus with the coordinates swapped: only
-    one axis is bisected.
+    grid edges separating differently classified nodes that were both
+    evaluated (see hyperbolicity_map): those of the edges along rho_plus
+    first, then those along rho_minus, each in np.nonzero order.  When
+    both directions share one crowding weight (crowding == crowding_minus,
+    as for sim_flux and every config without a crowding_minus section),
+    Delta(a, b) has the bits of Delta(b, a) absent overflow, so the raster
+    is symmetric and the points along rho_minus are those along rho_plus
+    with the coordinates swapped: only one axis is bisected.
     """
 
     rho_plus: np.ndarray
@@ -222,7 +222,9 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
     rho_max = rho_star * (1 - 1e-9), only the nodes (i, j) strictly below
     its diagonal i + j = grid_resolution - 1 (by index: some diagonal
     totals round below rho_max) are evaluated, and the others are reported
-    as hyperbolic.
+    as hyperbolic.  Only the edges between two evaluated nodes are
+    bisected: an unevaluated node is hyperbolic by definition, and an edge
+    to it would be bisected toward the jam density.
 
     A map with at least _FORK_MIN_EDGES flipped raster edges bisects them
     in this process and a forked child (_fork.two_process_map); the points
@@ -230,29 +232,28 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
     """
     if grid_resolution < 2:
         raise DomainError("grid_resolution must be >= 2")
-    if model.kind is md.ModelKind.SIM_FLUX:
-        rho_max, admissible = 1.0, np.inf
-    else:
-        rho_max = admissible = model.pressure.rho_star * (1.0 - 1e-9)
+    sim = model.kind is md.ModelKind.SIM_FLUX
+    rho_max = 1.0 if sim else model.pressure.rho_star * (1.0 - 1e-9)
     axis = np.linspace(0.0, rho_max, grid_resolution)
     # rho_plus down the rows and rho_minus along them; one delta_field call
     # on the gathered nodes that are evaluated
     index = np.arange(grid_resolution)
-    inside = (index[:, None] + index < grid_resolution - 1) | (admissible == np.inf)
+    inside = (index[:, None] + index < grid_resolution - 1) | sim
     i, j = np.nonzero(inside)
     hyp = ~inside
     hyp[inside] = delta_field(model, axis[i], axis[j]) >= 0.0
 
     def point_delta(rp, rm):
-        if rp + rm >= admissible:
-            return 1.0
         return float(delta_field(model, rp, rm))
 
     def flipped_edges(axis_dir):
-        """The flips of hyp along one axis, in np.nonzero order, and the
-        (first node, second node, class of the first node) of each."""
+        """The flips of hyp along one axis between two evaluated nodes, in
+        np.nonzero order, and the (first node, second node, class of the
+        first node) of each."""
         di, dj = (1, 0) if axis_dir == 0 else (0, 1)
-        flips = np.nonzero(np.diff(hyp, axis=axis_dir))
+        # the second node of an edge is evaluated only where the first is
+        second = inside[1:] if axis_dir == 0 else inside[:, 1:]
+        flips = np.nonzero(np.diff(hyp, axis=axis_dir) & second)
         return flips, [((axis[i], axis[j]), (axis[i + di], axis[j + dj]), bool(hyp[i, j]))
                        for i, j in zip(*flips)]
 

@@ -51,6 +51,12 @@ MAX_STEPS = 10**7  # run.t_end / scheme.dt; the bundled runs take <= 50,000
 # (dispersion.n_points, table.n_points): one float array of 10**6 entries is
 # 8 MB, and a step or a map holds a few dozen; the bundled configs ask <= 40,000
 MAX_POINTS = 10**6
+# state values in all snapshots of a run, counted as (2 + run.t_end /
+# run.snapshot_every) * components * lanes * cells: a run holds them until it
+# writes them, 8 bytes each, and writes about 20 bytes of CSV per value, so
+# 10**7 is 80 MB held and 200 MB written; the bundled configs and workloads
+# count <= 196,608 (ar_wide_n16384: 2 snapshots of 4 x 16,384, counted as 3)
+MAX_SNAPSHOT_VALUES = 10**7
 
 
 def _float(text: str) -> float:
@@ -315,6 +321,14 @@ def build_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"noise.sigma must be <= {scale:g}, the density scale")
     if values["run.t_end"] / values["scheme.dt"] > MAX_STEPS:
         raise ConfigError(f"run.t_end / scheme.dt must be <= {MAX_STEPS:.0e}")
+    # the initial and final snapshots, and at most one per step or interval
+    every = values["run.snapshot_every"]
+    n_snapshots = 2 + min(sv.step_count(values["run.t_end"], values["scheme.dt"]),
+                          values["run.t_end"] / every if every else 0)
+    if n_snapshots * model.n_conserved * n_lanes * values["grid.n_cells"] > (
+            MAX_SNAPSHOT_VALUES):
+        raise ConfigError("(2 + run.t_end / run.snapshot_every) * components * lanes."
+                          f"count * grid.n_cells must be <= {MAX_SNAPSHOT_VALUES:.0e}")
     cfg = ScenarioConfig(model=model, checks=parts["check"], **built, **parts["fields"])
     # each lane's initial base must be an admissible state, and the pressure
     # table must end below the jam density
@@ -344,8 +358,7 @@ def build_config(raw: dict) -> ScenarioConfig:
 # bound it would end at 12) and rejects two_lane.cfg's law from eps = 1e136,
 # where runs overflowed from about 1e153 and maps of resolution 20 to 1000
 # from 1e146 to 1e151.  A map evaluates no node of its diagonal, at
-# rho_star * (1 - 1e-9), but a bisection of an edge that ends there can
-# pass this probe's total where Delta is negative up to the jam density.
+# rho_star * (1 - 1e-9), and bisects no edge that ends there.
 _SQUARES_REL_GAP = 1e-6
 
 
@@ -417,7 +430,7 @@ def _noise(cfg: ScenarioConfig, lane: int, species: int) -> np.ndarray:
     return rng.uniform(-half, half, cfg.grid.n_cells)
 
 
-def build_initial(cfg: ScenarioConfig) -> sv.StateField:
+def build_initial(cfg: ScenarioConfig) -> np.ndarray:
     """Perturbed uniform state: (C, N) for one lane, (C, K, N) for K lanes.
 
     Per-cell independent noise of standard deviation sigma, one
@@ -439,7 +452,7 @@ def build_initial(cfg: ScenarioConfig) -> sv.StateField:
             if speeds[species] is not None:
                 rows.append(rows[-1] * speeds[species])
         lanes.append(np.stack(rows))
-    return sv.StateField(lanes[0] if cfg.n_lanes == 1 else np.stack(lanes, axis=1))
+    return lanes[0] if cfg.n_lanes == 1 else np.stack(lanes, axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -456,14 +469,14 @@ class ClusterMetrics:
     main_centroid: float | None = None
 
 
-def cluster_metrics(model, field: sv.StateField, grid: sv.Grid1D,
+def cluster_metrics(model, U: np.ndarray, grid: sv.Grid1D,
                     threshold: float) -> ClusterMetrics:
-    """Maximal periodic runs of cells with total density >= threshold.
+    """Maximal periodic runs of cells of the state U with total density >= threshold.
 
     Centroids are density-weighted circular means of the cell centers in
     each run; main_centroid belongs to the most massive cluster.
     """
-    total = sv.density_view(model, field.values).sum(axis=0)
+    total = sv.density_view(model, U).sum(axis=0)
     mask = total >= threshold
     if not mask.any():
         return ClusterMetrics(0, np.empty(0), 0.0)
@@ -568,20 +581,20 @@ def _audit_lines(step, *values):
     return map(",".join, zip(*columns))
 
 
-def _write_snapshot(path: Path, snap: sv.StateField, grid: sv.Grid1D):
-    """One snapshot CSV of a (C, N) lane or a (C, K, N) stack of lanes.
+def _write_snapshot(path: Path, t: float, U: np.ndarray, grid: sv.Grid1D):
+    """The CSV of the state U at time t: a (C, N) lane or a (C, K, N) stack.
 
     A stack gets a lane column, and its rows run lane by lane.
     """
-    several = snap.values.ndim == 3
-    lanes = snap.values if several else snap.values[:, None]
-    n_comp = snap.n_components
+    several = U.ndim == 3
+    lanes = U if several else U[:, None]
+    n_comp = len(U)
     header = ["t", "lane", "x"] if several else ["t", "x"]
     x = grid.x.tolist()
 
     def rows():  # formatted while written, so no lane is held as text
         for lane in range(lanes.shape[1]):
-            lead = f"{_fmt(snap.time)},{lane}," if several else f"{_fmt(snap.time)},"
+            lead = f"{_fmt(t)},{lane}," if several else f"{_fmt(t)},"
             columns = [map(repr, lanes[c, lane].tolist()) for c in range(n_comp)]
             for cells in zip(map(repr, x), *columns):
                 yield lead + ",".join(cells)
@@ -601,16 +614,16 @@ _FORK_MIN_VALUES = 2**15
 
 
 def _write_snapshots(snapdir: Path, snapshots, grid: sv.Grid1D):
-    """Write snapshot k to snapdir / snap_{k:06d}.csv.
+    """Write the (t, U) snapshot k to snapdir / snap_{k:06d}.csv.
 
     Where the odd-indexed snapshots hold at least _FORK_MIN_VALUES values,
     a forked child writes those while this process writes the even-indexed
     ones (see _fork.two_process_map, which also says how errors surface).
     """
     def write(idx):
-        _write_snapshot(snapdir / f"snap_{idx:06d}.csv", snapshots[idx], grid)
+        _write_snapshot(snapdir / f"snap_{idx:06d}.csv", *snapshots[idx], grid)
 
-    odd_values = sum(snap.values.size for snap in snapshots[1::2])
+    odd_values = sum(U.size for _, U in snapshots[1::2])
     two_process_map(write, range(len(snapshots)), odd_values >= _FORK_MIN_VALUES)
 
 
@@ -649,7 +662,8 @@ def _stepping():
 
 
 def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
-    """Run one scenario and write its artifact set under outdir."""
+    """Run one scenario and write its artifact set under outdir; both run
+    modes hand their snapshots and audit columns to one writer."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     snapdir = outdir / "snapshots"
@@ -660,62 +674,53 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
         speeds = an.diffusive_speeds(cfg.model, cfg.rho_plus[0], cfg.rho_minus[0])
         result.stability = _stability_summary(speeds, cfg.scheme.delta_diff)
 
-    field = build_initial(cfg)
+    U = build_initial(cfg)
     if cfg.n_lanes == 1:
         with _stepping():
-            run_result = sv.run(
-                cfg.model, field, cfg.grid, cfg.scheme, cfg.t_end, cfg.snapshot_every
-            )
-        result.run = run_result
-        _write_single_lane_artifacts(cfg, result, run_result, outdir, snapdir)
+            result.run = sv.run(cfg.model, U, cfg.grid, cfg.scheme, cfg.t_end,
+                                cfg.snapshot_every)
+        snapshots, audit = result.run.snapshots, result.run.audit
+        header = (["step", "t", "cfl"] + [f"mass_{c}" for c in range(len(U))]
+                  + ["min_rho", "max_rho", "clipped_mass"])
+        columns = (audit.step, audit.t, audit.cfl, *audit.mass.T,
+                   audit.min_rho, audit.max_rho, audit.clipped_mass)
     else:
-        _run_multilane(cfg, field.values, outdir, snapdir)
+        snapshots, columns = _run_multilane(cfg, U)
+        header = ["step", "t", "cfl", "mass_plus_total", "mass_minus_total",
+                  "min_rho", "max_rho"]
+    _write_snapshots(snapdir, snapshots, cfg.grid)
+    _write_csv(outdir / "audit.csv", header, _audit_lines(*columns))
 
-    if result.stability is not None:
-        _write_csv(outdir / "stability.csv", ["key", "value"],
-                   _stability_rows(result.stability))
-    return result
-
-
-def _write_single_lane_artifacts(cfg, result, run_result, outdir, snapdir):
-    _write_snapshots(snapdir, run_result.snapshots, cfg.grid)
-
-    audit = run_result.audit
-    n_comp = run_result.snapshots[0].n_components
-    header = (
-        ["step", "t", "cfl"]
-        + [f"mass_{c}" for c in range(n_comp)]
-        + ["min_rho", "max_rho", "clipped_mass"]
-    )
-    _write_csv(outdir / "audit.csv", header, _audit_lines(
-        audit.step, audit.t, audit.cfl, *audit.mass.T,
-        audit.min_rho, audit.max_rho, audit.clipped_mass,
-    ))
-
-    if cfg.model.kind in _TWO_SPECIES:
+    if cfg.n_lanes == 1 and cfg.model.kind in _TWO_SPECIES:
         prev_t = prev_centroid = None
-        for snap in run_result.snapshots:
-            metrics = cluster_metrics(cfg.model, snap, cfg.grid, cfg.cluster_threshold)
+        for t, U in snapshots:
+            metrics = cluster_metrics(cfg.model, U, cfg.grid, cfg.cluster_threshold)
             drift = None
             if prev_centroid is not None and metrics.main_centroid is not None:
                 drift = cluster_drift(prev_centroid, metrics.main_centroid,
-                                      cfg.grid.length, snap.time - prev_t)
-            result.clusters.append((snap.time, metrics, drift))
-            prev_t, prev_centroid = snap.time, metrics.main_centroid
+                                      cfg.grid.length, t - prev_t)
+            result.clusters.append((t, metrics, drift))
+            prev_t, prev_centroid = t, metrics.main_centroid
         _write_csv(
             outdir / "clusters.csv",
             ["t", "count", "peak_total", "main_centroid", "drift_velocity"],
             [(t, m.count, m.peak_total, m.main_centroid, drift)
              for t, m, drift in result.clusters],
         )
+    if result.stability is not None:
+        _write_csv(outdir / "stability.csv", ["key", "value"],
+                   _stability_rows(result.stability))
+    return result
 
 
-def _run_multilane(cfg, U, outdir, snapdir):
+def _run_multilane(cfg, U):
+    """Step the (C, K, N) state U of a multi-lane run to cfg.t_end; returns
+    its (t, U) snapshots and its audit columns (see run_scenario's header)."""
     mass_dir = ml.lane_densities(cfg.model, U).sum(axis=(0, 2)) * cfg.grid.dx
     mass_budget = sv.CLIP_BUDGET_REL * float(np.sum(mass_dir))
     n_steps = sv.step_count(cfg.t_end, cfg.scheme.dt)
     time, offsets, clipped_total = 0.0, None, 0.0
-    snapshots = [sv.StateField(U.copy(), time)]
+    snapshots = [(time, U.copy())]
     audit_rows = []
     next_snap = cfg.snapshot_every
     with _stepping():
@@ -740,16 +745,12 @@ def _run_multilane(cfg, U, outdir, snapdir):
                  float(dens.max()))
             )
             if next_snap is not None and t >= next_snap - 1e-9 * cfg.scheme.dt:
-                snapshots.append(sv.StateField(U.copy(), time))
+                snapshots.append((time, U.copy()))
                 next_snap += cfg.snapshot_every
-    if n_steps > 0 and snapshots[-1].time < time - 1e-9 * cfg.scheme.dt:
-        snapshots.append(sv.StateField(U.copy(), time))
-
-    _write_snapshots(snapdir, snapshots, cfg.grid)
-    header = ["step", "t", "cfl", "mass_plus_total", "mass_minus_total",
-              "min_rho", "max_rho"]
-    columns = np.array(audit_rows, dtype=float).reshape(-1, len(header)).T
-    _write_csv(outdir / "audit.csv", header, _audit_lines(*columns))
+    if n_steps > 0 and snapshots[-1][0] < time - 1e-9 * cfg.scheme.dt:
+        snapshots.append((time, U.copy()))
+    # one column per audit field, also for a run of no step
+    return snapshots, np.array(audit_rows, dtype=float).reshape(-1, 7).T
 
 
 # --------------------------------------------------------------------------
@@ -768,7 +769,7 @@ def evaluate_checks(result: ScenarioResult) -> list:
     for key, value in cfg.checks.items():
         name = key[len("check."):]
         if name == "final_supnorm_lt":
-            dens = sv.density_view(cfg.model, result.run.final.values)
+            dens = sv.density_view(cfg.model, result.run.snapshots[-1][1])
             uniform = [cfg.rho_plus[0], cfg.rho_minus[0]] if len(dens) == 2 else [cfg.rho]
             dev = max(float(np.max(np.abs(d - u))) for d, u in zip(dens, uniform))
             if not dev < value:

@@ -13,11 +13,15 @@ U^L/U^R from MUSCL reconstruction with a minmod limiter, and a_{i+1/2}
 the largest absolute characteristic speed of the two adjacent cells.
 Both flux and diffusion stencils telescope over the periodic wrap, so
 each conserved component is preserved to round-off.
+
+A state is a plain float array, one row per conserved component: (C, N)
+for one lane, or (C, K, N) for K lanes stepped together.  `run` takes
+one and returns its (t, U) snapshots and a per-step audit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,24 +55,6 @@ class Grid1D:
     def x(self) -> np.ndarray:
         """Cell-center coordinates."""
         return (np.arange(self.n_cells) + 0.5) * self.dx
-
-
-@dataclass
-class StateField:
-    """Cell-averaged conserved state, one row per component."""
-
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[0]
-
-    def copy(self) -> "StateField":
-        return StateField(self.values.copy(), self.time)
 
 
 @dataclass(frozen=True)
@@ -262,41 +248,44 @@ class AuditTrail:
 
 @dataclass
 class RunResult:
-    """Output of a run: snapshots, audit trail and the final state."""
+    """Output of a run: (t, U) snapshots, the last one the final state,
+    and the audit trail."""
 
-    snapshots: list = field(default_factory=list)
-    audit: AuditTrail | None = None
-    final: StateField | None = None
+    snapshots: list
+    audit: AuditTrail
 
 
 def run(
     model,
-    initial: StateField,
+    U: np.ndarray,
     grid: Grid1D,
     params: SchemeParams,
     t_end: float,
     snapshot_every: float | None = None,
+    t0: float = 0.0,
 ) -> RunResult:
-    """Iterate the scheme to t_end, recording snapshots and an audit.
+    """Iterate the scheme from time t0 to t0 + t_end, recording snapshots
+    and an audit.
 
-    Snapshots are taken at the initial time, every snapshot_every time
-    units, and at the final time.  The audit records, per step, the
-    measured stability number, the mass of every conserved component,
-    density extrema and the cumulative mass removed by negative-density
-    clipping (capped at a small fraction of the initial mass).
+    U is the (C, N) state of one lane or the (C, K, N) state of K lanes
+    (a 1-D state is one component); it is copied, not modified.
+    Snapshots are (t, U) pairs taken at t0, every snapshot_every time
+    units, and at the final time, so the last one is the final state.
+    The audit records, per step, the measured stability number, the mass
+    of every conserved component, density extrema and the cumulative mass
+    removed by negative-density clipping (capped at a small fraction of
+    the initial mass).
     """
     if t_end < 0:
         raise DomainError("t_end must be >= 0")
-    U = initial.values.copy()
+    U = np.atleast_2d(np.array(U, dtype=float))
     if U.ndim > 3 or (U.shape[0], U.shape[-1]) != (model.n_conserved, grid.n_cells):
         raise DomainError(f"state must be ({model.n_conserved}, [lanes,] "
                           f"{grid.n_cells}), got {U.shape}")
     check_admissible(model, U)
-    t0 = initial.time
     dx = grid.dx
 
-    result = RunResult()
-    result.snapshots.append(StateField(U.copy(), t0))
+    snapshots = [(t0, U.copy())]
     dens = density_view(model, U)
     mass_budget = CLIP_BUDGET_REL * float(np.sum(dens.sum(axis=1) * dx))
 
@@ -322,16 +311,14 @@ def run(
         rec_max[k - 1] = dens.max()
         rec_clip[k - 1] = clipped_total
         if next_snap is not None and t >= t0 + next_snap - 1e-9 * params.dt:
-            result.snapshots.append(StateField(U.copy(), t))
+            snapshots.append((t, U.copy()))
             next_snap += snapshot_every
 
-    final = StateField(U.copy(), t0 + n_steps * params.dt)
-    if not result.snapshots or result.snapshots[-1].time < final.time - 1e-9 * params.dt:
-        result.snapshots.append(final.copy())
-    result.final = final
+    t_final = t0 + n_steps * params.dt
+    if snapshots[-1][0] < t_final - 1e-9 * params.dt:
+        snapshots.append((t_final, U.copy()))
     steps = np.arange(1, n_steps + 1)
-    result.audit = AuditTrail(
+    return RunResult(snapshots, AuditTrail(
         step=steps, t=t0 + steps * params.dt, cfl=rec_cfl, mass=rec_mass * dx,
         min_rho=rec_min, max_rho=rec_max, clipped_mass=rec_clip,
-    )
-    return result
+    ))

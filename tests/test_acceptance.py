@@ -5,8 +5,12 @@ pytest -s to see the lines for passing criteria as well).  Long
 scenarios are shared through module-scoped fixtures.
 """
 
+import hashlib
+import json
+import platform
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,103 +34,43 @@ def _report(num, name, ok, detail=""):
     assert ok, line
 
 
-def _scenario(tmp_factory, text, name):
-    base = tmp_factory.mktemp(name)
-    path = base / f"{name}.cfg"
-    path.write_text(text)
-    cfg = cli.load_config(path)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _scenario(tmp_factory, name):
+    """Run scenarios/<name>.cfg into a fresh directory.  Returns the config,
+    the result, the run time and the directory of the artifacts; the
+    check.* keys of the file change no artifact."""
+    cfg = cli.load_config(ROOT / "scenarios" / f"{name}.cfg")
+    outdir = tmp_factory.mktemp(name) / "out"
     t0 = time.time()
-    result = cli.run_scenario(cfg, base / "out")
-    return cfg, result, time.time() - t0
-
-
-FIG3 = """
-model.kind = sim_flux
-model.a = 0.7
-grid.n_cells = 512
-grid.dx = 1.0
-scheme.dt = 0.2
-scheme.delta = 0.4
-initial.rho_plus = 0.35
-initial.rho_minus = 0.3
-noise.sigma = 1e-2
-noise.seed = 1234
-run.t_end = 500
-run.snapshot_every = 100
-"""
-
-# Domain length is a free parameter of the long cluster runs; 256 cells
-# let the coarsening finish within the pinned horizon.  The stability
-# guard must admit the clustered phase, where the combined advective +
-# diffusive number sits near 0.63.
-FIG4 = """
-model.kind = sim_flux
-model.a = 0.7
-grid.n_cells = 256
-grid.dx = 1.0
-scheme.dt = 0.2
-scheme.delta = 0.4
-scheme.cfl_guard = 0.95
-initial.rho_plus = 0.5
-initial.rho_minus = 0.3
-noise.sigma = 1e-2
-noise.seed = 1234
-run.t_end = 10000
-run.snapshot_every = 500
-"""
-
-FIG5_LOW_DIFFUSION = """
-model.kind = sim_flux
-model.a = 0.7
-grid.n_cells = 256
-grid.dx = 1.0
-scheme.dt = 0.2
-scheme.delta = 0.4
-scheme.cfl_guard = 0.95
-initial.rho_plus = 0.4
-initial.rho_minus = 0.3
-noise.sigma = 1e-2
-noise.seed = 1234
-run.t_end = 5000
-run.snapshot_every = 500
-"""
-
-# dt = 0.1 keeps the explicit diffusion update (2*delta*dt/dx^2 = 0.4)
-# inside the default guard.
-FIG5_HIGH_DIFFUSION = """
-model.kind = sim_flux
-model.a = 0.7
-grid.n_cells = 256
-grid.dx = 1.0
-scheme.dt = 0.1
-scheme.delta = 2.0
-initial.rho_plus = 0.4
-initial.rho_minus = 0.3
-noise.sigma = 1e-2
-noise.seed = 1234
-run.t_end = 5000
-run.snapshot_every = 500
-"""
+    result = cli.run_scenario(cfg, outdir)
+    return cfg, result, time.time() - t0, outdir
 
 
 @pytest.fixture(scope="module")
 def fig3(tmp_path_factory):
-    return _scenario(tmp_path_factory, FIG3, "fig3")
+    return _scenario(tmp_path_factory, "stable")
 
 
+# clusters.cfg: 256 cells let the coarsening finish within t = 10,000.  The
+# stability guard must admit the clustered phase, where the combined
+# advective + diffusive number sits near 0.63.
 @pytest.fixture(scope="module")
 def fig4(tmp_path_factory):
-    return _scenario(tmp_path_factory, FIG4, "fig4")
+    return _scenario(tmp_path_factory, "clusters")
 
 
 @pytest.fixture(scope="module")
 def fig5_low(tmp_path_factory):
-    return _scenario(tmp_path_factory, FIG5_LOW_DIFFUSION, "fig5_low")
+    return _scenario(tmp_path_factory, "near_boundary")
 
 
+# high_diffusion.cfg: the same state at delta = 2; dt = 0.1 keeps the
+# explicit diffusion update (2*delta*dt/dx^2 = 0.4) inside the default guard.
 @pytest.fixture(scope="module")
 def fig5_high(tmp_path_factory):
-    return _scenario(tmp_path_factory, FIG5_HIGH_DIFFUSION, "fig5_high")
+    return _scenario(tmp_path_factory, "high_diffusion")
 
 
 def test_criterion_01_hyperbolicity_classification():
@@ -156,8 +100,8 @@ def test_criterion_01_hyperbolicity_classification():
 
 
 def test_criterion_02_stable_relaxation(fig3):
-    cfg, result, elapsed = fig3
-    final = result.run.final.values
+    cfg, result, elapsed, _ = fig3
+    final = result.run.snapshots[-1][1]
     dev = max(
         float(np.abs(final[0] - 0.35).max()), float(np.abs(final[1] - 0.3).max())
     )
@@ -171,7 +115,7 @@ def test_criterion_02_stable_relaxation(fig3):
 
 
 def test_criterion_03_cluster_formation_and_coarsening(fig4):
-    cfg, result, elapsed = fig4
+    cfg, result, elapsed, _ = fig4
     series = result.clusters
     by_time = {t: m for (t, m, _) in series}
     at_2000 = by_time[2000.0]
@@ -196,11 +140,11 @@ def test_criterion_03_cluster_formation_and_coarsening(fig4):
 
 
 def test_criterion_04_diffusive_stabilization(fig5_low, fig5_high):
-    _, low, _ = fig5_low
-    _, high, _ = fig5_high
+    _, low, _, _ = fig5_low
+    _, high, _, _ = fig5_high
     low_final_count = low.clusters[-1][1].count
     clustered = low_final_count >= 1
-    high_final = high.run.final.values
+    high_final = high.run.snapshots[-1][1]
     high_count = high.clusters[-1][1].count
     dev = max(
         float(np.abs(high_final[0] - 0.4).max()),
@@ -234,16 +178,14 @@ def test_criterion_05_dispersion_vs_solver_growth():
     vec = vec / vec[0]
     amp0 = 1e-6
     pert = amp0 * np.real(np.outer(vec, np.exp(1j * xi * grid.x)))
-    field = sv.StateField(np.stack([rho_plus + pert[0], rho_minus + pert[1]]))
+    U0 = np.stack([rho_plus + pert[0], rho_minus + pert[1]])
     params = sv.SchemeParams(dt=0.01, delta_diff=diffusivity)
-    res = sv.run(SIM, field, grid, params, t_end=45.0, snapshot_every=0.5)
+    res = sv.run(SIM, U0, grid, params, t_end=45.0, snapshot_every=0.5)
 
     ts, amps = [], []
-    for snap in res.snapshots:
-        amps.append(
-            float(np.abs(np.fft.rfft(snap.values[0] - rho_plus))[wavelengths]) * 2 / n
-        )
-        ts.append(snap.time)
+    for t, U in res.snapshots:
+        amps.append(float(np.abs(np.fft.rfft(U[0] - rho_plus))[wavelengths]) * 2 / n)
+        ts.append(t)
     ts, amps = np.array(ts), np.array(amps)
     window = amps < 1e-3
     slope = float(np.polyfit(ts[window], np.log(amps[window]), 1)[0])
@@ -383,7 +325,7 @@ def test_criterion_07_eigen_oracles():
 
 def test_criterion_08_conservation(fig3, fig4):
     worst = 0.0
-    for _, result, _ in (fig3, fig4):
+    for _, result, _, _ in (fig3, fig4):
         mass = result.run.audit.mass
         n_steps = mass.shape[0]
         drift = np.abs(mass[-1] - mass[0]) / np.abs(mass[0])
@@ -510,11 +452,10 @@ def test_criterion_10_one_way_bound_preservation():
     x = grid.x
     rho0 = 0.55 + 0.35 * np.sin(2.0 * np.pi * x / grid.length)  # max 0.9 = 0.9*rho_star
     w0 = 1.1 + 0.1 * np.cos(4.0 * np.pi * x / grid.length)  # in [1.0, 1.2]
-    field = sv.StateField(np.stack([rho0, rho0 * w0]))
     params = sv.SchemeParams(dt=0.025, delta_diff=0.0)
-    res = sv.run(model, field, grid, params, t_end=100.0)
+    res = sv.run(model, np.stack([rho0, rho0 * w0]), grid, params, t_end=100.0)
     rho_bound_ok = bool(res.audit.max_rho.max() < params_p.rho_star)
-    _, w_final, _ = md.ar_primitives(model, res.final.values)
+    _, w_final, _ = md.ar_primitives(model, res.snapshots[-1][1])
     drift_hi = (w_final.max() - w0.max()) / w0.max()
     drift_lo = (w0.min() - w_final.min()) / w0.min()
     w_ok = drift_hi < 0.01 and drift_lo < 0.01
@@ -526,3 +467,37 @@ def test_criterion_10_one_way_bound_preservation():
         f"max density {res.audit.max_rho.max():.4f} < 1, "
         f"w drift (+{drift_hi:.2e}, -{drift_lo:.2e}) < 1%",
     )
+
+
+def _platform():
+    """What float results can depend on, as perfbench/run.py's
+    platform_fingerprint reads it."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return {"machine": platform.machine(), "numpy": np.__version__,
+            "simd": sorted(k for k, on in __cpu_features__.items()
+                           if on and k in ("AVX512F", "AVX2", "FMA3"))}
+
+
+_RECORDED = json.loads((ROOT / "perfbench" / "digests.json").read_text())["platform"]
+
+
+@pytest.mark.skipif(_platform() != _RECORDED,
+                    reason="the digest listing holds on its recorded platform only")
+def test_the_criteria_runs_write_the_listed_artifacts(fig3, fig4, fig5_low, fig5_high):
+    """The artifacts of the four scenario runs have the sha256 digests of
+    scripts/scenario_digests.txt (its simulate lines of each scenario)."""
+    listing = dict(line.split() for line in
+                   (ROOT / "scripts" / "scenario_digests.txt").read_text().splitlines())
+    runs = {"stable": fig3, "clusters": fig4, "near_boundary": fig5_low,
+            "high_diffusion": fig5_high}
+    for name, (_, _, _, outdir) in runs.items():
+        got = {f"{name}/{path.relative_to(outdir).as_posix()}":
+               hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in outdir.rglob("*") if path.is_file()}
+        want = {key: digest for key, digest in listing.items()
+                if key.split("/")[0] == name and key.split("/")[1] not in cli.SUBCOMMANDS}
+        assert want
+        assert got == want

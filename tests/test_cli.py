@@ -131,24 +131,24 @@ class TestBuildInitial:
         return cli.load_config(write_config(tmp_path, text))
 
     def test_zero_sigma_exactly_uniform(self, tmp_path):
-        field = cli.build_initial(self.cfg(tmp_path, 0.0))
-        assert np.all(field.values[0] == 0.5)
-        assert np.all(field.values[1] == 0.3)
+        U = cli.build_initial(self.cfg(tmp_path, 0.0))
+        assert np.all(U[0] == 0.5)
+        assert np.all(U[1] == 0.3)
 
     def test_same_seed_bitwise_identical(self, tmp_path):
         a = cli.build_initial(self.cfg(tmp_path, 1e-2))
         b = cli.build_initial(self.cfg(tmp_path, 1e-2))
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_species_streams_are_independent(self, tmp_path):
-        field = cli.build_initial(self.cfg(tmp_path, 1e-2))
-        r = np.corrcoef(field.values[0], field.values[1])[0, 1]
+        U = cli.build_initial(self.cfg(tmp_path, 1e-2))
+        r = np.corrcoef(U[0], U[1])[0, 1]
         assert abs(r) < 0.05
 
     @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
     def test_sample_deviation_matches_sigma(self, tmp_path, kind):
-        field = cli.build_initial(self.cfg(tmp_path, 1e-2, kind=kind))
-        sample_std = field.values[0].std()
+        U = cli.build_initial(self.cfg(tmp_path, 1e-2, kind=kind))
+        sample_std = U[0].std()
         assert abs(sample_std - 1e-2) / 1e-2 < 0.05
 
 
@@ -178,7 +178,7 @@ class TestBuildInitial:
                 with open(cfg_path, "a") as f:
                     f.write(f"initial.w_plus = {values['initial.w_plus']}\n"
                             f"initial.w_minus = {values['initial.w_minus']}\n")
-            return cli.build_initial(cli.load_config(cfg_path)).values
+            return cli.build_initial(cli.load_config(cfg_path))
 
         stack = build(range(n_lanes), 99)
         assert stack.shape[1:] == (n_lanes, 128)
@@ -196,8 +196,8 @@ class TestClusterMetrics:
 
     def test_uniform_below_threshold(self):
         model = md.ModelSpec.sim_flux()
-        field = sv.StateField(np.tile([[0.3], [0.2]], (1, 40)))
-        metrics = cli.cluster_metrics(model, field, self.grid(), 0.9)
+        U = np.tile([[0.3], [0.2]], (1, 40))
+        metrics = cli.cluster_metrics(model, U, self.grid(), 0.9)
         assert metrics.count == 0
         assert metrics.peak_total == 0.0
 
@@ -206,8 +206,7 @@ class TestClusterMetrics:
         vals = np.full((2, 40), 0.1)
         vals[:, 5:10] = 0.6   # total 1.2
         vals[:, 25:30] = 0.55  # total 1.1
-        field = sv.StateField(vals)
-        metrics = cli.cluster_metrics(model, field, self.grid(), 0.9)
+        metrics = cli.cluster_metrics(model, vals, self.grid(), 0.9)
         assert metrics.count == 2
         centers = np.sort(metrics.centroids)
         assert centers[0] == pytest.approx(7.5, abs=0.01)
@@ -220,16 +219,14 @@ class TestClusterMetrics:
         vals = np.full((2, 40), 0.1)
         vals[:, :3] = 0.6
         vals[:, -3:] = 0.6
-        field = sv.StateField(vals)
-        metrics = cli.cluster_metrics(model, field, self.grid(), 0.9)
+        metrics = cli.cluster_metrics(model, vals, self.grid(), 0.9)
         assert metrics.count == 1
         # centroid sits on the periodic seam
         assert min(metrics.centroids[0], 40 - metrics.centroids[0]) < 1.0
 
     def test_all_cells_above_threshold(self):
         model = md.ModelSpec.sim_flux()
-        field = sv.StateField(np.full((2, 40), 0.6))
-        metrics = cli.cluster_metrics(model, field, self.grid(), 0.9)
+        metrics = cli.cluster_metrics(model, np.full((2, 40), 0.6), self.grid(), 0.9)
         assert metrics.count == 1
 
     def test_drift_is_periodic_aware(self):
@@ -399,18 +396,18 @@ class TestSnapshotWriter:
         want = self.sequential(tmp_path, cfg_path, monkeypatch)
         parent, write = os.getpid(), cli._write_snapshot
 
-        def fails_in_the_child(path, snap, grid):
+        def fails_in_the_child(path, t, U, grid):
             if os.getpid() != parent:
                 path.write_text("t,x\n0.0,")  # a partial file
                 raise OSError("no space left on device")
-            write(path, snap, grid)
+            write(path, t, U, grid)
 
         monkeypatch.setattr(cli, "_write_snapshot", fails_in_the_child)
         assert simulate_files(cfg_path, tmp_path / "forked") == want
         assert len(forks) == 1
 
     def test_a_failure_in_both_processes_leaves_main(self, tmp_path, monkeypatch, forks):
-        def fails(path, snap, grid):
+        def fails(path, t, U, grid):
             raise OSError("no space left on device")
 
         monkeypatch.setattr(cli, "_write_snapshot", fails)
@@ -446,7 +443,7 @@ class TestSnapshotWriter:
         cfg = cli.load_config(path)
         intervals = int(cfg.t_end / cfg.snapshot_every) if cfg.snapshot_every else 0
         odd_snapshots = (intervals + 2) // 2
-        values = odd_snapshots * cli.build_initial(cfg).values.size
+        values = odd_snapshots * cli.build_initial(cfg).size
         assert values < cli._FORK_MIN_VALUES
 
 
@@ -522,7 +519,7 @@ class TestMainExitCodes:
         # _advance clips c more per step: the multi-lane loop sums the
         # clipped mass and stops at the first step k with k*c > budget
         cfg = cli.load_config(TWO_LANE_CFG)
-        dens = ml.lane_densities(cfg.model, cli.build_initial(cfg).values)
+        dens = ml.lane_densities(cfg.model, cli.build_initial(cfg))
         budget = sv.CLIP_BUDGET_REL * float(np.sum(dens.sum(axis=(0, 2)) * cfg.grid.dx))
         c = budget / 2.5
         advance = sv._advance
@@ -586,16 +583,30 @@ class TestMainExitCodes:
         assert (tmp_path / "map" / "boundary.csv").read_text() == "\n".join(want) + "\n"
 
     def test_a_map_whose_delta_overflows_is_a_numerical_failure(self, tmp_path, capsys,
-                                                                 forks):
-        # the load rules pass this law (eps = 1e89 does not), but Delta is
-        # negative up to the jam density near rho_plus / rho_star = 0.674;
-        # at resolution 90 an edge from such a node runs to a diagonal node
-        # (hyperbolic by definition, see hyperbolicity_map), and its
-        # bisection reaches a total 6.9e-7 short of the jam density, past
-        # the load probe at 1e-6, where Delta squares partials past the
-        # float range.  It is the 42nd edge bisected, an odd-indexed one:
-        # the forked child's share, which the CLI bisects again when the
-        # child fails, and so raises the child's error itself.
+                                                                 monkeypatch):
+        # flux partials of 1e200 at every node: Delta squares them past the
+        # float range (the load probe does not call delta_field)
+        def overflowing(model, rho_plus, rho_minus):
+            return an.diffusive_discriminant((np.full(np.shape(rho_plus), 1e200),) * 4)
+
+        monkeypatch.setattr(an, "delta_field", overflowing)
+        cfg_path = two_lane_config(tmp_path, {})
+        cfg_path.write_text(cfg_path.read_text() + "map.resolution = 40\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["hyperbolicity-map", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "map")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert list((tmp_path / "map").iterdir()) == []
+
+    def test_a_map_bisects_no_edge_to_an_unevaluated_node(self, tmp_path):
+        # the load rules pass this law, but Delta is negative up to the jam
+        # density near rho_plus / rho_star = 0.674.  At resolution 90 an edge
+        # from such a node runs to a diagonal node, which is not evaluated and
+        # reads hyperbolic; its bisection reached a total 6.9e-7 short of the
+        # jam density, where Delta squares partials past the float range, and
+        # the map exited 3.
         cfg_path = two_lane_config(tmp_path, {
             "pressure.gamma": 10, "pressure.eps": "1e87", "crowding.beta": 50})
         cfg_path.write_text(cfg_path.read_text() + "crowding_minus.kind = power\n"
@@ -604,10 +615,15 @@ class TestMainExitCodes:
             warnings.simplefilter("error", RuntimeWarning)
             code = cli.main(["hyperbolicity-map", "--config", str(cfg_path),
                              "--out", str(tmp_path / "map")])
-        assert code == 3
-        assert capsys.readouterr().err.startswith("numerical failure: ")
-        assert list((tmp_path / "map").iterdir()) == []
-        assert len(forks) == 1
+        assert code == 0
+        points = np.loadtxt(tmp_path / "map" / "boundary.csv", delimiter=",",
+                            skiprows=1, ndmin=2)
+        # an edge between evaluated nodes ends at a total of at most
+        # axis[88]; a point on an edge to a diagonal node lies past it by
+        # about half the bisection tolerance at least
+        axis = np.linspace(0.0, 1.0 - 1e-9, 90)
+        assert len(points) > 0
+        assert np.all(points.sum(axis=1) <= axis[-2] + 1e-9)
 
     @pytest.mark.parametrize("name", ["two_lane.cfg", "clusters.cfg"])
     def test_a_forked_map_has_the_bytes_of_one_process(self, tmp_path, monkeypatch,
@@ -1163,8 +1179,10 @@ noise.seed = 2
             cli.load_config(cfg_path)
         assert simulate_exit_code(cfg_path, tmp_path) == 2
         assert not (tmp_path / "o").exists()
+        # one snapshot interval, so the snapshot set stays below its bound
         at_ceiling = cli.MAX_STEPS * 0.2
-        cfg = cli.load_config(base_config(tmp_path, {"run.t_end": at_ceiling}))
+        cfg = cli.load_config(base_config(tmp_path, {"run.t_end": at_ceiling,
+                                                     "run.snapshot_every": at_ceiling}))
         assert sv.step_count(cfg.t_end, cfg.scheme.dt) == cli.MAX_STEPS
 
     def test_noise_past_the_density_scale_is_rejected_before_any_output(
@@ -1217,6 +1235,31 @@ noise.seed = 2
             "dispersion.n_points": "1000000", "table.n_points": "1000000"}))
         assert (cfg.grid.n_cells * cfg.n_lanes, cfg.map_resolution ** 2,
                 cfg.dispersion_n_points, cfg.table_n_points) == (10**6,) * 4
+
+    def test_a_snapshot_set_past_the_bound_is_rejected_before_stepping(
+            self, tmp_path, monkeypatch, capsys):
+        # a snapshot at each of 50,000 steps of 2 x 10**6 values, about
+        # 800 GB: the run could only end by being killed
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(sv, "_advance", no_step)
+        cfg_path = scenario_config(tmp_path, "clusters.cfg", {
+            "grid.n_cells": "1000000", "run.snapshot_every": "1e-6"})
+        assert simulate_exit_code(cfg_path, tmp_path) == 2
+        assert "run.snapshot_every" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # the bound counts 2 + run.t_end / run.snapshot_every snapshots
+        assert cli.MAX_SNAPSHOT_VALUES == 10**7
+        for every, loads in ((48.0, True), (47.0, False)):  # 50 * 2 * 10**5 = 10**7
+            cfg_path = scenario_config(tmp_path, "clusters.cfg", {
+                "grid.n_cells": "100000", "run.t_end": "2304",
+                "run.snapshot_every": every})
+            if loads:
+                cli.load_config(cfg_path)
+            else:
+                with pytest.raises(ConfigError, match="run.snapshot_every"):
+                    cli.load_config(cfg_path)
 
     # Each overflowed in the pressure law (a RuntimeWarning, an error under
     # the suite's filter) after creating --out: eps in a scalar divide of the

@@ -308,7 +308,7 @@ class TestModelSpec:
         grid = sv.Grid1D(n_cells=4, dx=1.0)
         for shape in [(3, 4), (2, 5), (1, 2), (2, 1, 1, 4)]:
             with pytest.raises(DomainError, match="state must be"):
-                sv.run(model, sv.StateField(np.zeros(shape)), grid,
+                sv.run(model, np.zeros(shape), grid,
                        sv.SchemeParams(dt=0.1), t_end=0.1)
 
 

@@ -200,7 +200,7 @@ class TestStep:
     def test_mass_conservation_long_run(self):
         grid = sv.Grid1D(n_cells=64, dx=1.0)
         params = sv.SchemeParams(dt=0.2, delta_diff=0.4, cfl_guard=0.95)
-        res = sv.run(SIM, sv.StateField(noisy_state(64)), grid, params, t_end=200.0)
+        res = sv.run(SIM, noisy_state(64), grid, params, t_end=200.0)
         drift = np.abs(res.audit.mass[-1] - res.audit.mass[0])
         assert np.all(drift <= 1e-12 * np.abs(res.audit.mass[0]))
 
@@ -238,9 +238,9 @@ class TestClipping:
         vals = np.full((1, 8), 0.5)
         vals[0, 2] = 0.0
         # round-off level negativity: 0 - 0.1 * 1e-14 = -1e-15
-        res = sv.run(Outflow(1e-14), sv.StateField(vals), grid, params, t_end=0.1)
+        res = sv.run(Outflow(1e-14), vals, grid, params, t_end=0.1)
         assert res.audit.clipped_mass[-1] == pytest.approx(1e-15)
-        assert np.all(res.final.values >= 0.0)
+        assert np.all(res.snapshots[-1][1] >= 0.0)
 
     def test_clip_budget_exceeded(self):
         grid = sv.Grid1D(n_cells=8, dx=1.0)
@@ -248,7 +248,7 @@ class TestClipping:
         vals = np.full((1, 8), 0.5)
         vals[0, 2] = 0.0
         with pytest.raises(ClipBudgetError):
-            sv.run(Outflow(1.0), sv.StateField(vals), grid, params, t_end=0.1)
+            sv.run(Outflow(1.0), vals, grid, params, t_end=0.1)
 
 
 class TestAccuracy:
@@ -281,26 +281,26 @@ class TestRun:
     def test_zero_duration_returns_initial_only(self):
         grid = sv.Grid1D(n_cells=8, dx=1.0)
         params = sv.SchemeParams(dt=0.1)
-        field = sv.StateField(noisy_state(8), time=2.0)
-        res = sv.run(SIM, field, grid, params, t_end=0.0)
+        U0 = noisy_state(8)
+        res = sv.run(SIM, U0, grid, params, t_end=0.0, t0=2.0)
         assert len(res.snapshots) == 1
-        assert res.snapshots[0].time == 2.0
-        np.testing.assert_array_equal(res.final.values, field.values)
+        t, U = res.snapshots[0]
+        assert t == 2.0
+        np.testing.assert_array_equal(U, U0)
 
     def test_snapshot_cadence(self):
         grid = sv.Grid1D(n_cells=16, dx=1.0)
         params = sv.SchemeParams(dt=0.1, delta_diff=0.1)
         res = sv.run(
-            SIM, sv.StateField(noisy_state(16)), grid, params,
-            t_end=1.0, snapshot_every=0.5,
+            SIM, noisy_state(16), grid, params, t_end=1.0, snapshot_every=0.5,
         )
-        times = [snap.time for snap in res.snapshots]
+        times = [t for t, _ in res.snapshots]
         assert times == pytest.approx([0.0, 0.5, 1.0])
 
     def test_audit_is_per_step(self):
         grid = sv.Grid1D(n_cells=16, dx=1.0)
         params = sv.SchemeParams(dt=0.1, delta_diff=0.1)
-        res = sv.run(SIM, sv.StateField(noisy_state(16)), grid, params, t_end=1.0)
+        res = sv.run(SIM, noisy_state(16), grid, params, t_end=1.0)
         audit = res.audit
         assert len(audit.step) == 10
         assert audit.mass.shape == (10, 2)
@@ -315,11 +315,10 @@ class TestRun:
         x = grid.x
         rho0 = 0.5 + 0.3 * np.sin(2 * np.pi * x / grid.length)
         w0 = 1.1 + 0.1 * np.cos(2 * np.pi * x / grid.length)
-        field = sv.StateField(np.stack([rho0, rho0 * w0]))
         params = sv.SchemeParams(dt=0.02, delta_diff=0.0)
-        res = sv.run(model, field, grid, params, t_end=20.0)
+        res = sv.run(model, np.stack([rho0, rho0 * w0]), grid, params, t_end=20.0)
         assert res.audit.max_rho.max() < params_p.rho_star
-        rho_f, w_f, u_f = md.ar_primitives(model, res.final.values)
+        rho_f, w_f, u_f = md.ar_primitives(model, res.snapshots[-1][1])
         assert w_f.max() <= w0.max() * 1.01
         assert w_f.min() >= w0.min() * 0.99
 
@@ -359,7 +358,7 @@ def noisy_admissible_states(draw, model, n=16):
 
 def _run_or_error(model, U0, grid, params):
     try:
-        return sv.run(model, sv.StateField(U0), grid, params, t_end=5 * params.dt)
+        return sv.run(model, U0, grid, params, t_end=5 * params.dt)
     except PedflowError as err:
         return type(err)
 
@@ -383,15 +382,15 @@ def test_every_kind_conserves_mass_and_keeps_densities_nonnegative(
         assert second is first
         return
     rows = list(model.density_rows)
-    for snap in first.snapshots:
-        assert np.all(snap.values[rows] >= 0.0)
+    for _, U in first.snapshots:
+        assert np.all(U[rows] >= 0.0)
     clipped = first.audit.clipped_mass[-1]
     mass0 = U0.sum(axis=1) * grid.dx
-    mass = first.final.values.sum(axis=1) * grid.dx
+    mass = first.snapshots[-1][1].sum(axis=1) * grid.dx
     tol = 1e-13 * (1.0 + np.abs(U0).sum() * grid.dx) + clipped
     assert np.all(np.abs(mass - mass0) <= tol)
     np.testing.assert_array_equal(
-        first.final.values.view(np.int64), second.final.values.view(np.int64)
+        first.snapshots[-1][1].view(np.int64), second.snapshots[-1][1].view(np.int64)
     )
     for name in ("cfl", "mass", "min_rho", "max_rho", "clipped_mass"):
         np.testing.assert_array_equal(
@@ -410,9 +409,9 @@ def test_a_cell_at_density_1e_200_steps_as_vacuum(kind):
     U0[:, 5] = 1e-200
     grid = sv.Grid1D(n_cells=16, dx=1.0)
     params = sv.SchemeParams(dt=0.05, delta_diff=0.1)
-    res = sv.run(model, sv.StateField(U0), grid, params, t_end=1.0)
+    res = sv.run(model, U0, grid, params, t_end=1.0)
     assert len(res.audit.step) == 20
-    assert np.all(np.isfinite(res.final.values))
+    assert np.all(np.isfinite(res.snapshots[-1][1]))
     assert np.all(np.isfinite(res.audit.cfl))
 
 
@@ -428,9 +427,9 @@ def test_a_two_way_ar_cell_below_the_floor_with_w_2_is_admissible():
     assert np.all(np.isfinite(flux))
     assert np.isfinite(model.max_abs_speed(U0[:, 3:4])[0])
     grid = sv.Grid1D(n_cells=8, dx=1.0)
-    res = sv.run(model, sv.StateField(U0), grid, sv.SchemeParams(dt=0.05), t_end=0.2)
+    res = sv.run(model, U0, grid, sv.SchemeParams(dt=0.05), t_end=0.2)
     assert len(res.audit.step) == 4
-    assert np.all(np.isfinite(res.final.values))
+    assert np.all(np.isfinite(res.snapshots[-1][1]))
     np.testing.assert_allclose(res.audit.mass[-1], U0.sum(axis=1), rtol=1e-12)
 
 
@@ -448,11 +447,11 @@ def test_a_step_that_ends_above_the_jam_density_is_stopped():
     grid = sv.Grid1D(8, 1.0)
     params = sv.SchemeParams(dt=0.03)
     with pytest.raises(CongestionOverflowError, match="reached the jam density"):
-        sv.run(model, sv.StateField(U0), grid, params, t_end=0.03)
+        sv.run(model, U0, grid, params, t_end=0.03)
     # the same step without slopes stays admissible
     first_order = sv.SchemeParams(dt=0.03, limiter="none")
-    res = sv.run(model, sv.StateField(U0), grid, first_order, t_end=0.03)
-    assert res.final.values.sum(axis=0).max() < 0.93
+    res = sv.run(model, U0, grid, first_order, t_end=0.03)
+    assert res.snapshots[-1][1].sum(axis=0).max() < 0.93
 
 
 def test_an_inadmissible_initial_state_is_rejected_before_stepping(monkeypatch):
@@ -465,8 +464,7 @@ def test_an_inadmissible_initial_state_is_rejected_before_stepping(monkeypatch):
     for U0, error in (([[0.5] * 4, [0.5] * 4], CongestionOverflowError),
                       ([[0.5, -1e-300, 0.5, 0.5], [0.1] * 4], DomainError)):
         with pytest.raises(error):
-            sv.run(model, sv.StateField(np.array(U0)), grid, sv.SchemeParams(dt=0.1),
-                   t_end=0.0)
+            sv.run(model, np.array(U0), grid, sv.SchemeParams(dt=0.1), t_end=0.0)
 
 
 def test_a_run_of_stacked_lanes_audits_the_mass_of_each_component():
@@ -474,8 +472,7 @@ def test_a_run_of_stacked_lanes_audits_the_mass_of_each_component():
     model = ALL_KINDS[md.ModelKind.TWO_WAY_CAR]
     U0 = np.full((2, 3, 8), 0.2)
     U0[0, 1] = 0.3
-    res = sv.run(model, sv.StateField(U0), sv.Grid1D(8, 1.0), sv.SchemeParams(dt=0.05),
-                 t_end=0.1)
+    res = sv.run(model, U0, sv.Grid1D(8, 1.0), sv.SchemeParams(dt=0.05), t_end=0.1)
     assert res.audit.mass.shape == (2, 2)
     np.testing.assert_allclose(res.audit.mass, [[5.6, 4.8]] * 2, rtol=1e-14)
 
@@ -877,8 +874,7 @@ def test_run_audit_matches_the_per_step_reference(kind, t0, dx, n_steps, data):
         U = data.draw(step_states(model))
     grid = sv.Grid1D(n_cells=16, dx=dx)
     params = sv.SchemeParams(dt=0.01 * dx, delta_diff=0.1)
-    got = _outcome(sv.run, model, sv.StateField(U, t0), grid, params,
-                   n_steps * params.dt)
+    got = _outcome(sv.run, model, U, grid, params, n_steps * params.dt, None, t0)
     want = _outcome(reference_audit, model, U, grid, params, t0, n_steps)
     if isinstance(want, type):
         assert got is want
@@ -923,8 +919,7 @@ def test_a_congested_block_tends_to_the_jam_density_as_eps_falls():
         model = md.ModelSpec.one_way_ar(law)
         u_front = 1.05 - _lone_stream_offset(law, 0.5)
         rho_mid = _contact_density(law, 1.8 - u_front)
-        res = sv.run(model, sv.StateField(U0.copy()), grid, sv.SchemeParams(dt=0.05),
-                     t_end=60.0)
+        res = sv.run(model, U0, grid, sv.SchemeParams(dt=0.05), t_end=60.0)
         peak = res.audit.max_rho.max()
         # within 10% of the gap: 0.96%, 2.3% and 4.7% were measured; the
         # error about doubles per decade of eps, since the shock and the
@@ -938,7 +933,7 @@ def test_a_congested_block_tends_to_the_jam_density_as_eps_falls():
         # round-off bound.
         assert res.audit.min_rho.min() >= 0.0
         assert res.audit.max_rho.max() < law.rho_star
-        _, w, _ = md.ar_primitives(model, res.final.values)
+        _, w, _ = md.ar_primitives(model, res.snapshots[-1][1])
         assert 1.05 * 0.95 <= w.min() and w.max() <= 1.8 * 1.05, eps
     # the gap shrinks, two decades of eps at the rate 1/(gamma + 1) = 1/3
     # within 0.05: 0.308 was measured (the closed-form rho_mid gives 0.316 at
