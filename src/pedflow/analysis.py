@@ -37,14 +37,20 @@ from .errors import DomainError
 BOUNDARY_TOL = 1e-6
 
 # Maps with at least this many flipped raster edges bisect them in two
-# processes (see hyperbolicity_map).  An edge took about 0.10 ms to
-# bisect, and two processes took about 2.6 ms more than half the time of
-# one (the fork, pipe and wait, and copy-on-write faults), so they broke
-# even at 50-54 edges (medians of 81 alternating in-process builds per
-# resolution of the two_lane.cfg model's map, 34 to 238 edges, on a shared
-# 2-core x86-64 machine).  At the default map.resolution of 200 a map has
-# about 300 such edges.
-_FORK_MIN_EDGES = 52
+# processes (see hyperbolicity_map).  Two processes took 2.3 to 4.1 ms
+# longer than one (the fork, pipe and wait, and copy-on-write faults) and
+# saved 0.020 to 0.037 ms per edge, so they broke even at 108 to 118 edges:
+# line fits over the medians of the paired differences of 121 alternating
+# in-process builds, one process against two, of the two_lane.cfg model's
+# map at 11 resolutions (42 to 208 edges), in three runs on a shared 2-core
+# x86-64 machine, at about 4.2 us a scalar Delta call.  The break-even
+# rises as that call gets cheaper: at 6.4 us it was 50 to 54 edges.  At the
+# default map.resolution of 200 a map has about 300 such edges.
+_FORK_MIN_EDGES = 110
+
+# The kinds _flux_partials dispatches on, as module constants: an Enum
+# member read through its class costs about 0.1 us, per scalar Delta call.
+_SIM_FLUX, _TWO_WAY_CAR = md.ModelKind.SIM_FLUX, md.ModelKind.TWO_WAY_CAR
 
 
 class DiffusiveSpeeds(NamedTuple):
@@ -80,10 +86,10 @@ def _flux_partials(model, rho_plus, rho_minus):
     two_way_car (assembled from the pressure partials through the sign
     mapping of the module docstring).
     """
-    if model.kind is md.ModelKind.SIM_FLUX:
+    if model.kind is _SIM_FLUX:
         _, h, hp = md._sim_h(model.flux_shape, rho_plus, rho_minus)
         return h + rho_plus * hp, rho_plus * hp, rho_minus * hp, h + rho_minus * hp
-    if model.kind is md.ModelKind.TWO_WAY_CAR:
+    if model.kind is _TWO_WAY_CAR:
         _, _, c_pm, c_mp, c_u_plus, c_u_minus = md._two_way_char_speeds(
             model, rho_plus, rho_minus, model.V, model.V)
         return c_u_plus, -rho_plus * c_pm, -rho_minus * c_mp, -c_u_minus

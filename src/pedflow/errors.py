@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check of
+the constructors."""
+
+import math
 
 
 class PedflowError(Exception):
@@ -7,6 +10,14 @@ class PedflowError(Exception):
 
 class DomainError(PedflowError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+def require_finite(**values):
+    """Raise DomainError for the first of values that is NaN or infinite:
+    such a parameter passes every < and <= check of a constructor."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
 
 class CongestionOverflowError(DomainError):

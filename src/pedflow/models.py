@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from . import pressure as pr
-from .errors import DomainError, VacuumError
+from .errors import DomainError, VacuumError, require_finite
 
 # Largest |w| of a cell below pr.VACUUM_FLOOR: a larger momentum there
 # than VACUUM_MAX_W * pr.VACUUM_FLOOR is a VacuumError.
@@ -99,6 +99,7 @@ class ModelSpec:
 
     @classmethod
     def one_way_car(cls, V: float, pressure: pr.PressureParams) -> "ModelSpec":
+        require_finite(V=V)
         if V <= 0:
             raise DomainError("V must be > 0")
         if pressure.m <= 1:
@@ -128,6 +129,7 @@ class ModelSpec:
         crowding: pr.CrowdingWeight | None = None,
         crowding_minus: pr.CrowdingWeight | None = None,
     ) -> "ModelSpec":
+        require_finite(V=V)
         if V <= 0:
             raise DomainError("V must be > 0")
         q = crowding if crowding is not None else pr.CrowdingWeight()

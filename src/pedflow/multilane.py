@@ -20,7 +20,7 @@ import numpy as np
 
 from . import models as md
 from . import solver as sv
-from .errors import DomainError, SourceStiffnessError
+from .errors import DomainError, SourceStiffnessError, require_finite
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,7 @@ class LaneChangeRates:
     cutoff: str = "linear"
 
     def __post_init__(self):
+        require_finite(lambda0=self.lambda0)
         if self.lambda0 < 0:
             raise DomainError("lambda0 must be >= 0")
         if self.ramp not in ("positive_part", "sigmoid"):

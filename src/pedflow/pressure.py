@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 # Densities within this relative distance of rho_star are treated as
 # having left the admissible region (model breakdown, not stiffness).
@@ -53,6 +53,8 @@ class PressureParams:
     rho_star: float
 
     def __post_init__(self):
+        require_finite(M=self.M, m=self.m, eps=self.eps, gamma=self.gamma,
+                       rho_star=self.rho_star)
         if self.M < 0:
             raise DomainError(f"M must be >= 0, got {self.M}")
         if self.m < 1:
@@ -69,6 +71,11 @@ class CrowdingKind(str, Enum):
     CONSTANT = "constant"
     AFFINE = "affine"
     POWER = "power"
+
+
+# The kinds CrowdingWeight dispatches on, as module constants: an Enum
+# member read through its class costs about 0.1 us, per scalar call.
+_CONSTANT, _AFFINE = CrowdingKind.CONSTANT, CrowdingKind.AFFINE
 
 
 @dataclass(frozen=True)
@@ -90,21 +97,22 @@ class CrowdingWeight:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", CrowdingKind(self.kind))
+        require_finite(beta=self.beta)
         if self.beta < 0:
             raise DomainError(f"beta must be >= 0, got {self.beta}")
 
     def value(self, rho, rho_star):
-        if self.kind is CrowdingKind.CONSTANT:
-            return 1.0
-        if self.kind is CrowdingKind.AFFINE:
+        if self.kind is _AFFINE:
             return 1.0 + self.beta * rho / rho_star
+        if self.kind is _CONSTANT:
+            return 1.0
         return (1.0 + np.asarray(rho, dtype=float) / rho_star) ** self.beta
 
     def derivative(self, rho, rho_star):
-        if self.kind is CrowdingKind.CONSTANT:
-            return 0.0
-        if self.kind is CrowdingKind.AFFINE:
+        if self.kind is _AFFINE:
             return self.beta / rho_star
+        if self.kind is _CONSTANT:
+            return 0.0
         r = np.asarray(rho, dtype=float)
         return self.beta * (1.0 + r / rho_star) ** (self.beta - 1.0) / rho_star
 
@@ -116,12 +124,9 @@ LONE_STREAM = CrowdingWeight(CrowdingKind.CONSTANT)
 def vacuum_mask(rho):
     """Mask of the entries below VACUUM_FLOOR, or None when there is none.
 
-    For an array the mask is only built when one NaN-ignoring reduction
-    finds a vacuum entry; a NumPy scalar is compared directly (NaN is no
-    vacuum either way) and gives np.True_ or None.
+    The mask is only built when one NaN-ignoring reduction finds a vacuum
+    entry (NaN is no vacuum).  two_way_offsets tests a scalar total itself.
     """
-    if not isinstance(rho, np.ndarray):
-        return (rho < VACUUM_FLOOR) or None
     if np.fmin.reduce(rho, axis=None, initial=np.inf) < VACUUM_FLOOR:
         return rho < VACUUM_FLOOR
     return None
@@ -130,16 +135,6 @@ def vacuum_mask(rho):
 def zero_at(mask, x):
     """x with the entries under mask set to 0; x itself when mask is None."""
     return x if mask is None else np.where(mask, 0.0, x)
-
-
-def _power(x, exponent):
-    """x**exponent; for a NumPy scalar x, the bits of the 0-d array power,
-    whose fast paths at the exponents 2 and 1 are x * x and x itself."""
-    if isinstance(x, np.ndarray):
-        return x**exponent
-    if exponent == 2.0:
-        return x * x
-    return x if exponent == 1.0 else np.asarray(x) ** exponent
 
 
 def crossover_width(params: PressureParams, rho):
@@ -157,62 +152,78 @@ def two_way_offsets(params: PressureParams, q_plus: CrowdingWeight,
     total density rho and z = 1/rho - 1/rho_star; q is q_plus for the plus
     direction and q_minus for the minus one.  Returns (p(rho+, rho-),
     p(rho-, rho+)) and, with partials=True, also the pair (d/d rho_own,
-    d/d rho_other) of each; with eps = 0 these may share one array.
-    The correction and its partials are 0 where the total density is
-    below VACUUM_FLOOR (masked only if such a total exists).  The
-    densities must be admissible: >= 0, with a total below rho_star.
+    d/d rho_other) of each; with eps = 0 these are P and P' alone, and may
+    share one array.  The correction and its partials are 0 where the total
+    density is below VACUUM_FLOOR (masked only if such a total exists).
+    The densities must be admissible: >= 0, with a total below rho_star.
 
-    Scalar densities (floats, NumPy scalars or 0-d arrays) give NumPy
-    scalars: the densities and the arithmetic on them stay NumPy scalars,
-    which cost far less per operation than 0-d arrays and, unlike floats,
-    obey np.errstate.  +, -, * and / round alike on both, a power need
-    not, so each power keeps the bits it had when every scalar was a 0-d
-    array: the powers of the total and of z have the bits of 0-d array
-    powers (x * x and x at the exponents 2 and 1, a 0-d array power at
-    others), and the scalar partials' power of z is a NumPy-scalar one,
-    which can round unlike z * z (the map bisection keeps its bits).
+    Each density is converted once: an array or a 0-d array by
+    np.asarray(rho, dtype=float)[()], anything else (a float or a NumPy
+    scalar) by np.float64, which costs far less and gives the same value.
+    Scalar densities thus give NumPy scalars: the densities and the
+    arithmetic on them stay NumPy scalars, which cost far less per
+    operation than 0-d arrays and, unlike floats, obey np.errstate.  +, -,
+    * and / round alike on both, a power need not, so each power keeps the
+    bits it had when every scalar was a 0-d array: the powers of the total
+    and of z have the bits of 0-d array powers (x * x and x at the
+    exponents 2 and 1, a 0-d array power at others), and the scalar
+    partials' power of z is a NumPy-scalar one, which can round unlike
+    z * z (the map bisection keeps its bits).  The powers and the vacuum
+    masks are written out rather than called: on a scalar, a helper call
+    costs about as much as the operation.
     """
-    plus = np.asarray(rho_plus, dtype=float)[()]
-    minus = np.asarray(rho_minus, dtype=float)[()]
+    plus = (np.asarray(rho_plus, dtype=float)[()] if isinstance(rho_plus, np.ndarray)
+            else np.float64(rho_plus))
+    minus = (np.asarray(rho_minus, dtype=float)[()] if isinstance(rho_minus, np.ndarray)
+             else np.float64(rho_minus))
     total = plus + minus
-    P = params.M * _power(total, params.m)
-    dP = params.M * params.m * _power(total, params.m - 1.0) if partials else None
-    if params.eps > 0:
-        vac = vacuum_mask(total)
-        # fill vacuum entries with a safely interior density
-        tot = total if vac is None else np.where(vac, 0.5 * params.rho_star, total)[()]
-        z = 1.0 / tot - 1.0 / params.rho_star
-        zg = _power(z, params.gamma)
-        if partials:
-            # scalar partials take the NumPy-scalar power of z, which can
-            # round unlike the 0-d array power of the offsets
-            zg_partials = zg if isinstance(z, np.ndarray) else z**params.gamma
-            z_tot2 = z * _power(tot, 2.0)
-        del tot, z
+    scalar = not isinstance(total, np.ndarray)
+    M, m, eps, gamma, rho_star = params.M, params.m, params.eps, params.gamma, params.rho_star
+    # each power by the scalar rule above: x * x, x, or a 0-d array power
+    P = M * (total * total if scalar and m == 2.0 else
+             total if scalar and m == 1.0 else np.asarray(total)**m)
+    if partials:
+        e = m - 1.0
+        dP = M * m * (total * total if scalar and e == 2.0 else
+                      total if scalar and e == 1.0 else np.asarray(total)**e)
+    if eps == 0:
+        return (P, P, (dP, dP), (dP, dP)) if partials else (P, P)
+    # a scalar total is compared directly: np.True_ or None, as from vacuum_mask
+    vac = (total < VACUUM_FLOOR or None) if scalar else vacuum_mask(total)
+    # fill vacuum entries with a safely interior density
+    tot = total if vac is None else np.where(vac, 0.5 * rho_star, total)[()]
+    z = 1.0 / tot - 1.0 / rho_star
+    zg = z * z if scalar and gamma == 2.0 else np.asarray(z)**gamma  # gamma > 1
+    if partials:
+        # scalar partials take the NumPy-scalar power of z, which can
+        # round unlike the 0-d array power of the offsets
+        zg_partials = z**gamma if scalar else zg
+        z_tot2 = z * (tot * tot if scalar else tot**2.0)
+    del tot, z
     # One direction at a time; the dels free each direction's temporaries
     # before the next, which keeps the peak memory of array calls down.
+    # Each singular term is masked where a vacuum total exists.
     offsets, pairs = [], []
     for q, own in ((q_plus, plus), (q_minus, minus)):
-        if params.eps == 0:
-            offsets.append(P)
-            pairs.append((dP, dP))
-            continue
-        qv = q.value(own, params.rho_star)
-        corr = zero_at(vac, params.eps / (qv * zg))
+        qv = q.value(own, rho_star)
+        corr = eps / (qv * zg)
+        corr = corr if vac is None else np.where(vac, 0.0, corr)
         offsets.append(P + corr)
         if partials:
-            if zg_partials is not zg:
-                corr = zero_at(vac, params.eps / (qv * zg_partials))
-            dq = q.derivative(own, params.rho_star)
+            if scalar:
+                corr = eps / (qv * zg_partials)
+                corr = corr if vac is None else np.where(vac, 0.0, corr)
+            dq = q.derivative(own, rho_star)
             # d/d(total) of eps/(q z^gamma) at fixed q, plus the q(rho_own) term
-            dtotal = zero_at(vac, corr * params.gamma / z_tot2)
+            dtotal = corr * gamma / z_tot2
+            dtotal = dtotal if vac is None else np.where(vac, 0.0, dtotal)
             d_other = dP + dtotal
-            pairs.append((d_other - zero_at(vac, corr * dq / qv), d_other))
-            del dq, dtotal, d_other
+            d_q = corr * dq / qv
+            d_q = d_q if vac is None else np.where(vac, 0.0, d_q)
+            pairs.append((d_other - d_q, d_other))
+            del dq, dtotal, d_other, d_q
         del qv, corr
-    if not partials:
-        return tuple(offsets)
-    return tuple(offsets) + tuple(pairs)
+    return (*offsets, *pairs)
 
 
 def two_way_pressure(params: PressureParams, q: CrowdingWeight, rho_own, rho_other):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BlowUpError, ClipBudgetError, CongestionOverflowError,
-                     DomainError, StabilityError)
+                     DomainError, StabilityError, require_finite)
 from .pressure import CONGESTION_REL_TOL
 
 #: Fraction of the initial mass that negative-density clipping may
@@ -44,6 +44,7 @@ class Grid1D:
     def __post_init__(self):
         if self.n_cells < 4:
             raise DomainError("n_cells must be >= 4 (reconstruction stencil)")
+        require_finite(dx=self.dx)
         if self.dx <= 0:
             raise DomainError("dx must be > 0")
 
@@ -71,6 +72,7 @@ class SchemeParams:
     cfl_guard: float = 0.45
 
     def __post_init__(self):
+        require_finite(dt=self.dt, delta_diff=self.delta_diff, cfl_guard=self.cfl_guard)
         if self.dt <= 0:
             raise DomainError("dt must be > 0")
         if self.delta_diff < 0:

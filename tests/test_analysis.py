@@ -650,6 +650,17 @@ def test_scalar_states_give_numpy_scalars(model, state, form):
     assert [type(c) for c in partials] == [np.float64] * 4
 
 
+@pytest.mark.parametrize("form", [float, np.float64, np.asarray],
+                         ids=["float", "numpy_scalar", "0-d"])
+def test_a_scalar_delta_that_overflows_raises_under_errstate(form):
+    # eps / (q z**gamma) overflows near the jam density; on NumPy scalars
+    # that raises under np.errstate, as the map needs for its exit 3, where
+    # Python floats would go on to inf or nan (eps / (q * inf) is 0)
+    model = car_model(eps=1e300)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        an.delta_field(model, form(0.6), form(0.399))
+
+
 def reference_table_text(hyperbolic):
     """HyperbolicityMap.to_table_text when it formatted one cell at a time."""
     lines = []
@@ -731,6 +742,7 @@ class TestTwoProcessMap:
                                                             failing):
         """Edges 0, 2, ... are this process's share and 1, 3, ... the
         child's; the error raised is that of the first failing edge."""
+        monkeypatch.setattr(an, "_FORK_MIN_EDGES", 1)  # resolution 40 has only 58 edges
         model = car_model(eps=1e-3)
         hmap = one_process_map(model, 40)
         axis = hmap.rho_plus

@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from pedflow import analysis as an
 from pedflow import models as md
+from pedflow import multilane as ml
 from pedflow import pressure as pr
 from pedflow import solver as sv
 from pedflow.errors import DomainError, VacuumError
@@ -310,6 +311,30 @@ class TestModelSpec:
             with pytest.raises(DomainError, match="state must be"):
                 sv.run(model, np.zeros(shape), grid,
                        sv.SchemeParams(dt=0.1), t_end=0.1)
+
+
+# Each float parameter that a constructor checks with < or <=, which NaN and
+# inf pass, as a call that is valid at the value 2.5.
+FLOAT_PARAMETERS = {
+    **{f"PressureParams.{key}": (lambda key: lambda x: pressure_params(**{key: x}))(key)
+       for key in ("M", "m", "eps", "gamma", "rho_star")},
+    "CrowdingWeight.beta": lambda x: pr.CrowdingWeight("affine", x),
+    "Grid1D.dx": lambda x: sv.Grid1D(16, x),
+    "SchemeParams.dt": lambda x: sv.SchemeParams(dt=x),
+    "SchemeParams.delta_diff": lambda x: sv.SchemeParams(dt=0.5, delta_diff=x),
+    "SchemeParams.cfl_guard": lambda x: sv.SchemeParams(dt=0.5, cfl_guard=x),
+    "LaneChangeRates.lambda0": lambda x: ml.LaneChangeRates(lambda0=x),
+    "one_way_car.V": lambda x: md.ModelSpec.one_way_car(V=x, pressure=pressure_params()),
+    "two_way_car.V": lambda x: md.ModelSpec.two_way_car(V=x, pressure=pressure_params()),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", FLOAT_PARAMETERS.values(), ids=FLOAT_PARAMETERS.keys())
+def test_constructors_reject_non_finite_parameters(build, value):
+    build(2.5)
+    with pytest.raises(DomainError, match="must be finite"):
+        build(value)
 
 
 # The module-level fluxes that ModelSpec.flux absorbed, kept as the
