@@ -38,9 +38,21 @@ sys.path.insert(0, str(ROOT / "src"))
 from pedflow import cli  # noqa: E402
 
 
-def digest_run(config: Path, command: str, prefix: str, lines: list) -> int:
-    """Run one subcommand on config and append the digest line of each
-    artifact to lines."""
+def scenario_runs():
+    """The (config, subcommand) pairs of the listing, in its order: every
+    scenarios/*.cfg through `simulate` and each analysis subcommand its
+    model kind supports."""
+    for config in sorted((ROOT / "scenarios").glob("*.cfg")):
+        kind = cli.load_config(config).model.kind
+        for command, (_, kinds) in cli.SUBCOMMANDS.items():
+            if kind in kinds:
+                yield config, command
+
+
+def digest_run(config: Path, command: str, lines: list) -> int:
+    """Run one subcommand on config and append the listing line of each
+    artifact to lines; returns the exit code, 1 for a run that warned."""
+    prefix = config.stem if command == "simulate" else f"{config.stem}/{command}"
     with tempfile.TemporaryDirectory() as tmp:
         try:
             code = cli.main([command, "--config", str(config), "--out", tmp])
@@ -62,21 +74,15 @@ def main(argv=None) -> int:
         print("usage: scenario_digests.py [SAVED_LISTING]", file=sys.stderr)
         return 2
     warnings.simplefilter("error", RuntimeWarning)
-    configs = sorted((ROOT / "scenarios").glob("*.cfg"))
     status = 0
     lines = []
-    for config in configs:
-        kind = cli.load_config(config).model.kind
-        runs = [(command, config.stem if command == "simulate"
-                 else f"{config.stem}/{command}")
-                for command, (_, kinds) in cli.SUBCOMMANDS.items() if kind in kinds]
-        for command, prefix in runs:
-            done = len(lines)
-            if digest_run(config, command, prefix, lines) != 0:
-                status = 1
-            if not argv:  # the listing, run by run
-                for line in lines[done:]:
-                    print(line, flush=True)
+    for config, command in scenario_runs():
+        done = len(lines)
+        if digest_run(config, command, lines) != 0:
+            status = 1
+        if not argv:  # the listing, run by run
+            for line in lines[done:]:
+                print(line, flush=True)
     if argv:
         saved = Path(argv[0]).read_text().splitlines()
         diff = list(difflib.unified_diff(saved, lines, argv[0], "this checkout",

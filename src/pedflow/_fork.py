@@ -17,22 +17,27 @@ def two_process_map(fn, items, split: bool) -> list:
     Where split is true and os.fork exists, this process computes the
     even-indexed items while a forked child computes the odd-indexed ones
     and sends their results back, pickled, through a pipe; this process
-    returns only after the child has exited.  If the fork raises OSError
-    or the child fails, this process computes the child's items itself,
-    so an error surfaces here as it does when one process computes the
-    items in order.
+    returns only after the child has exited.  If the fork raises OSError,
+    the child fails or this process's own share raises, this process
+    computes every item again, in order, so it returns or raises as one
+    process would: fn must be safe to redo.
     """
     items = list(items)
     fork = getattr(os, "fork", None)
-    if not split or fork is None:
-        return [fn(item) for item in items]
+    results = _forked(fn, items, fork) if split and fork is not None else None
+    return [fn(item) for item in items] if results is None else results
+
+
+def _forked(fn, items: list, fork):
+    """The results of two processes, or None where the fork, the child or
+    this process's share failed."""
     read_fd, write_fd = os.pipe()
     try:
         pid = fork()
     except OSError:  # such as EAGAIN under a process limit
         os.close(read_fd)
         os.close(write_fd)
-        return [fn(item) for item in items]
+        return None
     if pid == 0:  # the child: compute, send, then exit at once
         status = 1
         try:
@@ -43,23 +48,16 @@ def two_process_map(fn, items, split: bool) -> list:
         finally:
             os._exit(status)
     os.close(write_fd)
-    ours, error = [], None
     try:
-        for item in items[::2]:
-            ours.append(fn(item))
-    except Exception as exc:  # raised below, after the child's earlier items
-        error = exc
+        ours = [fn(item) for item in items[::2]]
+    except Exception:  # redone by the caller, with every other item
+        ours = None
     finally:
         with open(read_fd, "rb") as pipe:  # drained before the wait
             sent = pipe.read()
         _, status = os.waitpid(pid, 0)
-    if status == 0:
-        theirs = pickle.loads(sent)
-    else:  # the child's items, up to the item this process failed on
-        stop = None if error is None else len(ours)
-        theirs = [fn(item) for item in items[1::2][:stop]]
-    if error is not None:
-        raise error
+    if ours is None or status != 0:
+        return None
     results = [None] * len(items)
-    results[::2], results[1::2] = ours, theirs
+    results[::2], results[1::2] = ours, pickle.loads(sent)
     return results

@@ -20,6 +20,7 @@ import sys
 from collections.abc import Callable, Set
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -529,15 +530,15 @@ def emit_dispersion_table(speeds: an.DiffusiveSpeeds, delta_diff, xi_grid):
     """Mode frequencies s = xi * lam(xi) over a wave-number grid, for the
     linearisation speeds of one state.
 
-    Returns (meta, rows): meta carries the stability summary of the
-    state (empty without one), rows are (xi, Re s+, Im s+, Re s-, Im s-).
+    Returns (meta, columns): meta carries the stability summary of the
+    state (empty without one), columns are the float arrays xi, Re s+,
+    Im s+, Re s- and Im s-.
     """
     report = _stability_summary(speeds, delta_diff)
     meta = dict(_summary_rows(report)) if report is not None else {}
     xi = np.asarray(xi_grid, dtype=float)
     s_plus, s_minus = (xi * lam for lam in an.dispersion(speeds, delta_diff, xi))
-    columns = (xi, s_plus.real, s_plus.imag, s_minus.real, s_minus.imag)
-    return meta, list(zip(*(c.tolist() for c in columns)))
+    return meta, (xi, s_plus.real, s_plus.imag, s_minus.real, s_minus.imag)
 
 
 # --------------------------------------------------------------------------
@@ -564,21 +565,28 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _write_csv(path: Path, header, rows):
-    """Write header and rows; a row is a sequence of values or a joined line."""
+def _write_csv(path: Path, header, columns, comments=()):
+    """Write the CSV of columns under header, after a `# key=value` line per
+    (key, value) pair of comments: the one place where values become CSV text.
+
+    A scalar column (a str, or a number, as a snapshot's t) is one field,
+    formatted once and repeated on every row; a float array is written by
+    repr and an int array in decimal; any other sequence value by value
+    (_fmt: None is an empty field).  Rows are formatted while written.
+    """
+    fields = []
+    for c in columns:
+        if np.isscalar(c):
+            fields.append(repeat(_fmt(c)))
+        elif isinstance(c, np.ndarray):
+            fields.append(map(repr if c.dtype.kind == "f" else str, c.tolist()))
+        else:
+            fields.append(map(_fmt, c))
     with open(path, "w", newline="\n") as f:
+        f.writelines(f"# {key}={_fmt(value)}\n" for key, value in comments)
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write((row if isinstance(row, str) else ",".join(_fmt(v) for v in row))
-                    + "\n")
-
-
-def _audit_lines(step, *values):
-    """Audit CSV lines, formatted a column at a time: the step numbers as
-    integers, every other column of values as float reprs."""
-    columns = [map(str, np.asarray(step, dtype=int).tolist())]
-    columns += [map(repr, np.asarray(v, dtype=float).tolist()) for v in values]
-    return map(",".join, zip(*columns))
+        for row in zip(*fields):
+            f.write(",".join(row) + "\n")
 
 
 def _write_snapshot(path: Path, t: float, U: np.ndarray, grid: sv.Grid1D):
@@ -587,19 +595,11 @@ def _write_snapshot(path: Path, t: float, U: np.ndarray, grid: sv.Grid1D):
     A stack gets a lane column, and its rows run lane by lane.
     """
     several = U.ndim == 3
-    lanes = U if several else U[:, None]
-    n_comp = len(U)
+    n_comp, n_lanes = len(U), U.shape[1] if several else 1
+    lead = [t, np.repeat(np.arange(n_lanes), grid.n_cells)] if several else [t]
     header = ["t", "lane", "x"] if several else ["t", "x"]
-    x = grid.x.tolist()
-
-    def rows():  # formatted while written, so no lane is held as text
-        for lane in range(lanes.shape[1]):
-            lead = f"{_fmt(t)},{lane}," if several else f"{_fmt(t)},"
-            columns = [map(repr, lanes[c, lane].tolist()) for c in range(n_comp)]
-            for cells in zip(map(repr, x), *columns):
-                yield lead + ",".join(cells)
-
-    _write_csv(path, header + [f"component_{c}" for c in range(n_comp)], rows())
+    _write_csv(path, header + [f"component_{c}" for c in range(n_comp)],
+               [*lead, np.tile(grid.x, n_lanes), *U.reshape(n_comp, -1)])
 
 
 # Snapshot sets whose odd-indexed snapshots hold at least this many state
@@ -689,7 +689,7 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
         header = ["step", "t", "cfl", "mass_plus_total", "mass_minus_total",
                   "min_rho", "max_rho"]
     _write_snapshots(snapdir, snapshots, cfg.grid)
-    _write_csv(outdir / "audit.csv", header, _audit_lines(*columns))
+    _write_csv(outdir / "audit.csv", header, columns)
 
     if cfg.n_lanes == 1 and cfg.model.kind in _TWO_SPECIES:
         prev_t = prev_centroid = None
@@ -701,15 +701,14 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
                                       cfg.grid.length, t - prev_t)
             result.clusters.append((t, metrics, drift))
             prev_t, prev_centroid = t, metrics.main_centroid
-        _write_csv(
-            outdir / "clusters.csv",
-            ["t", "count", "peak_total", "main_centroid", "drift_velocity"],
-            [(t, m.count, m.peak_total, m.main_centroid, drift)
-             for t, m, drift in result.clusters],
-        )
+        times, metrics, drifts = zip(*result.clusters)
+        _write_csv(outdir / "clusters.csv",
+                   ["t", "count", "peak_total", "main_centroid", "drift_velocity"],
+                   [times, [m.count for m in metrics], [m.peak_total for m in metrics],
+                    [m.main_centroid for m in metrics], drifts])
     if result.stability is not None:
         _write_csv(outdir / "stability.csv", ["key", "value"],
-                   _stability_rows(result.stability))
+                   zip(*_stability_rows(result.stability)))
     return result
 
 
@@ -740,17 +739,16 @@ def _run_multilane(cfg, U):
             t = k * cfg.scheme.dt
             dens = ml.lane_densities(cfg.model, U)
             mass_dir = dens.sum(axis=(0, 2)) * cfg.grid.dx
-            audit_rows.append(
-                (k, t, cfl, mass_dir[0], mass_dir[1], float(dens.min()),
-                 float(dens.max()))
-            )
+            audit_rows.append((t, cfl, mass_dir[0], mass_dir[1], float(dens.min()),
+                               float(dens.max())))
             if next_snap is not None and t >= next_snap - 1e-9 * cfg.scheme.dt:
                 snapshots.append((time, U.copy()))
                 next_snap += cfg.snapshot_every
     if n_steps > 0 and snapshots[-1][0] < time - 1e-9 * cfg.scheme.dt:
         snapshots.append((time, U.copy()))
     # one column per audit field, also for a run of no step
-    return snapshots, np.array(audit_rows, dtype=float).reshape(-1, 7).T
+    columns = np.array(audit_rows, dtype=float).reshape(-1, 6).T
+    return snapshots, (np.arange(1, len(audit_rows) + 1), *columns)
 
 
 # --------------------------------------------------------------------------
@@ -812,9 +810,8 @@ def _cmd_hyperbolicity_map(cfg: ScenarioConfig, outdir: Path, args) -> int:
               file=sys.stderr)
         return 3
     (outdir / "map.txt").write_text(hmap.to_table_text())
-    columns = [map(repr, c.tolist()) for c in hmap.boundary_points.T]
     _write_csv(outdir / "boundary.csv", ["rho_plus", "rho_minus"],
-               map(",".join, zip(*columns)))
+               hmap.boundary_points.T)
     return 0
 
 
@@ -828,13 +825,10 @@ def _cmd_dispersion(cfg: ScenarioConfig, outdir: Path, args) -> int:
         else:
             xi_max = 2.0
     xi_grid = np.linspace(0.0, xi_max, cfg.dispersion_n_points)
-    meta, rows = emit_dispersion_table(speeds, cfg.scheme.delta_diff, xi_grid)
-    with open(outdir / "dispersion.csv", "w", newline="\n") as f:
-        for key, value in meta.items():
-            f.write(f"# {key}={_fmt(value)}\n")
-        f.write("xi,re_s_plus,im_s_plus,re_s_minus,im_s_minus\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+    meta, columns = emit_dispersion_table(speeds, cfg.scheme.delta_diff, xi_grid)
+    _write_csv(outdir / "dispersion.csv",
+               ["xi", "re_s_plus", "im_s_plus", "re_s_minus", "im_s_minus"], columns,
+               meta.items())
     return 0
 
 
@@ -850,13 +844,10 @@ def _cmd_pressure_table(cfg: ScenarioConfig, outdir: Path, args) -> int:
     # the background and singular parts: the law with eps, then M, set to 0
     P, S = (pr.two_way_offsets(replace(params, **{key: 0.0}), *lone, rho, 0.0)[0]
             for key in ("eps", "M"))
-    columns = (rho, P, S, p, dp, pr.crossover_width(params, rho))
-    _write_csv(
-        outdir / "pressure_table.csv",
-        ["rho", "background", "singular", "total", "total_derivative",
-         "crossover_width"],
-        zip(*(c.tolist() for c in columns)),
-    )
+    _write_csv(outdir / "pressure_table.csv",
+               ["rho", "background", "singular", "total", "total_derivative",
+                "crossover_width"],
+               (rho, P, S, p, dp, pr.crossover_width(params, rho)))
     return 0
 
 

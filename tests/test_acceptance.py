@@ -6,6 +6,7 @@ scenarios are shared through module-scoped fixtures.
 """
 
 import hashlib
+import importlib.util
 import json
 import platform
 import time
@@ -482,17 +483,25 @@ def _platform():
 
 
 _RECORDED = json.loads((ROOT / "perfbench" / "digests.json").read_text())["platform"]
+_ON_THE_RECORDED_PLATFORM = pytest.mark.skipif(
+    _platform() != _RECORDED,
+    reason="the digest listing holds on its recorded platform only")
+_LISTING = ROOT / "scripts" / "scenario_digests.txt"
+# the scenarios whose simulate runs the criteria fixtures make
+_CRITERIA_SCENARIOS = ("stable", "clusters", "near_boundary", "high_diffusion")
 
 
-@pytest.mark.skipif(_platform() != _RECORDED,
-                    reason="the digest listing holds on its recorded platform only")
+def _is_a_criteria_line(line):
+    scenario, part = line.split("/")[:2]
+    return scenario in _CRITERIA_SCENARIOS and part not in cli.SUBCOMMANDS
+
+
+@_ON_THE_RECORDED_PLATFORM
 def test_the_criteria_runs_write_the_listed_artifacts(fig3, fig4, fig5_low, fig5_high):
     """The artifacts of the four scenario runs have the sha256 digests of
     scripts/scenario_digests.txt (its simulate lines of each scenario)."""
-    listing = dict(line.split() for line in
-                   (ROOT / "scripts" / "scenario_digests.txt").read_text().splitlines())
-    runs = {"stable": fig3, "clusters": fig4, "near_boundary": fig5_low,
-            "high_diffusion": fig5_high}
+    listing = dict(line.split() for line in _LISTING.read_text().splitlines())
+    runs = dict(zip(_CRITERIA_SCENARIOS, (fig3, fig4, fig5_low, fig5_high)))
     for name, (_, _, _, outdir) in runs.items():
         got = {f"{name}/{path.relative_to(outdir).as_posix()}":
                hashlib.sha256(path.read_bytes()).hexdigest()
@@ -501,3 +510,21 @@ def test_the_criteria_runs_write_the_listed_artifacts(fig3, fig4, fig5_low, fig5
                 if key.split("/")[0] == name and key.split("/")[1] not in cli.SUBCOMMANDS}
         assert want
         assert got == want
+
+
+@_ON_THE_RECORDED_PLATFORM
+def test_the_other_runs_write_the_listed_artifacts():
+    """The lines of scripts/scenario_digests.txt that the criteria runs do
+    not write (the other scenarios' simulate runs and every analysis run)
+    are what scripts/scenario_digests.py writes for them, in order."""
+    spec = importlib.util.spec_from_file_location(
+        "scenario_digests", ROOT / "scripts" / "scenario_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    lines = []
+    for config, command in digests.scenario_runs():
+        if command != "simulate" or config.stem not in _CRITERIA_SCENARIOS:
+            assert digests.digest_run(config, command, lines) == 0
+    want = [line for line in _LISTING.read_text().splitlines()
+            if not _is_a_criteria_line(line)]
+    assert lines == want

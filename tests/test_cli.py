@@ -238,13 +238,12 @@ class TestDispersionTable:
     def test_stable_state_all_decaying(self):
         model = md.ModelSpec.sim_flux()
         xi = np.linspace(0, 3, 61)
-        meta, rows = cli.emit_dispersion_table(
+        meta, columns = cli.emit_dispersion_table(
             an.diffusive_speeds(model, 0.35, 0.3), 0.4, xi
         )
         assert meta["hyperbolic"] == 1
-        for row in rows:
-            assert row[2] <= 1e-14
-            assert row[4] <= 1e-14
+        assert np.all(columns[2] <= 1e-14)
+        assert np.all(columns[4] <= 1e-14)
 
     def test_unstable_band_boundaries(self):
         model = md.ModelSpec.sim_flux()
@@ -258,11 +257,11 @@ class TestDispersionTable:
 
     def test_dominant_row_is_maximal(self):
         model = md.ModelSpec.sim_flux()
-        meta, rows = cli.emit_dispersion_table(
+        meta, columns = cli.emit_dispersion_table(
             an.diffusive_speeds(model, 0.5, 0.3), 0.4, np.linspace(0, 1.4, 141)
         )
-        growth = np.array([max(r[2], r[4]) for r in rows])
-        xi = np.array([r[0] for r in rows])
+        growth = np.maximum(columns[2], columns[4])
+        xi = columns[0]
         assert xi[np.argmax(growth)] == pytest.approx(meta["dominant_xi"], abs=0.011)
 
 
@@ -447,6 +446,77 @@ class TestSnapshotWriter:
         assert values < cli._FORK_MIN_VALUES
 
 
+# CSV fields that hold no separator, line end or leading "#"
+csv_text = st.text(alphabet="abxyz_-. 09", max_size=6)
+edge_floats = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308])
+csv_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
+csv_values = st.none() | csv_text | st.integers(-2**70, 2**70) | csv_floats
+
+
+def is_field_of(value, text):
+    """Whether text is the CSV field of value: empty for None, the str
+    itself, an int in decimal, and a float that reads back to its bits."""
+    if value is None or isinstance(value, str):
+        return text == ("" if value is None else value)
+    if isinstance(value, (int, np.integer)):
+        return text == str(int(value))
+    return np.float64(float(text)).tobytes() == np.float64(value).tobytes()
+
+
+class TestCsvWriter:
+    """cli._write_csv, which writes every CSV artifact from its columns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(0, 5), text=csv_text,
+           comments=st.lists(st.tuples(st.text(alphabet="abc_", min_size=1), csv_values),
+                             max_size=3))
+    def test_every_kind_of_column_reads_back(self, data, n_rows, text, comments):
+        def column(values):
+            return data.draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+
+        floats = column(csv_floats)
+        ints = column(st.integers(-2**63, 2**63 - 1))
+        values = column(st.none() | csv_text | st.integers())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            cli._write_csv(path, ["s", "f", "i", "v"],
+                           [text, np.array(floats, dtype=float),
+                            np.array(ints, dtype=np.int64), values], comments)
+            raw = path.read_bytes()
+        assert raw.endswith(b"\n") and b"\r" not in raw
+        lines = raw.decode().split("\n")[:-1]
+        assert len(lines) == len(comments) + 1 + n_rows
+        for (key, value), line in zip(comments, lines):
+            assert line.startswith(f"# {key}=")
+            assert is_field_of(value, line[len(f"# {key}="):])
+        assert lines[len(comments)] == "s,f,i,v"
+        rows = [line.split(",") for line in lines[len(comments) + 1:]]
+        for row, *want in zip(rows, floats, ints, values):
+            assert len(row) == 4 and row[0] == text
+            assert all(map(is_field_of, want, row[1:]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n_comp=st.sampled_from([2, 4]), n_lanes=st.integers(1, 3),
+           n_cells=st.integers(4, 6), t=csv_floats, dx=st.floats(0.125, 8.0))
+    def test_lane_k_of_a_stack_is_the_one_lane_file_of_its_state(
+            self, data, n_comp, n_lanes, n_cells, t, dx):
+        size = n_comp * n_lanes * n_cells
+        U = np.array(data.draw(st.lists(csv_floats, min_size=size, max_size=size)))
+        U = U.reshape(n_comp, n_lanes, n_cells)
+        grid = sv.Grid1D(n_cells=n_cells, dx=dx)
+        with tempfile.TemporaryDirectory() as tmp:
+            cli._write_snapshot(Path(tmp) / "stack.csv", t, U, grid)
+            stack = (Path(tmp) / "stack.csv").read_text().splitlines()
+            for k in range(n_lanes):
+                cli._write_snapshot(Path(tmp) / f"lane{k}.csv", t, U[:, k], grid)
+                lane = (Path(tmp) / f"lane{k}.csv").read_text().splitlines()
+                rows = [row.split(",") for row in stack[1 + k * n_cells:][:n_cells]]
+                assert [row[1] for row in rows] == [str(k)] * n_cells
+                assert [",".join(row[:1] + row[2:]) for row in rows] == lane[1:]
+        assert len(stack) == 1 + n_lanes * n_cells
+        assert stack[0].replace("t,lane,", "t,") == lane[0]
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path):
         cfg_path = write_config(tmp_path, BASE_CONFIG)
@@ -568,8 +638,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("points", [None, np.empty((0, 2))], ids=["map", "empty"])
     def test_boundary_csv_matches_the_per_value_reference(self, tmp_path, monkeypatch,
                                                           points):
-        """boundary.csv, written a column at a time, has the bytes of one
-        _fmt per value."""
+        """boundary.csv has the bytes of one float repr per value."""
         cfg_path = two_lane_config(tmp_path, {})
         hmap = an.hyperbolicity_map(cli.load_config(cfg_path).model, 40)
         if points is not None:
@@ -578,7 +647,7 @@ class TestMainExitCodes:
         monkeypatch.setattr(an, "hyperbolicity_map", lambda model, resolution: hmap)
         assert cli.main(["hyperbolicity-map", "--config", str(cfg_path),
                          "--out", str(tmp_path / "map")]) == 0
-        want = ["rho_plus,rho_minus"] + [",".join(cli._fmt(v) for v in point)
+        want = ["rho_plus,rho_minus"] + [",".join(repr(float(v)) for v in point)
                                          for point in hmap.boundary_points]
         assert (tmp_path / "map" / "boundary.csv").read_text() == "\n".join(want) + "\n"
 
