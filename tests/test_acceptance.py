@@ -507,7 +507,7 @@ def test_the_criteria_runs_write_the_listed_artifacts(fig3, fig4, fig5_low, fig5
                hashlib.sha256(path.read_bytes()).hexdigest()
                for path in outdir.rglob("*") if path.is_file()}
         want = {key: digest for key, digest in listing.items()
-                if key.split("/")[0] == name and key.split("/")[1] not in cli.SUBCOMMANDS}
+                if key.startswith(f"{name}/") and _is_a_criteria_line(key)}
         assert want
         assert got == want
 
