@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Callable, Set
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from itertools import repeat
 from pathlib import Path
@@ -645,22 +644,6 @@ def _stability_rows(report: an.StabilityReport):
     return rows
 
 
-@contextmanager
-def _stepping():
-    """Mark every package error raised inside as raised while stepping.
-
-    Once stepping has started the config has been accepted, so an error
-    there, even a domain error such as reaching the jam density, means
-    the run failed numerically (exit code 3), not that its config is
-    wrong (exit code 2).
-    """
-    try:
-        yield
-    except PedflowError as exc:
-        exc.while_stepping = True
-        raise
-
-
 def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
     """Run one scenario and write its artifact set under outdir; both run
     modes hand their snapshots and audit columns to one writer."""
@@ -676,9 +659,8 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
 
     U = build_initial(cfg)
     if cfg.n_lanes == 1:
-        with _stepping():
-            result.run = sv.run(cfg.model, U, cfg.grid, cfg.scheme, cfg.t_end,
-                                cfg.snapshot_every)
+        result.run = sv.run(cfg.model, U, cfg.grid, cfg.scheme, cfg.t_end,
+                            cfg.snapshot_every)
         snapshots, audit = result.run.snapshots, result.run.audit
         header = (["step", "t", "cfl"] + [f"mass_{c}" for c in range(len(U))]
                   + ["min_rho", "max_rho", "clipped_mass"])
@@ -714,7 +696,8 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
 
 def _run_multilane(cfg, U):
     """Step the (C, K, N) state U of a multi-lane run to cfg.t_end; returns
-    its (t, U) snapshots and its audit columns (see run_scenario's header)."""
+    its (t, U) snapshots and its audit columns (see run_scenario's header).
+    Sets step and t on a PedflowError, as solver.run does."""
     mass_dir = ml.lane_densities(cfg.model, U).sum(axis=(0, 2)) * cfg.grid.dx
     mass_budget = sv.CLIP_BUDGET_REL * float(np.sum(mass_dir))
     n_steps = sv.step_count(cfg.t_end, cfg.scheme.dt)
@@ -722,7 +705,8 @@ def _run_multilane(cfg, U):
     snapshots = [(time, U.copy())]
     audit_rows = []
     next_snap = cfg.snapshot_every
-    with _stepping():
+    k = 0
+    try:
         sv.check_admissible(cfg.model, U)
         for k in range(1, n_steps + 1):
             # kept while perfbench pins two_lane_car's speed_bound_useful_ratio at 0.5
@@ -738,12 +722,16 @@ def _run_multilane(cfg, U):
                 )
             t = k * cfg.scheme.dt
             dens = ml.lane_densities(cfg.model, U)
-            mass_dir = dens.sum(axis=(0, 2)) * cfg.grid.dx
-            audit_rows.append((t, cfl, mass_dir[0], mass_dir[1], float(dens.min()),
-                               float(dens.max())))
+            mass_dir = np.add.reduce(dens, axis=(0, 2)) * cfg.grid.dx
+            audit_rows.append((t, cfl, mass_dir[0], mass_dir[1],
+                               float(np.minimum.reduce(dens, axis=None)),
+                               float(np.maximum.reduce(dens, axis=None))))
             if next_snap is not None and t >= next_snap - 1e-9 * cfg.scheme.dt:
                 snapshots.append((time, U.copy()))
                 next_snap += cfg.snapshot_every
+    except PedflowError as exc:
+        exc.step, exc.t = k, k * cfg.scheme.dt
+        raise
     if n_steps > 0 and snapshots[-1][0] < time - 1e-9 * cfg.scheme.dt:
         snapshots.append((time, U.copy()))
     # one column per audit field, also for a run of no step
@@ -887,8 +875,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PedflowError as exc:
-        if getattr(exc, "while_stepping", False):
-            print(f"numerical failure: {exc}", file=sys.stderr)
+        # Once stepping has started the config has been accepted, so an
+        # error there, even a domain error such as reaching the jam density,
+        # means the run failed numerically, not that its config is wrong.
+        if exc.step is not None:
+            print(f"numerical failure: {exc} (step {exc.step}, t = {exc.t:.6g})",
+                  file=sys.stderr)
             return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2

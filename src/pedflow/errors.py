@@ -5,7 +5,15 @@ import math
 
 
 class PedflowError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    The drivers (solver.run and cli._run_multilane) set step and t on an
+    error raised while stepping: the step that failed, 0 for the check of
+    the initial state, and the time that step was to reach.
+    """
+
+    step: int | None = None
+    t: float | None = None
 
 
 class DomainError(PedflowError, ValueError):

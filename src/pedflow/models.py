@@ -234,11 +234,18 @@ def _two_way_max_abs_speed(model, rho_plus, rho_minus, w_plus, w_minus):
 
 
 def _pair_max_modulus(trace, disc):
-    """max |lambda| for the root pair (trace +- sqrt(disc)) / 2."""
+    """max |lambda| for the root pair (trace +- sqrt(disc)) / 2.
+
+    The complex-root case is computed only when some disc < 0; the
+    reduction that looks for one propagates NaN, so a NaN disc also takes
+    the select.
+    """
     abs_disc = np.abs(disc)
     sq = np.sqrt(abs_disc)
     # sq >= 0, so fl(|trace| + sq) = max(|fl(trace + sq)|, |fl(trace - sq)|)
     real_case = 0.5 * (np.abs(trace) + sq)
+    if np.minimum.reduce(disc, axis=None, initial=np.inf) >= 0.0:
+        return real_case
     complex_case = 0.5 * np.sqrt(trace * trace + abs_disc)
     return np.where(disc >= 0.0, real_case, complex_case)
 
@@ -256,7 +263,7 @@ def _sim_h(params: SimFluxParams, rho_plus, rho_minus, derivative=True):
     h = np.asarray(1.0 - r / (2.0 * a))  # an array also for 0-d input
     hp = np.full(r.shape, -1.0 / (2.0 * a)) if derivative else None
     mid = (r > a) & (r <= 1.0)
-    if mid.any():  # most states of a stable run have no cell in (a, 1]
+    if np.count_nonzero(mid):  # most states of a stable run have no cell in (a, 1]
         rs = r[mid]
         d = a - rs
         g = a / 2.0 - a * d**2 / (2.0 * (1.0 - a) ** 2)

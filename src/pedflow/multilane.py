@@ -107,14 +107,18 @@ def _offsets_and_speeds(model: md.ModelSpec, U: np.ndarray):
     """
     rho = sv.density_view(model, U).swapaxes(0, 1)
     p_plus, p_minus = md.two_way_pressures(model, rho[:, 0], rho[:, 1])
-    p = np.stack([p_plus, p_minus], axis=1)
+    p = np.empty(rho.shape)
+    p[:, 0], p[:, 1] = p_plus, p_minus
     if model.kind is md.ModelKind.TWO_WAY_CAR:
         w = w_p = w_m = model.V
     else:
         _, w_p, _ = md._species_primitives(U[0], U[1])
         _, w_m, _ = md._species_primitives(U[2], U[3])
-        w = np.stack([w_p, w_m], axis=1)
-    u = np.stack([w_p - p_plus, -w_m + p_minus], axis=1)
+        w = np.empty(rho.shape)
+        w[:, 0], w[:, 1] = w_p, w_m
+    u = np.empty(rho.shape)
+    np.subtract(w_p, p_plus, out=u[:, 0])
+    np.add(-w_m, p_minus, out=u[:, 1])
     return rho, p, u, w
 
 
@@ -156,15 +160,15 @@ def coupled_step(model: md.ModelSpec, rates: LaneChangeRates, U: np.ndarray,
     # Lane k moves walkers up toward lane k+1 and down toward lane k-1,
     # each rate cut off by the total density of the target lane; the
     # boundary lanes' outward rates stay zero.
-    total = rho.sum(axis=1, keepdims=True)
+    total = np.add.reduce(rho, axis=1, keepdims=True)
     rates_up = np.zeros(rho.shape)
     rates_down = np.zeros(rho.shape)
     rates_up[:-1] = lane_change_rate(rates, dpdt[:-1], total[1:], rho_star)
     rates_down[1:] = lane_change_rate(rates, dpdt[1:], total[:-1], rho_star)
 
     outflow = dt * (rates_up + rates_down)
-    worst = np.unravel_index(np.argmax(outflow), outflow.shape)
-    if outflow[worst] > 1.0:
+    if np.maximum.reduce(outflow, axis=None) > 1.0:
+        worst = np.unravel_index(np.argmax(outflow), outflow.shape)
         lane, direction, cell = worst
         raise SourceStiffnessError(
             f"lane-change outflow dt*(rate_up + rate_down) = {outflow[worst]:.3g} "

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BlowUpError, ClipBudgetError, CongestionOverflowError,
-                     DomainError, StabilityError, require_finite)
+                     DomainError, PedflowError, StabilityError, require_finite)
 from .pressure import CONGESTION_REL_TOL
 
 #: Fraction of the initial mass that negative-density clipping may
@@ -99,7 +99,7 @@ def check_admissible(model, U):
         raise DomainError("densities must be >= 0")
     if model.pressure is not None:
         rho_star = model.pressure.rho_star
-        if np.fmax.reduce(dens.sum(axis=0), axis=None, initial=-np.inf) >= (
+        if np.fmax.reduce(np.add.reduce(dens, axis=0), axis=None, initial=-np.inf) >= (
                 rho_star * (1.0 - CONGESTION_REL_TOL)):
             raise CongestionOverflowError(f"density reached the jam density {rho_star}")
 
@@ -179,7 +179,7 @@ def measured_cfl(model, U: np.ndarray, grid: Grid1D, params: SchemeParams) -> fl
     """Combined advective + diffusive stability number of one step of U."""
     spd = model.max_abs_speed(U)
     return float(
-        np.max(spd) * params.dt / grid.dx
+        np.maximum.reduce(spd, axis=None) * params.dt / grid.dx
         + 2.0 * params.delta_diff * params.dt / grid.dx**2
     )
 
@@ -194,7 +194,8 @@ def _advance(model, U, grid: Grid1D, params: SchemeParams):
     dx, dt = grid.dx, params.dt
     spd = model.max_abs_speed(U)
     a_iface = np.maximum(spd, _shift(spd, -1))
-    cfl = float(np.max(a_iface) * dt / dx + 2.0 * params.delta_diff * dt / dx**2)
+    cfl = float(np.maximum.reduce(a_iface, axis=None) * dt / dx
+                + 2.0 * params.delta_diff * dt / dx**2)
     if cfl > params.cfl_guard:
         raise StabilityError(cfl, params.cfl_guard)
 
@@ -218,7 +219,7 @@ def _advance(model, U, grid: Grid1D, params: SchemeParams):
         lap *= params.delta_diff * dt
         U_new += lap
 
-    if not np.isfinite(U_new).all():
+    if not np.logical_and.reduce(np.isfinite(U_new), axis=None):
         bad = np.argwhere(~np.isfinite(U_new))[0]
         lane = f" of lane {bad[1]}" if U_new.ndim == 3 else ""
         raise BlowUpError(
@@ -227,8 +228,8 @@ def _advance(model, U, grid: Grid1D, params: SchemeParams):
 
     clipped = 0.0
     dens = density_view(model, U_new)
-    neg = dens < 0.0
-    if neg.any():
+    if np.fmin.reduce(dens, axis=None) < 0.0:  # U_new is finite
+        neg = dens < 0.0
         clipped = float(-np.sum(dens[neg]) * dx)
         dens[neg] = 0.0
     check_admissible(model, U_new)
@@ -276,7 +277,8 @@ def run(
     The audit records, per step, the measured stability number, the mass
     of every conserved component, density extrema and the cumulative mass
     removed by negative-density clipping (capped at a small fraction of
-    the initial mass).
+    the initial mass).  A PedflowError raised from the check of U onward
+    carries the step and time at which it was raised (see PedflowError).
     """
     if t_end < 0:
         raise DomainError("t_end must be >= 0")
@@ -284,7 +286,6 @@ def run(
     if U.ndim > 3 or (U.shape[0], U.shape[-1]) != (model.n_conserved, grid.n_cells):
         raise DomainError(f"state must be ({model.n_conserved}, [lanes,] "
                           f"{grid.n_cells}), got {U.shape}")
-    check_admissible(model, U)
     dx = grid.dx
 
     snapshots = [(t0, U.copy())]
@@ -292,29 +293,36 @@ def run(
     mass_budget = CLIP_BUDGET_REL * float(np.sum(dens.sum(axis=1) * dx))
 
     n_steps = step_count(t_end, params.dt)
-    # row k - 1 holds step k; step, t and the factor dx of the mass come at the end
+    # row k - 1 holds step k, its mass summed over lanes and cells; step, t
+    # and the factor dx of the mass come at the end
     rec_cfl, rec_min, rec_max, rec_clip = np.empty((4, n_steps))
     rec_mass = np.empty((n_steps, len(U)))
     clipped_total = 0.0
     next_snap = snapshot_every if snapshot_every else None
 
-    for k in range(1, n_steps + 1):
-        U, cfl, clipped = _advance(model, U, grid, params)
-        t = t0 + k * params.dt
-        clipped_total += clipped
-        if clipped_total > mass_budget:
-            raise ClipBudgetError(
-                f"clipped mass {clipped_total:.3e} exceeds budget {mass_budget:.3e}"
-            )
-        rec_cfl[k - 1] = cfl
-        rec_mass[k - 1] = U.reshape(len(U), -1).sum(axis=1)  # over lanes and cells
-        dens = density_view(model, U)
-        rec_min[k - 1] = dens.min()
-        rec_max[k - 1] = dens.max()
-        rec_clip[k - 1] = clipped_total
-        if next_snap is not None and t >= t0 + next_snap - 1e-9 * params.dt:
-            snapshots.append((t, U.copy()))
-            next_snap += snapshot_every
+    k = 0
+    try:
+        check_admissible(model, U)
+        for k in range(1, n_steps + 1):
+            U, cfl, clipped = _advance(model, U, grid, params)
+            t = t0 + k * params.dt
+            clipped_total += clipped
+            if clipped_total > mass_budget:
+                raise ClipBudgetError(
+                    f"clipped mass {clipped_total:.3e} exceeds budget {mass_budget:.3e}"
+                )
+            rec_cfl[k - 1] = cfl
+            rec_mass[k - 1] = np.add.reduce(U.reshape(len(U), -1), axis=1)
+            dens = density_view(model, U)
+            rec_min[k - 1] = np.minimum.reduce(dens, axis=None)
+            rec_max[k - 1] = np.maximum.reduce(dens, axis=None)
+            rec_clip[k - 1] = clipped_total
+            if next_snap is not None and t >= t0 + next_snap - 1e-9 * params.dt:
+                snapshots.append((t, U.copy()))
+                next_snap += snapshot_every
+    except PedflowError as exc:
+        exc.step, exc.t = k, t0 + k * params.dt
+        raise
 
     t_final = t0 + n_steps * params.dt
     if snapshots[-1][0] < t_final - 1e-9 * params.dt:

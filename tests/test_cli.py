@@ -549,6 +549,24 @@ class TestMainExitCodes:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("lanes, dt, line", [
+        (1, "5.0", "numerical failure: stability number 6.92549 exceeds guard 0.45 "
+                   "(step 1, t = 5)"),
+        (2, "0.6", "numerical failure: stability number 0.56989 exceeds guard 0.45 "
+                   "(step 1, t = 0.6)"),
+    ])
+    def test_a_numerical_failure_names_its_step_and_time(self, tmp_path, capsys,
+                                                         lanes, dt, line):
+        if lanes == 1:
+            cfg_path = write_config(tmp_path, BASE_CONFIG.replace("scheme.dt = 0.2",
+                                                                  f"scheme.dt = {dt}"))
+        else:
+            cfg_path = two_lane_config(tmp_path, {"scheme.dt": dt})
+        assert cli.main(
+            ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        ) == 3
+        assert capsys.readouterr().err == line + "\n"
+
     def test_stiff_lane_change_rate_is_a_config_error(self, tmp_path):
         cfg_path = two_lane_config(tmp_path, {"rates.lambda0": 30.0})
         with pytest.raises(ConfigError, match="lambda0"):
@@ -605,6 +623,22 @@ class TestMainExitCodes:
         with pytest.raises(ClipBudgetError, match=re.escape(message)):
             cli.run_scenario(cfg, tmp_path)
         assert steps == [1, 2, 3]
+
+    def test_a_multilane_failure_names_its_step_and_time(self, tmp_path, monkeypatch):
+        # as above, the clip budget stops step 3, which was to reach t = 3 dt
+        cfg = cli.load_config(TWO_LANE_CFG)
+        dens = ml.lane_densities(cfg.model, cli.build_initial(cfg))
+        budget = sv.CLIP_BUDGET_REL * float(np.sum(dens.sum(axis=(0, 2)) * cfg.grid.dx))
+        advance = sv._advance
+
+        def clipping_advance(model, U, grid, params):
+            U_new, cfl, clipped = advance(model, U, grid, params)
+            return U_new, cfl, clipped + budget / 2.5
+
+        monkeypatch.setattr(sv, "_advance", clipping_advance)
+        with pytest.raises(ClipBudgetError) as info:
+            cli.run_scenario(cfg, tmp_path)
+        assert (info.value.step, info.value.t) == (3, 3 * cfg.scheme.dt)
 
     def test_check_failure(self, tmp_path):
         text = BASE_CONFIG + "check.final_supnorm_lt = 1e-12\n"

@@ -578,3 +578,45 @@ def test_pair_max_modulus_matches_the_two_abs_reference(shape, data):
         got = md._pair_max_modulus(trace, disc)
         want = reference_pair_max_modulus(trace, disc)
     assert_bitwise_equal(np.asarray(got), np.asarray(want))
+
+
+# _pair_max_modulus skips the complex-root case when no disc is negative;
+# reference_pair_max_modulus, which selects between both cases everywhere,
+# stays its bitwise reference in bits, shape and dtype on either path.
+
+
+def assert_same_result(trace, disc):
+    trace, disc = np.asarray(trace, dtype=float), np.asarray(disc, dtype=float)
+    # trace**2 of the complex case overflows for |trace| > 1e154
+    with np.errstate(over="ignore"):
+        got = md._pair_max_modulus(trace, disc)
+        want = reference_pair_max_modulus(trace, disc)
+    assert np.shape(got) == want.shape and np.result_type(got) == want.dtype
+    assert_bitwise_equal(np.asarray(got), want)
+
+
+@pytest.mark.parametrize("trace, disc", [
+    ([0.5, -0.0, 2.0, 1e300], [0.0, -0.0, 5e-324, 4.0]),  # every disc >= 0
+    ([1.0, 1.0, -3.0, 0.0], [1.0, -1.0, -0.0, -5e-324]),  # mixed signs
+    ([1.0, -2.0, 0.0], [-1.0, -5e-324, -1e300]),  # every disc < 0
+    ([1.0, 1.0], [np.nan, 1.0]),  # NaN takes the select
+    (1.5, 2.0), (1.5, -2.0), (-0.0, -0.0),  # 0-d
+    ([], []),
+])
+def test_the_real_root_shortcut_keeps_the_bits_of_both_cases(trace, disc):
+    assert_same_result(trace, disc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from([(), (1,), (6,), (2, 5)]),
+       signs=st.sampled_from(["nonnegative", "mixed", "negative"]), data=st.data())
+def test_the_real_root_shortcut_matches_both_cases_for_any_signs(shape, signs, data):
+    trace = data.draw(hnp.arrays(np.float64, shape, elements=edge_floats()))
+    disc = data.draw(hnp.arrays(np.float64, shape,
+                                elements=edge_floats(nonnegative=True)))
+    if signs != "nonnegative":
+        # -0.0 is no negative disc: make the negated entries below zero
+        flip = np.ones(shape, dtype=bool) if signs == "negative" else data.draw(
+            hnp.arrays(np.bool_, shape))
+        disc = np.where(flip, -np.maximum(disc, 5e-324), disc)
+    assert_same_result(trace, disc)

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pedflow import cli
 from pedflow import models as md
 from pedflow import multilane as ml
 from pedflow import pressure as pr
@@ -274,6 +277,31 @@ class TestCoupledStep:
         with pytest.raises(BlowUpError, match="of lane 1 at cell"):
             ml.coupled_step(car_model(), ml.LaneChangeRates(lambda0=0.5), U, None,
                             grid, sv.SchemeParams(dt=0.05), 0.0)
+
+
+def test_a_multilane_step_keeps_its_call_structure(monkeypatch):
+    # The calls of one step of the CLI's multi-lane loop on two_lane.cfg's
+    # model: the loop's stability number, then the coupled step, whose
+    # transport makes one speed bound and two flux calls and whose
+    # exchange two rate and one source call.  One speed bound per step
+    # (ROADMAP item 2) changes this pin on purpose.
+    per_step = {(sv, "measured_cfl"): 1, (sv, "_advance"): 1,
+                (md.ModelSpec, "max_abs_speed"): 2, (md.ModelSpec, "flux"): 2,
+                (ml, "coupled_step"): 1, (ml, "lane_change_rate"): 2,
+                (ml, "density_sources"): 1}
+    calls = dict.fromkeys(per_step, 0)
+    for key in per_step:
+        def counted(*args, _key=key, _original=getattr(*key)):
+            calls[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(*key, counted)
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "scenarios"
+                          / "two_lane.cfg")
+    cfg.t_end = 3 * cfg.scheme.dt
+    snapshots, columns = cli._run_multilane(cfg, cli.build_initial(cfg))
+    assert len(columns[0]) == 3
+    assert calls == {key: 3 * n for key, n in per_step.items()}
 
 
 # The per-lane coupled step that the batched one replaced, kept as the
