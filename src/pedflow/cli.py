@@ -30,7 +30,7 @@ from . import multilane as ml
 from . import pressure as pr
 from . import solver as sv
 from ._fork import two_process_map
-from .errors import ClipBudgetError, ConfigError, DomainError, PedflowError
+from .errors import ConfigError, DomainError, PedflowError
 
 # Model kinds, grouped by what their configs read.
 _ALL = frozenset(md.ModelKind)
@@ -646,7 +646,8 @@ def _stability_rows(report: an.StabilityReport):
 
 def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
     """Run one scenario and write its artifact set under outdir; both run
-    modes hand their snapshots and audit columns to one writer."""
+    modes step in solver.run and hand their snapshots and audit columns to
+    one writer."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     snapdir = outdir / "snapshots"
@@ -658,18 +659,23 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
         result.stability = _stability_summary(speeds, cfg.scheme.delta_diff)
 
     U = build_initial(cfg)
+    step = None
+    if cfg.n_lanes > 1:
+        step = ml.coupled_stepper(cfg.model, cfg.rates, cfg.grid, cfg.scheme)
+    result.run = sv.run(cfg.model, U, cfg.grid, cfg.scheme, cfg.t_end,
+                        cfg.snapshot_every, step=step)
+    snapshots, audit = result.run.snapshots, result.run.audit
     if cfg.n_lanes == 1:
-        result.run = sv.run(cfg.model, U, cfg.grid, cfg.scheme, cfg.t_end,
-                            cfg.snapshot_every)
-        snapshots, audit = result.run.snapshots, result.run.audit
         header = (["step", "t", "cfl"] + [f"mass_{c}" for c in range(len(U))]
                   + ["min_rho", "max_rho", "clipped_mass"])
         columns = (audit.step, audit.t, audit.cfl, *audit.mass.T,
                    audit.min_rho, audit.max_rho, audit.clipped_mass)
     else:
-        snapshots, columns = _run_multilane(cfg, U)
         header = ["step", "t", "cfl", "mass_plus_total", "mass_minus_total",
                   "min_rho", "max_rho"]
+        columns = (audit.step, audit.t, audit.cfl,
+                   *audit.mass[:, cfg.model.density_rows].T,
+                   audit.min_rho, audit.max_rho)
     _write_snapshots(snapdir, snapshots, cfg.grid)
     _write_csv(outdir / "audit.csv", header, columns)
 
@@ -692,51 +698,6 @@ def run_scenario(cfg: ScenarioConfig, outdir) -> ScenarioResult:
         _write_csv(outdir / "stability.csv", ["key", "value"],
                    zip(*_stability_rows(result.stability)))
     return result
-
-
-def _run_multilane(cfg, U):
-    """Step the (C, K, N) state U of a multi-lane run to cfg.t_end; returns
-    its (t, U) snapshots and its audit columns (see run_scenario's header).
-    Sets step and t on a PedflowError, as solver.run does."""
-    mass_dir = ml.lane_densities(cfg.model, U).sum(axis=(0, 2)) * cfg.grid.dx
-    mass_budget = sv.CLIP_BUDGET_REL * float(np.sum(mass_dir))
-    n_steps = sv.step_count(cfg.t_end, cfg.scheme.dt)
-    time, offsets, clipped_total = 0.0, None, 0.0
-    snapshots = [(time, U.copy())]
-    audit_rows = []
-    next_snap = cfg.snapshot_every
-    k = 0
-    try:
-        sv.check_admissible(cfg.model, U)
-        for k in range(1, n_steps + 1):
-            # kept while perfbench pins two_lane_car's speed_bound_useful_ratio at 0.5
-            cfl = sv.measured_cfl(cfg.model, U, cfg.grid, cfg.scheme)
-            U, offsets, clipped = ml.coupled_step(cfg.model, cfg.rates, U, offsets,
-                                                  cfg.grid, cfg.scheme, time)
-            time += cfg.scheme.dt
-            clipped_total += clipped
-            if clipped_total > mass_budget:
-                raise ClipBudgetError(
-                    f"clipped mass {clipped_total:.3e} exceeds budget "
-                    f"{mass_budget:.3e}"
-                )
-            t = k * cfg.scheme.dt
-            dens = ml.lane_densities(cfg.model, U)
-            mass_dir = np.add.reduce(dens, axis=(0, 2)) * cfg.grid.dx
-            audit_rows.append((t, cfl, mass_dir[0], mass_dir[1],
-                               float(np.minimum.reduce(dens, axis=None)),
-                               float(np.maximum.reduce(dens, axis=None))))
-            if next_snap is not None and t >= next_snap - 1e-9 * cfg.scheme.dt:
-                snapshots.append((time, U.copy()))
-                next_snap += cfg.snapshot_every
-    except PedflowError as exc:
-        exc.step, exc.t = k, k * cfg.scheme.dt
-        raise
-    if n_steps > 0 and snapshots[-1][0] < time - 1e-9 * cfg.scheme.dt:
-        snapshots.append((time, U.copy()))
-    # one column per audit field, also for a run of no step
-    columns = np.array(audit_rows, dtype=float).reshape(-1, 6).T
-    return snapshots, (np.arange(1, len(audit_rows) + 1), *columns)
 
 
 # --------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import math
 class PedflowError(Exception):
     """Base class for all package-specific errors.
 
-    The drivers (solver.run and cli._run_multilane) set step and t on an
-    error raised while stepping: the step that failed, 0 for the check of
-    the initial state, and the time that step was to reach.
+    The driver, solver.run, sets step and t on an error raised while
+    stepping, one lane or several: the step that failed, 0 for the check
+    of the initial state, and the time t0 + step * dt that step was to
+    reach.
     """
 
     step: int | None = None

@@ -184,3 +184,23 @@ def coupled_step(model: md.ModelSpec, rates: LaneChangeRates, U: np.ndarray,
     sv.density_view(model, U)[...] += dt * S.swapaxes(0, 1)
     sv.check_admissible(model, U)
     return U, p, clipped
+
+
+def coupled_stepper(model: md.ModelSpec, rates: LaneChangeRates, grid: sv.Grid1D,
+                    params: sv.SchemeParams):
+    """The step of solver.run (from t0 = 0) for K coupled lanes.
+
+    Each call makes one coupled_step, with the offsets of the call before,
+    and returns its time as a running sum of dt from 0.
+    """
+    offsets, time = None, 0.0
+
+    def step(U, k):
+        nonlocal offsets, time
+        # kept while perfbench pins two_lane_car's speed_bound_useful_ratio at 0.5
+        cfl = sv.measured_cfl(model, U, grid, params)
+        U, offsets, clipped = coupled_step(model, rates, U, offsets, grid, params, time)
+        time += params.dt
+        return U, cfl, clipped, time
+
+    return step

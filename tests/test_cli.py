@@ -332,6 +332,21 @@ rates.lambda0 = 0.5
         assert float(last[3]) == pytest.approx(float(first[3]), rel=1e-12)
         assert float(last[4]) == pytest.approx(float(first[4]), rel=1e-12)
 
+    def test_a_multilane_run_keeps_two_clocks(self, tmp_path):
+        # A snapshot carries multilane.coupled_stepper's running sum of dt;
+        # the audit's t and the snapshot cadence are k * dt.  One clock for
+        # both (ROADMAP item 2) changes this pin on purpose.
+        cfg_path = two_lane_config(tmp_path, {"run.t_end": 1.0, "run.snapshot_every": 0.5})
+        result = cli.run_scenario(cli.load_config(cfg_path), tmp_path / "out")
+        times = [0.0, 0.49999999999999994, 1.0000000000000002]
+        assert [t for t, _ in result.run.snapshots] == times
+        for k, t in enumerate(times):
+            snap = tmp_path / "out" / "snapshots" / f"snap_{k:06d}.csv"
+            assert snap.read_text().splitlines()[1].split(",")[0] == repr(t)
+        steps = np.arange(1, 21)
+        assert result.run.audit.t.tolist() == (steps * 0.05).tolist()
+        assert result.run.audit.t[-1] == 1.0
+
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_a_run_shorter_than_1e_9_writes_its_final_snapshot(self, tmp_path, lanes):
         # the final state is written unless the last snapshot is within
@@ -537,16 +552,35 @@ class TestMainExitCodes:
             ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
         ) == 3
 
-    def test_jam_density_while_stepping_is_a_numerical_failure(self, tmp_path, capsys):
-        cfg_path = two_lane_config(
-            tmp_path,
-            {"initial.rho_plus": 0.55, "initial.rho_minus": 0.4, "noise.sigma": 0.05},
-        )
+    def test_jam_density_while_stepping_is_a_numerical_failure(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # The admissible state of tests/test_solver.py's
+        # test_a_step_that_ends_above_the_jam_density_is_stopped: its first
+        # step makes a cell total above rho_star.
+        cfg_path = write_config(tmp_path, """
+model.kind = two_way_car
+model.V = 1.0
+pressure.M = 1.0
+pressure.m = 2.0
+pressure.eps = 1e-4
+pressure.gamma = 2.0
+pressure.rho_star = 1.0
+grid.n_cells = 8
+grid.dx = 1.0
+scheme.dt = 0.03
+initial.rho_plus = 0.5
+initial.rho_minus = 0.3
+noise.seed = 1
+run.t_end = 0.03
+""")
+        U0 = np.array([[0.167, 0.439, 0.414, 0.075, 0.821, 0.442, 0.315, 0.022],
+                       [0.759, 0.4, 0.506, 0.848, 0.097, 0.424, 0.372, 0.648]])
+        monkeypatch.setattr(cli, "build_initial", lambda cfg: U0.copy())
         assert cli.main(
             ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
         ) == 3
-        assert "numerical failure: density reached the jam density" in (
-            capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numerical failure: density reached the jam density 1.0 (step 1, t = 0.03)\n"
         )
 
     @pytest.mark.parametrize("lanes, dt, line", [
@@ -604,7 +638,7 @@ class TestMainExitCodes:
     def test_multilane_run_stops_at_the_first_step_past_the_clip_budget(
         self, tmp_path, monkeypatch
     ):
-        # _advance clips c more per step: the multi-lane loop sums the
+        # _advance clips c more per step: a multi-lane run sums the
         # clipped mass and stops at the first step k with k*c > budget
         cfg = cli.load_config(TWO_LANE_CFG)
         dens = ml.lane_densities(cfg.model, cli.build_initial(cfg))

@@ -279,9 +279,9 @@ class TestCoupledStep:
                             grid, sv.SchemeParams(dt=0.05), 0.0)
 
 
-def test_a_multilane_step_keeps_its_call_structure(monkeypatch):
-    # The calls of one step of the CLI's multi-lane loop on two_lane.cfg's
-    # model: the loop's stability number, then the coupled step, whose
+def test_a_multilane_step_keeps_its_call_structure(monkeypatch, tmp_path):
+    # The calls of one step of a multi-lane run of two_lane.cfg: the
+    # stepper's stability number, then the coupled step, whose
     # transport makes one speed bound and two flux calls and whose
     # exchange two rate and one source call.  One speed bound per step
     # (ROADMAP item 2) changes this pin on purpose.
@@ -299,8 +299,8 @@ def test_a_multilane_step_keeps_its_call_structure(monkeypatch):
     cfg = cli.load_config(Path(__file__).resolve().parents[1] / "scenarios"
                           / "two_lane.cfg")
     cfg.t_end = 3 * cfg.scheme.dt
-    snapshots, columns = cli._run_multilane(cfg, cli.build_initial(cfg))
-    assert len(columns[0]) == 3
+    result = cli.run_scenario(cfg, tmp_path)
+    assert len(result.run.audit.step) == 3
     assert calls == {key: 3 * n for key, n in per_step.items()}
 
 
@@ -421,7 +421,7 @@ def test_batched_step_matches_per_lane_reference(kind, K, data):
     offsets = ref_offsets = None
     t = ref_t = 0.0
     for _ in range(20):
-        # the running time of the multi-lane loop in cli._run_multilane
+        # the running time of multilane.coupled_stepper
         batched, offsets, _ = ml.coupled_step(model, rates, batched, offsets, grid,
                                               params, t)
         t += params.dt
