@@ -87,7 +87,7 @@ def _flux_partials(model, rho_plus, rho_minus):
     mapping of the module docstring).
     """
     if model.kind is _SIM_FLUX:
-        _, h, hp = md._sim_h(model.flux_shape, rho_plus, rho_minus)
+        _, h, hp = md._sim_h(model.a, rho_plus, rho_minus)
         return h + rho_plus * hp, rho_plus * hp, rho_minus * hp, h + rho_minus * hp
     if model.kind is _TWO_WAY_CAR:
         _, _, c_pm, c_mp, c_u_plus, c_u_minus = md._two_way_char_speeds(
@@ -281,13 +281,13 @@ def hyperbolicity_map(model, grid_resolution: int) -> HyperbolicityMap:
     )
 
 
-def _bisect_boundary(point_delta, p0, p1, hyperbolic0, tol=BOUNDARY_TOL):
+def _bisect_boundary(point_delta, p0, p1, hyperbolic0):
     """Locate the Delta = 0 crossing on the segment p0 -> p1, where p0 is
     hyperbolic (Delta >= 0) exactly when hyperbolic0 is true and p1 is of
     the other class; one Python float per coordinate (the float operations
     of an array bisection)."""
     (ax, ay), (bx, by) = map(float, p0), map(float, p1)
-    while max(abs(bx - ax), abs(by - ay)) > tol:
+    while max(abs(bx - ax), abs(by - ay)) > BOUNDARY_TOL:
         mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
         if (point_delta(mx, my) >= 0) == hyperbolic0:
             ax, ay = mx, my

@@ -9,8 +9,7 @@ class PedflowError(Exception):
 
     The driver, solver.run, sets step and t on an error raised while
     stepping, one lane or several: the step that failed, 0 for the check
-    of the initial state, and the time t0 + step * dt that step was to
-    reach.
+    of the initial state, and the time step * dt that step was to reach.
     """
 
     step: int | None = None

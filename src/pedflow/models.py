@@ -22,7 +22,7 @@ cell axis, which is all the finite-volume solver needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -61,21 +61,6 @@ _DENSITY_ROWS = {
 
 
 @dataclass(frozen=True)
-class SimFluxParams:
-    """Shape of the total-density flux profile g.
-
-    g increases on [0, a], decreases on [a, 1] and vanishes outside
-    [0, 1]; it is continuous at a and 1.
-    """
-
-    a: float = 0.7
-
-    def __post_init__(self):
-        if not 0.0 < self.a < 1.0:
-            raise DomainError(f"a must lie in (0, 1), got {self.a}")
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """One member of the model family plus its parameters.
 
@@ -89,7 +74,9 @@ class ModelSpec:
     crowding: pr.CrowdingWeight | None = None
     crowding_minus: pr.CrowdingWeight | None = None
     V: float | None = None
-    flux_shape: SimFluxParams | None = None
+    # sim_flux's profile g increases on [0, a], decreases on [a, 1] and
+    # vanishes outside [0, 1]; it is continuous at a and 1
+    a: float | None = None
 
     @classmethod
     def one_way_ar(cls, pressure: pr.PressureParams) -> "ModelSpec":
@@ -99,12 +86,8 @@ class ModelSpec:
 
     @classmethod
     def one_way_car(cls, V: float, pressure: pr.PressureParams) -> "ModelSpec":
-        require_finite(V=V)
-        if V <= 0:
-            raise DomainError("V must be > 0")
-        if pressure.m <= 1:
-            raise DomainError("one-way pressure law requires m > 1")
-        return cls(kind=ModelKind.ONE_WAY_CAR, pressure=pressure, V=V)
+        _require_speed(V)
+        return replace(cls.one_way_ar(pressure), kind=ModelKind.ONE_WAY_CAR, V=V)
 
     @classmethod
     def two_way_ar(
@@ -129,21 +112,15 @@ class ModelSpec:
         crowding: pr.CrowdingWeight | None = None,
         crowding_minus: pr.CrowdingWeight | None = None,
     ) -> "ModelSpec":
-        require_finite(V=V)
-        if V <= 0:
-            raise DomainError("V must be > 0")
-        q = crowding if crowding is not None else pr.CrowdingWeight()
-        return cls(
-            kind=ModelKind.TWO_WAY_CAR,
-            pressure=pressure,
-            V=V,
-            crowding=q,
-            crowding_minus=crowding_minus if crowding_minus is not None else q,
-        )
+        _require_speed(V)
+        return replace(cls.two_way_ar(pressure, crowding, crowding_minus),
+                       kind=ModelKind.TWO_WAY_CAR, V=V)
 
     @classmethod
     def sim_flux(cls, a: float = 0.7) -> "ModelSpec":
-        return cls(kind=ModelKind.SIM_FLUX, flux_shape=SimFluxParams(a=a))
+        if not 0.0 < a < 1.0:
+            raise DomainError(f"a must lie in (0, 1), got {a}")
+        return cls(kind=ModelKind.SIM_FLUX, a=a)
 
     @property
     def n_conserved(self) -> int:
@@ -159,7 +136,7 @@ class ModelSpec:
         in place on it."""
         U = np.asarray(U, dtype=float)
         if self.kind is ModelKind.SIM_FLUX:
-            F = U * _sim_h(self.flux_shape, U[0], U[1], derivative=False)[1]
+            F = U * _sim_h(self.a, U[0], U[1], derivative=False)[1]
             F[1] *= -1.0  # (rho+ h, -rho- h): (-a) * b == -(a * b) exactly
             return F
         if self.kind is ModelKind.ONE_WAY_CAR:
@@ -199,7 +176,7 @@ class ModelSpec:
         U = np.asarray(U, dtype=float)
         if self.kind is ModelKind.SIM_FLUX:
             rho_p, rho_m = U[0], U[1]
-            rho, h, hp = _sim_h(self.flux_shape, rho_p, rho_m)
+            rho, h, hp = _sim_h(self.a, rho_p, rho_m)
             tr = (rho_p - rho_m) * hp
             det = -h * h - h * hp * rho
             return _pair_max_modulus(tr, tr * tr - 4.0 * det)
@@ -215,6 +192,13 @@ class ModelSpec:
             rho_m, w_m, _ = _species_primitives(U[2], U[3])
             return _two_way_max_abs_speed(self, rho_p, rho_m, w_p, w_m)
         return _two_way_max_abs_speed(self, U[0], U[1], self.V, self.V)
+
+
+def _require_speed(V):
+    """The desired-speed rule of the car constructors."""
+    require_finite(V=V)
+    if V <= 0:
+        raise DomainError("V must be > 0")
 
 
 def _two_way_max_abs_speed(model, rho_plus, rho_minus, w_plus, w_minus):
@@ -250,15 +234,15 @@ def _pair_max_modulus(trace, disc):
     return np.where(disc >= 0.0, real_case, complex_case)
 
 
-def _sim_h(params: SimFluxParams, rho_plus, rho_minus, derivative=True):
+def _sim_h(a: float, rho_plus, rho_minus, derivative=True):
     """Total density rho of two non-negative species, h = g(rho)/rho and
-    h', or None in place of h' with derivative=False (the flux reads h only).
+    h' for the profile g of ModelSpec.a, or None in place of h' with
+    derivative=False (the flux reads h only).
 
     The 0/0 at vacuum is removed: on [0, a] the ratio is exactly the
     polynomial 1 - rho/(2a), so the vacuum limit h(0) = 1 needs no special
     casing.  At rho = 1 the inside one-sided branch is used (larger magnitude).
     """
-    a = params.a
     r = np.asarray(rho_plus + rho_minus, dtype=float)
     h = np.asarray(1.0 - r / (2.0 * a))  # an array also for 0-d input
     hp = np.full(r.shape, -1.0 / (2.0 * a)) if derivative else None

@@ -265,19 +265,18 @@ def run(
     params: SchemeParams,
     t_end: float,
     snapshot_every: float | None = None,
-    t0: float = 0.0,
     step=None,
 ) -> RunResult:
-    """Iterate the scheme from time t0 to t0 + t_end, recording snapshots
-    and an audit.
+    """Iterate the scheme from time 0 to t_end, recording snapshots and
+    an audit.
 
     U is the (C, N) state of one lane or the (C, K, N) state of K lanes
     (a 1-D state is one component); it is copied, not modified.
     step(U, k) makes step k from the admissible state U and returns
     (U_new, cfl, clipped_mass, time); the default is _advance, at time
-    t0 + k * dt, and multilane.coupled_stepper couples lanes.
-    Snapshots are (time, U) pairs taken at t0, every snapshot_every time
-    units of t0 + k * dt, and after the last step, so the last one is the
+    k * dt, and multilane.coupled_stepper couples lanes.
+    Snapshots are (time, U) pairs taken at 0, every snapshot_every time
+    units of k * dt, and after the last step, so the last one is the
     final state.
     The audit records, per step, the measured stability number, the mass
     of every conserved component, density extrema and the cumulative mass
@@ -293,13 +292,13 @@ def run(
                           f"{grid.n_cells}), got {U.shape}")
     dx = grid.dx
 
-    snapshots = [(t0, U.copy())]
+    snapshots = [(0.0, U.copy())]
     dens = density_view(model, U)
     mass_budget = CLIP_BUDGET_REL * float(np.sum(dens.sum(axis=1) * dx))
 
     if step is None:
         def step(U, k):  # looks _advance up per call, so that it can be patched
-            return (*_advance(model, U, grid, params), t0 + k * params.dt)
+            return (*_advance(model, U, grid, params), k * params.dt)
 
     n_steps = step_count(t_end, params.dt)
     # row k - 1 holds step k, its mass summed over lanes and cells; step, t
@@ -309,12 +308,12 @@ def run(
     clipped_total = 0.0
     next_snap = snapshot_every if snapshot_every else None
 
-    k, time = 0, t0
+    k, time = 0, 0.0
     try:
         check_admissible(model, U)
         for k in range(1, n_steps + 1):
             U, cfl, clipped, time = step(U, k)
-            t = t0 + k * params.dt
+            t = k * params.dt
             clipped_total += clipped
             if clipped_total > mass_budget:
                 raise ClipBudgetError(
@@ -326,17 +325,17 @@ def run(
             rec_min[k - 1] = np.minimum.reduce(dens, axis=None)
             rec_max[k - 1] = np.maximum.reduce(dens, axis=None)
             rec_clip[k - 1] = clipped_total
-            if next_snap is not None and t >= t0 + next_snap - 1e-9 * params.dt:
+            if next_snap is not None and t >= next_snap - 1e-9 * params.dt:
                 snapshots.append((time, U.copy()))
                 next_snap += snapshot_every
     except PedflowError as exc:
-        exc.step, exc.t = k, t0 + k * params.dt
+        exc.step, exc.t = k, k * params.dt
         raise
 
     if snapshots[-1][0] < time - 1e-9 * params.dt:
         snapshots.append((time, U.copy()))
     steps = np.arange(1, n_steps + 1)
     return RunResult(snapshots, AuditTrail(
-        step=steps, t=t0 + steps * params.dt, cfl=rec_cfl, mass=rec_mass * dx,
+        step=steps, t=steps * params.dt, cfl=rec_cfl, mass=rec_mass * dx,
         min_rho=rec_min, max_rho=rec_max, clipped_mass=rec_clip,
     ))

@@ -349,11 +349,10 @@ def test_criterion_08_conservation(fig3, fig4):
         ]
         U, offsets = np.stack(lanes, axis=1), None
         rates = ml.LaneChangeRates(lambda0=0.5)
-        before = ml.lane_densities(model, U).sum(axis=(0, 2)) * grid.dx
-        for k in range(25):
-            U, offsets, _ = ml.coupled_step(model, rates, U, offsets, grid, scheme,
-                                            k * scheme.dt)
-        after = ml.lane_densities(model, U).sum(axis=(0, 2)) * grid.dx
+        before = sv.density_view(model, U).sum(axis=(1, 2)) * grid.dx
+        for _ in range(25):
+            U, offsets, _ = ml.coupled_step(model, rates, U, offsets, grid, scheme)
+        after = sv.density_view(model, U).sum(axis=(1, 2)) * grid.dx
         lane_drift = max(lane_drift, float(np.abs(after / before - 1.0).max()))
 
         rho = rng.uniform(0.0, 0.5, (K, 2, 32))

@@ -362,9 +362,9 @@ class TestHyperbolicityMap:
 # same boundary points bit for bit.
 
 
-def reference_bisect_boundary(point_delta, p0, p1, hyperbolic0, tol=an.BOUNDARY_TOL):
+def reference_bisect_boundary(point_delta, p0, p1, hyperbolic0):
     a, b = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
-    while np.max(np.abs(b - a)) > tol:
+    while np.max(np.abs(b - a)) > an.BOUNDARY_TOL:
         mid = 0.5 * (a + b)
         fm = point_delta(*mid)
         if (fm >= 0) == hyperbolic0:
@@ -532,7 +532,7 @@ def reference_delta_field(model, rho_plus, rho_minus):
     rp = np.asarray(rho_plus, dtype=float)
     rm = np.asarray(rho_minus, dtype=float)
     if model.kind is md.ModelKind.SIM_FLUX:
-        _, h, hp = md._sim_h(model.flux_shape, rp, rm)
+        _, h, hp = md._sim_h(model.a, rp, rm)
         speeds = ReferenceSpeeds(h + rp * hp, rp * hp, rm * hp, h + rm * hp)
     else:
         p_plus, p_minus, (c_pp, c_pm), (c_mm, c_mp) = pr.two_way_offsets(

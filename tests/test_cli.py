@@ -601,6 +601,19 @@ run.t_end = 0.03
         ) == 3
         assert capsys.readouterr().err == line + "\n"
 
+    def test_a_stiff_lane_change_names_its_cell_step_and_time_once(self, tmp_path,
+                                                                  capsys):
+        # lambda0 * dt = 0.95 passes the load rule, but the outflow of a
+        # cell sums the rates toward both neighbours
+        cfg_path = two_lane_config(tmp_path, {"rates.lambda0": 19, "run.t_end": 5})
+        assert cli.main(
+            ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        ) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: lane-change outflow dt*(rate_up + rate_down) = 1.54 "
+            "exceeds 1 in lane 0, direction minus, cell 104 (step 6, t = 0.3)\n"
+        )
+
     def test_stiff_lane_change_rate_is_a_config_error(self, tmp_path):
         cfg_path = two_lane_config(tmp_path, {"rates.lambda0": 30.0})
         with pytest.raises(ConfigError, match="lambda0"):
@@ -641,8 +654,8 @@ run.t_end = 0.03
         # _advance clips c more per step: a multi-lane run sums the
         # clipped mass and stops at the first step k with k*c > budget
         cfg = cli.load_config(TWO_LANE_CFG)
-        dens = ml.lane_densities(cfg.model, cli.build_initial(cfg))
-        budget = sv.CLIP_BUDGET_REL * float(np.sum(dens.sum(axis=(0, 2)) * cfg.grid.dx))
+        dens = sv.density_view(cfg.model, cli.build_initial(cfg))
+        budget = sv.CLIP_BUDGET_REL * float(np.sum(dens.sum(axis=1) * cfg.grid.dx))
         c = budget / 2.5
         advance = sv._advance
         steps = []
@@ -661,8 +674,8 @@ run.t_end = 0.03
     def test_a_multilane_failure_names_its_step_and_time(self, tmp_path, monkeypatch):
         # as above, the clip budget stops step 3, which was to reach t = 3 dt
         cfg = cli.load_config(TWO_LANE_CFG)
-        dens = ml.lane_densities(cfg.model, cli.build_initial(cfg))
-        budget = sv.CLIP_BUDGET_REL * float(np.sum(dens.sum(axis=(0, 2)) * cfg.grid.dx))
+        dens = sv.density_view(cfg.model, cli.build_initial(cfg))
+        budget = sv.CLIP_BUDGET_REL * float(np.sum(dens.sum(axis=1) * cfg.grid.dx))
         advance = sv._advance
 
         def clipping_advance(model, U, grid, params):

@@ -286,10 +286,16 @@ class TestModelSpec:
     def test_car_requires_positive_speed(self):
         with pytest.raises(DomainError):
             md.ModelSpec.one_way_car(V=0.0, pressure=pressure_params())
+        # the speed rule comes before the one-way exponent rule
+        with pytest.raises(DomainError, match=r"^V must be > 0$"):
+            md.ModelSpec.one_way_car(V=0.0, pressure=pressure_params(m=1.0))
+        with pytest.raises(DomainError, match=r"^V must be > 0$"):
+            md.ModelSpec.two_way_car(V=0.0, pressure=pressure_params())
 
     def test_sim_flux_shape_bounds(self):
-        with pytest.raises(DomainError):
-            md.ModelSpec.sim_flux(a=1.0)
+        for a in (0.0, 1.0, float("nan")):
+            with pytest.raises(DomainError, match=rf"^a must lie in \(0, 1\), got {a}$"):
+                md.ModelSpec.sim_flux(a=a)
 
     def test_vacuum_speed_limit(self):
         model = md.ModelSpec.sim_flux(0.7)
@@ -531,7 +537,7 @@ def test_vacuum_error_follows_the_momentum_bound(kind, rho, y, raises):
 def reference_sim_flux(model, U):
     """(rho+ h, -rho- h), stacked from two rows."""
     rho_p, rho_m = U[0], U[1]
-    _, h, _ = md._sim_h(model.flux_shape, rho_p, rho_m)
+    _, h, _ = md._sim_h(model.a, rho_p, rho_m)
     return np.stack([rho_p * h, -rho_m * h])
 
 

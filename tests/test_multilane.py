@@ -80,7 +80,7 @@ class TestLaneChangeRate:
         with pytest.raises(CongestionOverflowError, match="reached the jam density"):
             ml.coupled_step(car_model(), ml.LaneChangeRates(lambda0=1.0),
                             np.stack(lanes, axis=1), None, grid,
-                            sv.SchemeParams(dt=0.05), 0.0)
+                            sv.SchemeParams(dt=0.05))
         assert max(float(np.max(t)) for t in calls) < 1.0
 
 
@@ -181,15 +181,14 @@ def make_lanes(K, rng, n=16):
 
 def direction_mass(model, U, grid):
     """Total mass per walking direction, summed over lanes."""
-    return ml.lane_densities(model, U).sum(axis=(0, 2)) * grid.dx
+    return sv.density_view(model, U).sum(axis=(1, 2)) * grid.dx
 
 
 def run_steps(model, rates, U, grid, params, n_steps):
     """The state n_steps coupled steps make from U."""
     offsets = None
-    for k in range(n_steps):
-        U, offsets, _ = ml.coupled_step(model, rates, U, offsets, grid, params,
-                                        k * params.dt)
+    for _ in range(n_steps):
+        U, offsets, _ = ml.coupled_step(model, rates, U, offsets, grid, params)
     return U
 
 
@@ -204,7 +203,7 @@ class TestCoupledStep:
             for k in range(U.shape[1])
         ]
         coupled, _, _ = ml.coupled_step(model, ml.LaneChangeRates(lambda0=0.0), U,
-                                        None, grid, params, 0.0)
+                                        None, grid, params)
         for k, want in enumerate(independent):
             np.testing.assert_array_equal(coupled[:, k], want)
 
@@ -265,10 +264,9 @@ class TestCoupledStep:
         grid = sv.Grid1D(n_cells=n, dx=1.0)
         params = sv.SchemeParams(dt=0.05)
         with pytest.raises(SourceStiffnessError, match="lane 0, direction plus, cell"):
-            for k in range(8):
-                U, offsets, _ = ml.coupled_step(model, rates, U, offsets, grid,
-                                                params, k * params.dt)
-                assert ml.lane_densities(model, U).min() >= 0.0
+            for _ in range(8):
+                U, offsets, _ = ml.coupled_step(model, rates, U, offsets, grid, params)
+                assert sv.density_view(model, U).min() >= 0.0
 
     def test_blow_up_names_the_lane(self):
         U = make_lanes(2, np.random.default_rng(9))
@@ -276,7 +274,7 @@ class TestCoupledStep:
         grid = sv.Grid1D(n_cells=16, dx=1.0)
         with pytest.raises(BlowUpError, match="of lane 1 at cell"):
             ml.coupled_step(car_model(), ml.LaneChangeRates(lambda0=0.5), U, None,
-                            grid, sv.SchemeParams(dt=0.05), 0.0)
+                            grid, sv.SchemeParams(dt=0.05))
 
 
 def test_a_multilane_step_keeps_its_call_structure(monkeypatch, tmp_path):
@@ -343,8 +341,8 @@ def reference_offsets_and_speeds(model, U):
     return rho, p, u
 
 
-def reference_coupled_step(model, rates, U, prev_offsets, grid, params, t):
-    """The state, offsets and time one step makes from U at time t."""
+def reference_coupled_step(model, rates, U, prev_offsets, grid, params):
+    """The state and offsets one step makes from U."""
     K = U.shape[1]
     new = np.stack([sv._advance(model, U[:, k], grid, params)[0] for k in range(K)],
                    axis=1)
@@ -378,7 +376,7 @@ def reference_coupled_step(model, rates, U, prev_offsets, grid, params, t):
         if model.kind is md.ModelKind.TWO_WAY_AR:
             new[1, k] += params.dt * R[k, 0]
             new[3, k] += params.dt * R[k, 1]
-    return new, p, t + params.dt
+    return new, p
 
 
 def assert_bitwise_equal(got, want):
@@ -417,19 +415,22 @@ def test_batched_step_matches_per_lane_reference(kind, K, data):
     delta = data.draw(st.sampled_from([0.0, 0.1]))
     grid = sv.Grid1D(n_cells=U.shape[-1], dx=1.0)
     params = sv.SchemeParams(dt=0.05, delta_diff=delta)
-    batched = reference = U
+    batched = stepped = reference = U
     offsets = ref_offsets = None
-    t = ref_t = 0.0
-    for _ in range(20):
-        # the running time of multilane.coupled_stepper
+    step = ml.coupled_stepper(model, rates, grid, params)
+    ref_t = 0.0
+    for k in range(1, 21):
         batched, offsets, _ = ml.coupled_step(model, rates, batched, offsets, grid,
-                                              params, t)
-        t += params.dt
-        reference, ref_offsets, ref_t = reference_coupled_step(
-            model, rates, reference, ref_offsets, grid, params, ref_t
+                                              params)
+        stepped, _, _, t = step(stepped, k)
+        reference, ref_offsets = reference_coupled_step(
+            model, rates, reference, ref_offsets, grid, params
         )
+        # the running time of multilane.coupled_stepper
+        ref_t += params.dt
         assert t == ref_t
         assert_bitwise_equal(batched, reference)
+        assert_bitwise_equal(stepped, reference)
         assert_bitwise_equal(offsets, ref_offsets)
 
 
@@ -485,9 +486,9 @@ def _steps(model, rates, U, grid, params, n_steps):
                 states.append((U[:, None], clipped))
         else:
             offsets = None
-            for k in range(n_steps):
+            for _ in range(n_steps):
                 U, offsets, clip = ml.coupled_step(model, rates, U, offsets, grid,
-                                                   params, k * params.dt)
+                                                   params)
                 clipped += clip
                 states.append((U, clipped))
     except PedflowError as err:

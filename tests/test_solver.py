@@ -282,10 +282,10 @@ class TestRun:
         grid = sv.Grid1D(n_cells=8, dx=1.0)
         params = sv.SchemeParams(dt=0.1)
         U0 = noisy_state(8)
-        res = sv.run(SIM, U0, grid, params, t_end=0.0, t0=2.0)
+        res = sv.run(SIM, U0, grid, params, t_end=0.0)
         assert len(res.snapshots) == 1
         t, U = res.snapshots[0]
-        assert t == 2.0
+        assert t == 0.0
         np.testing.assert_array_equal(U, U0)
 
     def test_snapshot_cadence(self):
@@ -532,9 +532,8 @@ def reference_advance(model, U, grid, params):
     return U_new, cfl, clipped
 
 
-def reference_sim_h(params, rho_plus, rho_minus, derivative=True):
+def reference_sim_h(a, rho_plus, rho_minus, derivative=True):
     """h and h' by np.where; the h-only request still computes both."""
-    a = params.a
     r = np.asarray(rho_plus + rho_minus, dtype=float)
     h = 1.0 - r / (2.0 * a)
     hp = np.full_like(r, -1.0 / (2.0 * a))
@@ -617,12 +616,12 @@ def test_advance_matches_the_roll_and_where_reference(kind, limiter, delta_diff,
     (np.linspace(0.0, 0.7, 281), np.linspace(0.0, 0.6, 281)),
 ], ids=["below_a", "at_a", "between", "at_1", "above_1", "every_branch", "sweep"])
 def test_sim_h_matches_the_where_reference(rho_plus, rho_minus):
-    params = SIM.flux_shape
+    a = SIM.a
     cases = [(np.asarray(rho_plus), np.asarray(rho_minus))]
     if np.ndim(rho_plus) == 0:  # also a float, and a 0-d array from analysis
         cases += [(rho_plus, rho_minus), (np.full(3, rho_plus), np.full(3, rho_minus))]
     for rp, rm in cases:
-        for got, want in zip(md._sim_h(params, rp, rm), reference_sim_h(params, rp, rm)):
+        for got, want in zip(md._sim_h(a, rp, rm), reference_sim_h(a, rp, rm)):
             assert_same_bits(got, want)
 
 
@@ -634,7 +633,6 @@ SIM_H_EDGES = [0.0, -0.0, 5e-324, 1e-310, 0.35, 0.5]
 @given(a=st.just(0.7) | st.floats(0.05, 0.95), data=st.data())
 def test_sim_h_without_the_derivative_gives_the_same_h(a, data):
     # species densities up to 1e300 each; the flux asks for h only
-    params = md.SimFluxParams(a=a)
     elements = st.sampled_from(SIM_H_EDGES) | st.floats(0.0, 1e300) | st.floats(0.0, 1.0)
     form = data.draw(st.sampled_from(["float", "0-d", (7,), (2, 9)]))
     pair = []
@@ -644,11 +642,11 @@ def test_sim_h_without_the_derivative_gives_the_same_h(a, data):
             pair.append(rho if form == "float" else np.asarray(rho))
         else:
             pair.append(data.draw(hnp.arrays(np.float64, form, elements=elements)))
-    r, h, hp = md._sim_h(params, *pair, derivative=False)
+    r, h, hp = md._sim_h(a, *pair, derivative=False)
     assert hp is None
-    for got, want in zip((r, h), md._sim_h(params, *pair)):
+    for got, want in zip((r, h), md._sim_h(a, *pair)):
         assert_same_bits(got, want)
-    for got, want in zip(md._sim_h(params, *pair), reference_sim_h(params, *pair)):
+    for got, want in zip(md._sim_h(a, *pair), reference_sim_h(a, *pair)):
         assert_same_bits(got, want)
 
 
@@ -816,7 +814,7 @@ def test_reconstruction_matches_the_half_slope_reference(shape, limiter, data):
     assert_same_bits(got[1], want[1])
 
 
-def reference_audit(model, U, grid, params, t0, n_steps):
+def reference_audit(model, U, grid, params, n_steps):
     """The AuditTrail of solver.run, recorded step by step into lists, with
     its clip budget: ClipBudgetError once the clipped mass passes
     CLIP_BUDGET_REL of the initial density mass."""
@@ -831,7 +829,7 @@ def reference_audit(model, U, grid, params, t0, n_steps):
         if clipped_total > budget:
             raise ClipBudgetError("clipped mass exceeds the budget")
         rec["step"].append(k)
-        rec["t"].append(t0 + k * params.dt)
+        rec["t"].append(k * params.dt)
         rec["cfl"].append(cfl)
         rec["mass"].append(U.reshape(len(U), -1).sum(axis=1) * grid.dx)
         rec["min_rho"].append(float(U[rows].min()))
@@ -858,13 +856,12 @@ def clip_budget_state():
 
 @pytest.mark.parametrize("kind", list(ALL_KINDS), ids=lambda kind: kind.value)
 @settings(max_examples=25, deadline=None)
-@given(t0=st.sampled_from([0.0, 0.1, 1234.567]), dx=st.sampled_from([1.0, 0.3, 1.7]),
-       n_steps=st.integers(0, 6), data=st.data())
+@given(dx=st.sampled_from([1.0, 0.3, 1.7]), n_steps=st.integers(0, 6), data=st.data())
 # data=None stands for clip_budget_state(), a two_way_ar state
-@example(t0=0.0, dx=1.0, n_steps=1, data=None)
-def test_run_audit_matches_the_per_step_reference(kind, t0, dx, n_steps, data):
-    # dx != 1 and t0 != 0 make the factor dx of the mass and the t0 of
-    # t = t0 + k dt show in the bits
+@example(dx=1.0, n_steps=1, data=None)
+def test_run_audit_matches_the_per_step_reference(kind, dx, n_steps, data):
+    # dx != 1 makes the factor dx of the mass and of the dt in t = k dt
+    # show in the bits
     model = ALL_KINDS[kind]
     if data is None:
         if kind is not md.ModelKind.TWO_WAY_AR:
@@ -874,8 +871,8 @@ def test_run_audit_matches_the_per_step_reference(kind, t0, dx, n_steps, data):
         U = data.draw(step_states(model))
     grid = sv.Grid1D(n_cells=16, dx=dx)
     params = sv.SchemeParams(dt=0.01 * dx, delta_diff=0.1)
-    got = _outcome(sv.run, model, U, grid, params, n_steps * params.dt, None, t0)
-    want = _outcome(reference_audit, model, U, grid, params, t0, n_steps)
+    got = _outcome(sv.run, model, U, grid, params, n_steps * params.dt)
+    want = _outcome(reference_audit, model, U, grid, params, n_steps)
     if isinstance(want, type):
         assert got is want
         return
@@ -991,7 +988,7 @@ def test_a_failed_run_says_at_which_step_and_time():
     # The head-on jam on 64 cells with dt = 0.2: its speeds grow while the
     # jam forms, until the stability guard stops a step (79; found here by
     # stepping _advance by hand).  solver.run names that step and the time
-    # it was to reach, from its start time t0.
+    # it was to reach.
     law = pr.PressureParams(M=1.0, m=2.0, eps=1e-3, gamma=2.0, rho_star=1.0)
     model = md.ModelSpec.two_way_car(
         V=1.0, pressure=law, crowding=pr.CrowdingWeight(pr.CrowdingKind.CONSTANT))
@@ -1004,9 +1001,9 @@ def test_a_failed_run_says_at_which_step_and_time():
         for k in range(1, 1000):
             U = sv._advance(model, U, grid, params)[0]
     with pytest.raises(StabilityError) as info:
-        sv.run(model, U0, grid, params, t_end=1000 * params.dt, t0=5.0)
-    assert k > 1 and (info.value.step, info.value.t) == (k, 5.0 + k * params.dt)
-    # the check of the initial state is step 0, at t0
+        sv.run(model, U0, grid, params, t_end=1000 * params.dt)
+    assert k > 1 and (info.value.step, info.value.t) == (k, k * params.dt)
+    # the check of the initial state is step 0, at time 0
     with pytest.raises(CongestionOverflowError) as info:
-        sv.run(model, np.full((2, 64), 0.5), grid, params, t_end=1.0, t0=5.0)
-    assert (info.value.step, info.value.t) == (0, 5.0)
+        sv.run(model, np.full((2, 64), 0.5), grid, params, t_end=1.0)
+    assert (info.value.step, info.value.t) == (0, 0.0)
